@@ -185,7 +185,8 @@ def _entropy(probs):
 
 def _jsd(p, q):
     """Jensen-Shannon divergence, base 2, bounded [0, 1]."""
-    support = set(p) | set(q)
+    # Sorted, so the float sums do not depend on the string hash seed.
+    support = sorted(set(p) | set(q))
     m = {v: 0.5 * (p.get(v, 0.0) + q.get(v, 0.0)) for v in support}
     h_m = _entropy(m.values())
     h_p = _entropy(p.values())

@@ -128,14 +128,19 @@ def _analyze(snapshot):
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset_hint=charset)
 
 
-def scan_extract(archive, index, spec, workers=1, analyses=None, errors=None):
+def scan_extract(
+    archive, index, spec, workers=1, analyses=None, errors=None, candidates=None
+):
     """Fetch every prefiltered candidate once and apply the content scopes.
 
     Returns the kept entries (candidate order). Corrupt candidates are
     skipped and tallied in ``errors``; extraction continues. With an
     ``analyses`` dict the per-page analyses are cached for later stages.
+    ``candidates`` is the result of ``index_prefilter(index, spec)`` when
+    the caller already has it.
     """
-    candidates = index_prefilter(index, spec)
+    if candidates is None:
+        candidates = index_prefilter(index, spec)
 
     def evaluate(entry):
         try:
@@ -375,7 +380,13 @@ def extract(archive, index, spec, workers=1):
 
     candidates = index_prefilter(index, spec)
     kept = scan_extract(
-        archive, index, spec, workers=workers, analyses=analyses, errors=errors
+        archive,
+        index,
+        spec,
+        workers=workers,
+        analyses=analyses,
+        errors=errors,
+        candidates=candidates,
     )
     selected = select_versions(kept, spec.version_mode)
     members = [Member(entry=e, origin="scan") for e in selected]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from urllib.parse import urljoin
 
-from .urls import CanonicalizationError, canonicalize_url, same_host
+from .urls import CanonicalizationError, canonicalize_url, host_of, same_host, strip_www
 
 __all__ = ["PageAnalysis", "LinkRecord", "parse_html", "classify_link", "tokenize"]
 
@@ -65,8 +65,12 @@ class _Collector(HTMLParser):
         self.page_url = page_url
         self.ignore_www = ignore_www
         self.base_url = page_url
+        self.page_host = self._host_key(host_of(page_url))
         self.analysis = PageAnalysis()
         self._suppress_text = 0  # inside <script>/<style>
+
+    def _host_key(self, host):
+        return strip_www(host) if self.ignore_www else host
 
     def handle_starttag(self, tag, attrs):
         counts = self.analysis.tag_counts
@@ -105,14 +109,15 @@ class _Collector(HTMLParser):
             self.analysis.tokens.extend(tokenize(data))
 
     def _add_link(self, href):
-        low = href.lower()
-        if any(low.startswith(s) for s in _DROP_SCHEMES):
+        if href.lower().startswith(_DROP_SCHEMES):
             return
         try:
             target = canonicalize_url(urljoin(self.base_url, href))
         except CanonicalizationError:
             return
-        kind = classify_link(target, self.page_url, self.ignore_www)
+        # classify_link with the page's host key computed once per page.
+        internal = self._host_key(host_of(target)) == self.page_host
+        kind = "internal" if internal else "external"
         self.analysis.outlinks.append(LinkRecord(target=target, kind=kind))
         self.analysis.tag_counts["anchor"] += 1
 

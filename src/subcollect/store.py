@@ -11,7 +11,9 @@ from __future__ import annotations
 import bisect
 import calendar
 import hashlib
+import operator
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -36,6 +38,10 @@ __all__ = [
 
 INDEX_HEADER = "SUBCOLLECT-CDX 1"
 
+# WARC/1.1 dates may carry a decimal fraction of a second (ISO 28500:2017).
+_FRACTION_RE = re.compile(r"\.[0-9]+(?=[Zz]\Z)")
+_TIMESTAMP14 = operator.attrgetter("timestamp14")
+
 
 class SnapshotNotFound(LookupError):
     """The requested URL (or capture) is not in the index."""
@@ -50,8 +56,10 @@ class ArchiveIOError(OSError):
 
 
 def timestamp14_from_iso(iso_date):
-    """\"2005-11-30T14:30:00Z\" -> \"20051130143000\"."""
-    st = time.strptime(iso_date.strip(), "%Y-%m-%dT%H:%M:%SZ")
+    """\"2005-11-30T14:30:00Z\" -> \"20051130143000\"; a fraction of a
+    second (\"...:00.123Z\") is truncated."""
+    iso_date = _FRACTION_RE.sub("", iso_date.strip(), count=1)
+    st = time.strptime(iso_date, "%Y-%m-%dT%H:%M:%SZ")
     return time.strftime("%Y%m%d%H%M%S", st)
 
 
@@ -245,11 +253,18 @@ class ArchiveIndex:
         return self._by_url.keys()
 
     def entries_for(self, url):
-        """All captures of one canonical URL, ascending by time."""
-        return self._by_url.get(canonicalize_url(url), [])
+        """All captures of one URL, ascending by time.
+
+        Keys are canonical and canonicalization is idempotent, so ``url``
+        is canonicalized only when it is not a key as given.
+        """
+        found = self._by_url.get(url)
+        if found is None:
+            found = self._by_url.get(canonicalize_url(url), [])
+        return found
 
     def has_url(self, url):
-        return canonicalize_url(url) in self._by_url
+        return bool(self.entries_for(url))
 
     def snapshots_of(self, url):
         """Ascending capture timestamps; same-time duplicates collapse
@@ -266,14 +281,14 @@ class ArchiveIndex:
         if not candidates:
             raise SnapshotNotFound(url)
         target = timestamp14_to_epoch(target_ts14)
-        times = [c.epoch for c in candidates]
-        i = bisect.bisect_left(times, target)
+        # Zero-padded 14-digit UTC timestamps sort in time order, so only
+        # the two neighbours of the insertion point need epochs.
+        i = bisect.bisect_left(candidates, target_ts14, key=_TIMESTAMP14)
         best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(candidates):
-                dist = abs(times[j] - target)
-                if best is None or dist < best[0]:
-                    best = (dist, candidates[j])
+        for c in candidates[max(i - 1, 0) : i + 1]:
+            dist = abs(c.epoch - target)
+            if best is None or dist < best[0]:
+                best = (dist, c)
         return best[1]
 
     def save(self, path):

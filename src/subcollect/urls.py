@@ -9,7 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import re
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 __all__ = [
     "CanonicalizationError",
@@ -40,8 +40,11 @@ def canonicalize_url(url):
 
     Lowercases scheme and host, strips the fragment and default ports
     (80 for http, 443 for https), and turns an empty path into "/".
-    The query string is kept byte-for-byte; parameter order can be
-    semantically significant so it is never sorted.
+    The query string is kept as given; parameter order can be
+    semantically significant so it is never sorted. A space left inside
+    the URL is escaped as "%20", so a canonical URL fits one field of a
+    space-separated index line. Tab, CR and LF are already dropped by
+    urlsplit; other whitespace is kept as given unless it ends the URL.
     """
     if not isinstance(url, str):
         raise CanonicalizationError("URL must be a string", 0)
@@ -101,12 +104,24 @@ def canonicalize_url(url):
     out = "%s://%s%s" % (scheme, netloc, path)
     if parts.query:
         out += "?" + parts.query
+    out = out.replace(" ", "%20")
+    # The strip() above would drop whitespace left at the end (such as
+    # U+00A0 before an empty query or a fragment) on a second pass, so it
+    # is escaped to keep canonicalization idempotent.
+    if out[-1].isspace():
+        kept = out.rstrip()
+        out = kept + quote(out[len(kept) :])
     return out
 
 
 def host_of(url):
     """Hostname (no port, no userinfo) of a canonical URL."""
-    netloc = urlsplit(url).netloc
+    start = url.find("://") + 3
+    end = url.find("/", start)
+    netloc = url[start:end] if end >= 0 else url[start:]
+    if start < 3 or "?" in netloc or "#" in netloc:
+        # No "://", or a query or fragment ends the netloc before any "/".
+        netloc = urlsplit(url).netloc
     hostport = netloc.rsplit("@", 1)[-1]
     if hostport.startswith("["):
         return hostport.partition("]")[0] + "]"

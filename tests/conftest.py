@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from urllib.parse import urlsplit
+
 import pytest
 
 from subcollect import warc
@@ -15,6 +17,14 @@ def iso_of(ts14):
     return "%s-%s-%sT%s:%s:%sZ" % (
         ts14[0:4], ts14[4:6], ts14[6:8], ts14[8:10], ts14[10:12], ts14[12:14]
     )
+
+
+def urlsplit_host(url):
+    """host_of as computed by urlsplit alone: the reference for host_of."""
+    hostport = urlsplit(url).netloc.rsplit("@", 1)[-1]
+    if hostport.startswith("["):
+        return hostport.partition("]")[0] + "]"
+    return hostport.partition(":")[0].lower()
 
 
 def page(title="", links=(), text=""):

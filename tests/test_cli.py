@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import subcollect
 from subcollect import warc
 from subcollect.cli import main
 
@@ -299,3 +303,39 @@ def test_get_unknown_url_code_3(workspace):
 
 def test_get_bad_timestamp_code_1(workspace):
     assert main(get_args(workspace, "http://a.de/", "not-a-time")) == 1
+
+
+def test_evaluate_csv_independent_of_hash_seed(tmp_path):
+    # Many hosts with uneven shares, so a hash-ordered float sum would
+    # differ in its last digits between interpreter processes.
+    archive_dir = tmp_path / "archive"
+    archive_dir.mkdir()
+    captures = [
+        ("http://h%02d.de/p%d" % (h, k), "20%02d0101120000" % (k % 10), page("p"))
+        for h in range(40)
+        for k in range(1 + h % 7)
+    ]
+    warc_path = archive_dir / "f.warc"
+    warc.write_warc(
+        str(warc_path), [warc.make_response_record(u, iso_of(t), b) for u, t, b in captures]
+    )
+    index = tmp_path / "index.cdx"
+    assert main(["index", str(warc_path), "--output", str(index)]) == 0
+    manifest = tmp_path / "m"
+    lines = ["SUBCOLLECT-MANIFEST 1", "spec-digest x"]
+    with open(index) as f:
+        rows = [line.split(" ") for line in f.read().splitlines()[1:]]
+    lines += ["%s %s %s scan" % (r[0], r[1], r[4]) for r in rows[::3]]
+    manifest.write_text("\n".join(lines) + "\n")
+
+    src = os.path.dirname(os.path.dirname(subcollect.__file__))
+    outputs = []
+    for seed in ("1", "2", "3"):
+        csv_out = tmp_path / ("report%s.csv" % seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "subcollect.cli", "evaluate", str(manifest),
+                "--index", str(index), "--archive-dir", str(archive_dir),
+                "--output", str(csv_out)]
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
+        outputs.append(csv_out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -459,3 +459,19 @@ def test_export_warc_verbatim(three_hosts, tmp_path):
         assert blob[pos : pos + len(raw)] == raw
         pos += len(raw)
     assert pos == len(blob)
+
+
+def test_extract_runs_index_prefilter_once(three_hosts, monkeypatch):
+    from subcollect import extraction
+
+    calls = []
+
+    def counting_prefilter(index, spec):
+        calls.append(spec)
+        return index_prefilter(index, spec)
+
+    monkeypatch.setattr(extraction, "index_prefilter", counting_prefilter)
+    spec = SubCollectionSpec(domain_scope=("de",), link_mode="connected")
+    coll = extract(three_hosts.archive, three_hosts.index, spec)
+    assert len(calls) == 1
+    assert coll.counters["candidates_scanned"] == len(three_hosts.index)

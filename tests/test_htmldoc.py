@@ -1,6 +1,10 @@
-from hypothesis import given, strategies as st
+from urllib.parse import urljoin
 
-from subcollect.htmldoc import classify_link, parse_html, tokenize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from subcollect.htmldoc import _DROP_SCHEMES, classify_link, parse_html, tokenize
+from subcollect.urls import CanonicalizationError, canonicalize_url
 
 
 def test_relative_href_resolved():
@@ -144,3 +148,84 @@ def test_classify_link_symmetric_in_host_pair(h1, h2):
 
 def test_tokenize_excludes_underscore():
     assert tokenize("a_b") == ["a", "b"]
+
+
+# Outlinks against resolution and classification link by link -------------
+
+PAGE_URLS = [
+    "http://a.de/p",
+    "http://www.a.de/dir/page",
+    "https://a.de:8443/x/y?q=1",
+    "http://u:pw@a.de/x/",
+    "http://[::1]/x",
+]
+HREF_PREFIXES = [
+    "", "/", "//", "./", "../", "http://", "https://", "HTTP://", "http://u@",
+    "mailto:", "javascript:", "ftp://", "?", "#",
+]
+HREF_HOSTS = ["a.de", "A.De", "www.a.de", "b.de", "b.de:8080", "b.de:80", "u:p@b.de", ""]
+HREF_SEGMENTS = ["", ".", "..", "x", "p46", "a b", "%20", "~u", "a;b", "a:b", "ü", "Q", "a.b"]
+HREF_SUFFIXES = ["", "?q=1", "#f", "?", "#", "?a b"]
+
+hrefs = st.one_of(
+    st.builds(
+        lambda pre, host, segs, suf: pre + host + "/".join(segs) + suf,
+        st.sampled_from(HREF_PREFIXES),
+        st.sampled_from(HREF_HOSTS),
+        st.lists(st.sampled_from(HREF_SEGMENTS), max_size=4).map(
+            lambda segs: [""] + segs if segs else segs
+        ),
+        st.sampled_from(HREF_SUFFIXES),
+    ),
+    st.text(alphabet="/.?#:@ aAzZ09%-_~;", max_size=12),
+)
+
+
+def _resolve(href, base_url):
+    """Canonical target of one href resolved on its own, or None."""
+    if any(href.lower().startswith(s) for s in _DROP_SCHEMES):
+        return None
+    try:
+        return canonicalize_url(urljoin(base_url, href))
+    except CanonicalizationError:
+        return None
+
+
+@settings(max_examples=200)
+@given(
+    page_url=st.sampled_from(PAGE_URLS),
+    base=st.one_of(st.none(), st.sampled_from(["http://other.de/dir/", "sub/", "/"])),
+    links=st.lists(hrefs.filter(lambda h: '"' not in h and "&" not in h), max_size=5),
+    ignore_www=st.booleans(),
+)
+def test_parse_html_outlinks_equal_per_link_classification(page_url, base, links, ignore_www):
+    html = "".join('<a href="%s">x</a>' % h for h in links)
+    base_url = page_url
+    if base is not None:
+        html = '<base href="%s">' % base + html
+        base_url = urljoin(page_url, base)
+    analysis = parse_html(html, page_url, ignore_www=ignore_www)
+
+    want = []
+    for h in filter(None, links):  # an empty href attribute is no link
+        target = _resolve(h.strip(), base_url)
+        if target is not None:
+            want.append((target, classify_link(target, page_url, ignore_www)))
+    assert [(l.target, l.kind) for l in analysis.outlinks] == want
+
+
+@pytest.mark.parametrize(
+    "href, target",
+    [
+        ("/a//b", "http://a.de/a//b"),
+        ("/a/./b", "http://a.de/a/b"),
+        ("/a/../b", "http://a.de/b"),
+        ("/a b", "http://a.de/a%20b"),
+        ("http://B.de/x", "http://b.de/x"),
+        ("http://b.de:80/x", "http://b.de/x"),
+        ("http://b.de", "http://b.de/"),
+    ],
+)
+def test_non_canonical_hrefs_canonicalized(href, target):
+    a = parse_html(('<a href="%s">x</a>' % href).encode(), "http://a.de/p")
+    assert a.outlink_targets() == [target]

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -236,3 +237,13 @@ def test_adding_scope_never_widens(base, e, extra_domain, extra_year):
         )
     if in_scope_metadata(narrowed, e):
         assert in_scope_metadata(base, e)
+
+
+def test_readme_quick_tour_spec_parses():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("cat > spec.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    spec = parse_spec(block)
+    assert spec.keyword_scope == ("bundestagswahl", "wahlkampf")
+    assert spec.relevance_threshold == 0.3
+    assert spec.size_scope == 5000

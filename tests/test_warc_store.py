@@ -1,16 +1,22 @@
+import bisect
+import datetime
 import hashlib
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcollect import warc
 from subcollect.store import (
     Archive,
     ArchiveIndex,
     CorruptSnapshotError,
+    IndexEntry,
     IngestStats,
     SnapshotNotFound,
     ingest_warc,
     timestamp14_from_iso,
+    timestamp14_to_epoch,
 )
 
 from conftest import FILE_ID, build_archive, iso_of, page
@@ -260,3 +266,95 @@ def test_full_scan_fetches_every_entry_once(tmp_path):
     for e in fx.index:
         fx.archive.fetch(e)
     assert fx.archive.counter.fetches == len(fx.index)
+
+
+def test_fractional_second_warc_date_truncated():
+    assert timestamp14_from_iso("2009-01-01T00:00:00.123Z") == "20090101000000"
+    assert timestamp14_from_iso("2009-01-01T00:00:59.999999Z") == "20090101000059"
+    with pytest.raises(ValueError):
+        timestamp14_from_iso("2009-01-01T00:00:00.Z")
+
+
+def test_ingest_warc_1_1_fractional_date(tmp_path):
+    rec = warc.make_response_record("http://a.de/", "2009-01-01T00:00:00.123Z", page())
+    path = tmp_path / "f.warc"
+    warc.write_warc(str(path), [rec])
+    stats = IngestStats()
+    entries = ingest_warc(str(path), stats=stats)
+    assert [e.timestamp14 for e in entries] == ["20090101000000"]
+    assert stats.skipped == 0
+
+
+def test_whitespace_url_survives_save_and_load(tmp_path):
+    blobs = [
+        warc.make_response_record("http://a.de/a b", iso_of("20000101120000"), page("ab")),
+        warc.make_response_record("http://a.de/c", iso_of("20000101120000"), page("c")),
+    ]
+    path = tmp_path / "ws.warc"
+    warc.write_warc(str(path), blobs)
+    index = ArchiveIndex(ingest_warc(str(path)))
+    index.save(str(tmp_path / "ws.cdx"))
+    loaded = ArchiveIndex.load(str(tmp_path / "ws.cdx"))
+    assert [e.canonical_url for e in loaded] == ["http://a.de/a%20b", "http://a.de/c"]
+    assert loaded.lookup_nearest("http://a.de/a b", "20000101120000").canonical_url == (
+        "http://a.de/a%20b"
+    )
+
+
+def test_entries_for_canonicalizes_only_on_miss(tmp_path):
+    fx = build_archive(tmp_path, [("http://u.de/x", "20030101000000", page())])
+    assert fx.index.entries_for("http://u.de/x") == fx.index.entries_for("HTTP://U.DE:80/x#f")
+    assert len(fx.index.entries_for("http://u.de/x")) == 1
+    assert fx.index.has_url("http://U.de/x") and not fx.index.has_url("http://u.de/y")
+
+
+_TS14 = st.datetimes(
+    min_value=datetime.datetime(1995, 1, 1), max_value=datetime.datetime(2030, 12, 31)
+).map(lambda d: d.strftime("%Y%m%d%H%M%S"))
+
+
+def _linear_nearest(entries, target_ts14):
+    """Nearest capture by a full scan; the earlier capture wins ties."""
+    target = timestamp14_to_epoch(target_ts14)
+    return min(entries, key=lambda e: (abs(e.epoch - target), e.timestamp14))
+
+
+def _epoch_bisect_nearest(entries, target_ts14):
+    """The nearest-capture search as it was done over epochs."""
+    target = timestamp14_to_epoch(target_ts14)
+    times = [e.epoch for e in entries]
+    i = bisect.bisect_left(times, target)
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(entries):
+            dist = abs(times[j] - target)
+            if best is None or dist < best[0]:
+                best = (dist, entries[j])
+    return best[1]
+
+
+@settings(max_examples=300)
+@given(
+    times=st.lists(_TS14, min_size=1, max_size=12),
+    digests=st.lists(st.sampled_from("ab"), min_size=12, max_size=12),
+    target=_TS14,
+    near=st.booleans(),
+)
+def test_lookup_nearest_equals_oracles(times, digests, target, near):
+    url = "http://u.de/"
+    if near:
+        # Aim at a capture, or the exact midpoint between two, to force ties.
+        a, b = sorted(times)[0], sorted(times)[-1]
+        target = a if a == b else time.strftime(
+            "%Y%m%d%H%M%S",
+            time.gmtime((timestamp14_to_epoch(a) + timestamp14_to_epoch(b)) // 2),
+        )
+    entries = [
+        IndexEntry(canonical_url=url, timestamp14=t, digest=d)
+        for t, d in zip(times, digests)
+    ]
+    index = ArchiveIndex(entries)
+    got = index.lookup_nearest(url, target)
+    assert got == _epoch_bisect_nearest(index.entries_for(url), target)
+    if len(set(times)) == len(times):
+        assert got == _linear_nearest(index.entries_for(url), target)

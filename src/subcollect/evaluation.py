@@ -9,6 +9,7 @@ rather than a misleading 0 or 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,8 +106,12 @@ def stratified_recall(collection, truth):
 
 def default_link_oracle(index, spec=None):
     """Default notion of a \"relevant outlink\": the target has at least
-    one index entry, inside the spec's metadata scopes when given."""
+    one index entry, inside the spec's metadata scopes when given.
 
+    The verdict depends on the URL only, so it is computed once per URL.
+    """
+
+    @functools.cache
     def oracle(target_url):
         try:
             entries = index.entries_for(target_url)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,6 +44,11 @@ class Member:
     origin: str  # "scan" | "closure"
 
 
+def _member_order(m):
+    """Manifest order: canonical URL, then capture time."""
+    return (m.entry.canonical_url, m.entry.timestamp14)
+
+
 @dataclass
 class SubCollection:
     members: list = field(default_factory=list)
@@ -58,7 +64,7 @@ class SubCollection:
         return {m.entry.canonical_url for m in self.members}
 
     def sort(self):
-        self.members.sort(key=lambda m: (m.entry.canonical_url, m.entry.timestamp14))
+        self.members.sort(key=_member_order)
 
     def write_manifest(self, path):
         lines = [MANIFEST_HEADER, "spec-digest %s" % self.spec_digest]
@@ -257,7 +263,7 @@ def connect_closure(members, archive, index, spec, analyses=None, errors=None):
     present = {m.entry.canonical_url for m in members}
     added = 0
     depth = 0
-    frontier = sorted(members, key=lambda m: (m.entry.canonical_url, m.entry.timestamp14))
+    frontier = sorted(members, key=_member_order)
 
     def analysis_of(entry):
         key = (entry.canonical_url, entry.timestamp14)
@@ -291,9 +297,7 @@ def connect_closure(members, archive, index, spec, analyses=None, errors=None):
                 new_members.append(Member(entry=capture, origin="closure"))
                 added += 1
         members.extend(new_members)
-        frontier = sorted(
-            new_members, key=lambda m: (m.entry.canonical_url, m.entry.timestamp14)
-        )
+        frontier = sorted(new_members, key=_member_order)
     return members, added
 
 
@@ -328,7 +332,7 @@ def enforce_size(members, size_scope, index, seed):
         return (host_of(entry.canonical_url), entry.timestamp14[:4])
 
     by_stratum = {}
-    for m in sorted(members, key=lambda m: (m.entry.canonical_url, m.entry.timestamp14)):
+    for m in sorted(members, key=_member_order):
         by_stratum.setdefault(stratum(m.entry), []).append(m)
 
     archive_counts = {}
@@ -354,21 +358,31 @@ def enforce_size(members, size_scope, index, seed):
         picked[key] = take
 
     # Refill quota lost to small strata from the largest remaining pools.
+    # ``left`` keeps each stratum's members not yet picked, in the order of
+    # ``by_stratum``, where the members equal to a pick form one run.
+    left = {}
+    for key, pool in by_stratum.items():
+        taken = set(picked[key])
+        left[key] = [m for m in pool if m not in taken]
     total = sum(len(v) for v in picked.values())
     while total < size_scope:
-        remaining = sorted(
+        key = min(
             by_stratum,
             key=lambda key: (-(len(by_stratum[key]) - len(picked[key])), key),
         )
-        key = remaining[0]
-        pool = [m for m in by_stratum[key] if m not in picked[key]]
+        pool = left[key]
         if not pool:
             break
-        picked[key].append(rng.choice(pool))
+        pick = rng.choice(pool)
+        picked[key].append(pick)
+        order = _member_order(pick)
+        lo = bisect_left(pool, order, key=_member_order)
+        hi = bisect_right(pool, order, lo=lo, key=_member_order)
+        pool[lo:hi] = [m for m in pool[lo:hi] if m != pick]
         total += 1
 
     out = [m for key in sorted(picked) for m in picked[key]]
-    out.sort(key=lambda m: (m.entry.canonical_url, m.entry.timestamp14))
+    out.sort(key=_member_order)
     return out
 
 

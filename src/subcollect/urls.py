@@ -62,7 +62,10 @@ def canonicalize_url(url):
     if not rest.startswith("//"):
         raise CanonicalizationError("URL is not absolute", m.end())
 
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # such as an unclosed "[" in the host
+        raise CanonicalizationError(str(exc), m.end() + 2) from exc
     netloc = parts.netloc
     if not netloc:
         raise CanonicalizationError("empty host", m.end() + 2)
@@ -70,26 +73,31 @@ def canonicalize_url(url):
     # Split off userinfo and port before validating the hostname.
     hostport = netloc.rsplit("@", 1)[-1]
     userinfo = netloc[: -len(hostport) - 1] if "@" in netloc else ""
+    # Positions below count from the netloc, which follows "scheme://".
+    host_at = m.end() + 2 + len(userinfo) + (1 if userinfo else 0)
     if hostport.startswith("["):
         # Bracketed IPv6 literal: keep verbatim apart from lowercasing.
         host, _, port = hostport.partition("]")
         host += "]"
+        if port and not port.startswith(":"):
+            raise CanonicalizationError(
+                "text %r after bracketed host" % port, host_at + len(host)
+            )
         port = port.lstrip(":")
     else:
         host, _, port = hostport.partition(":")
     host = host.lower()
     if not host:
-        raise CanonicalizationError("empty host", url.index(netloc))
+        raise CanonicalizationError("empty host", host_at)
     if not host.startswith("[") and not _HOST_OK_RE.match(host):
         bad = next(i for i, c in enumerate(host) if not _HOST_OK_RE.match(c))
         raise CanonicalizationError(
-            "invalid character %r in host" % host[bad],
-            url.lower().index(host) + bad,
+            "invalid character %r in host" % host[bad], host_at + bad
         )
     if port:
         if not port.isdigit():
             raise CanonicalizationError(
-                "invalid port %r" % port, url.index(":" + port, m.end()) + 1
+                "invalid port %r" % port, host_at + len(hostport) - len(port)
             )
         if (scheme == "http" and port == "80") or (scheme == "https" and port == "443"):
             port = ""

@@ -1,7 +1,9 @@
 """Minimal WARC/1.0 reader and writer.
 
 Supports plain and per-record-gzipped records in the same file
-(gzip detected by the 1f 8b magic at record start). Only the header
+(gzip detected by the 1f 8b magic at record start). A gzip member that
+holds more than one record, as in a whole-file-gzipped WARC, is an
+error: its later records have no offset of their own. Only the header
 fields needed for indexing are interpreted; everything else is kept
 verbatim so records can be copied out byte-for-byte.
 """
@@ -149,7 +151,14 @@ def iter_records(path):
             f.seek(offset)
             if magic == _GZIP_MAGIC:
                 data, consumed = _read_gzip_member(f, offset)
-                rec, _ = _parse_record(data, offset)
+                rec, used = _parse_record(data, offset)
+                if data[used:].strip():
+                    raise WarcFormatError(
+                        "gzip member holds more than one record; records can be"
+                        " located by offset only when each is its own gzip member"
+                        " (per-record gzip)",
+                        offset,
+                    )
                 yield offset, consumed, rec
             else:
                 rec, consumed = _read_plain_record(f, offset)

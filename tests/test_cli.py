@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -76,6 +77,18 @@ def test_index_rerun_byte_identical(workspace, tmp_path):
 
 def test_index_unreadable_input_is_io_error(tmp_path):
     assert main(["index", str(tmp_path / "missing.warc"), "--output", str(tmp_path / "i")]) == 2
+
+
+def test_index_whole_file_gzip_is_io_error(tmp_path):
+    blobs = [
+        warc.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
+        for i in range(5)
+    ]
+    path = tmp_path / "whole.warc.gz"
+    path.write_bytes(gzip.compress(b"".join(blobs)))
+    index_path = tmp_path / "idx"
+    assert main(["index", str(path), "--output", str(index_path)]) == 2
+    assert not index_path.exists()
 
 
 # extract -------------------------------------------------------------------

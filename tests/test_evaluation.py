@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from subcollect import evaluation
 from subcollect.evaluation import (
     TruthSet,
+    default_link_oracle,
     evaluate,
     facet_entropy,
     link_completeness,
@@ -13,8 +15,8 @@ from subcollect.evaluation import (
     temporal_width,
 )
 from subcollect.extraction import Member, SubCollection
-from subcollect.spec import SubCollectionSpec
-from subcollect.store import IndexEntry, timestamp14_to_epoch
+from subcollect.spec import SubCollectionSpec, in_scope_metadata
+from subcollect.store import ArchiveIndex, IndexEntry, timestamp14_to_epoch
 
 from conftest import build_archive, page
 
@@ -285,3 +287,22 @@ def test_stratified_recall(tmp_path):
     per = stratified_recall(c, truth)
     assert per[("a.de", "2000")] == pytest.approx(0.5)
     assert per[("b.de", "2001")] == pytest.approx(1.0)
+
+
+def test_default_link_oracle_judges_each_url_once(monkeypatch):
+    calls = []
+
+    def counting(spec, entry):
+        calls.append(entry)
+        return in_scope_metadata(spec, entry)
+
+    monkeypatch.setattr(evaluation, "in_scope_metadata", counting)
+    index = ArchiveIndex(
+        [IndexEntry("http://a.de/x", "2001010100000%d" % i) for i in range(3)]
+        + [IndexEntry("http://b.de/y", "20050101000000")]
+    )
+    spec = SubCollectionSpec(time_scope=("20050101000000", "20051231235959"))
+    oracle = default_link_oracle(index, spec)
+    verdicts = [oracle(u) for u in ("http://a.de/x", "http://b.de/y") * 3]
+    assert verdicts == [False, True] * 3
+    assert len(calls) == 4  # every capture of each URL, once

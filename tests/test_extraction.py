@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcollect.extraction import (
     Member,
     SubCollection,
+    _largest_remainder_quotas,
     connect_closure,
     enforce_size,
     export_warc,
@@ -17,7 +18,8 @@ from subcollect.extraction import (
     select_versions,
 )
 from subcollect.spec import SubCollectionSpec
-from subcollect.store import timestamp14_to_epoch
+from subcollect.store import IndexEntry, timestamp14_to_epoch
+from subcollect.urls import host_of
 
 from conftest import build_archive, page
 
@@ -475,3 +477,102 @@ def test_extract_runs_index_prefilter_once(three_hosts, monkeypatch):
     coll = extract(three_hosts.archive, three_hosts.index, spec)
     assert len(calls) == 1
     assert coll.counters["candidates_scanned"] == len(three_hosts.index)
+
+
+def enforce_size_before(members, size_scope, index, seed):
+    """enforce_size as it was with a quadratic refill: the oracle."""
+    if size_scope is None or size_scope >= len(members):
+        return list(members)
+
+    def stratum(entry):
+        return (host_of(entry.canonical_url), entry.timestamp14[:4])
+
+    by_stratum = {}
+    for m in sorted(members, key=lambda m: (m.entry.canonical_url, m.entry.timestamp14)):
+        by_stratum.setdefault(stratum(m.entry), []).append(m)
+
+    archive_counts = {}
+    for e in index:
+        key = stratum(e)
+        archive_counts[key] = archive_counts.get(key, 0) + 1
+
+    weights = [(key, archive_counts.get(key, 0)) for key in sorted(by_stratum)]
+    if all(w == 0 for _, w in weights):
+        weights = [(key, len(by_stratum[key])) for key in sorted(by_stratum)]
+    quotas = _largest_remainder_quotas(weights, size_scope)
+
+    rng = random.Random(seed)
+    picked = {}
+    for key in sorted(by_stratum):
+        pool = by_stratum[key]
+        want = min(quotas.get(key, 0), len(pool))
+        scan_pool = [m for m in pool if m.origin == "scan"]
+        closure_pool = [m for m in pool if m.origin == "closure"]
+        take = rng.sample(scan_pool, min(want, len(scan_pool)))
+        if len(take) < want:
+            take += rng.sample(closure_pool, want - len(take))
+        picked[key] = take
+
+    total = sum(len(v) for v in picked.values())
+    while total < size_scope:
+        remaining = sorted(
+            by_stratum,
+            key=lambda key: (-(len(by_stratum[key]) - len(picked[key])), key),
+        )
+        key = remaining[0]
+        pool = [m for m in by_stratum[key] if m not in picked[key]]
+        if not pool:
+            break
+        picked[key].append(rng.choice(pool))
+        total += 1
+
+    out = [m for key in sorted(picked) for m in picked[key]]
+    out.sort(key=lambda m: (m.entry.canonical_url, m.entry.timestamp14))
+    return out
+
+
+capture = st.builds(
+    lambda host, path, year, sec, digest: IndexEntry(
+        "http://%s/%s" % (host, path), "%d0101%s" % (year, ts(sec)[8:]), digest=digest
+    ),
+    st.sampled_from(["a.de", "www.b.de"]),
+    st.sampled_from(["", "p"]),
+    st.sampled_from([2001, 2002]),
+    st.integers(0, 1),
+    st.sampled_from(["", "x"]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    pool=st.lists(
+        st.tuples(capture, st.sampled_from(["scan", "closure"])), min_size=1, max_size=6
+    ),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    archive_extra=st.lists(capture, max_size=30),
+    cut=st.integers(1, 10),
+    seed=st.integers(0, 3),
+)
+def test_enforce_size_equals_quadratic_refill(pool, picks, archive_extra, cut, seed):
+    # Members may repeat, so equal members in one stratum are covered;
+    # archive-only captures shift the quotas, so strata fall short and
+    # the refill runs.
+    members = [Member(entry=e, origin=o) for e, o in (pool[i % len(pool)] for i in picks)]
+    size_scope = max(0, len(members) - cut)
+    index = [m.entry for m in members] + archive_extra
+    assert enforce_size(members, size_scope, index, seed) == enforce_size_before(
+        members, size_scope, index, seed
+    )
+
+
+def test_enforce_size_refill_skips_members_equal_to_a_pick():
+    late = IndexEntry("http://www.b.de/p", "20020101000000")
+    early = IndexEntry("http://www.b.de/", "20010101000000")
+    members = [
+        Member(late, "closure"), Member(late, "scan"), Member(early, "closure"),
+        Member(late, "scan"), Member(late, "closure"), Member(late, "scan"),
+    ]
+    other = IndexEntry("http://a.de/", early.timestamp14)
+    index = [m.entry for m in members] + [early] * 4 + [other] * 2
+    out = enforce_size(members, 5, index, seed=2)
+    assert out == enforce_size_before(members, 5, index, seed=2)

@@ -130,3 +130,30 @@ def test_host_of_equals_urlsplit(scheme, userinfo, host, port, rest):
     except ValueError:  # CanonicalizationError, or urlsplit's own rejection
         return
     assert host_of(canonical) == urlsplit_host(canonical)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://[::1]a/", "http://[::1]80/", "http://[::1]a:80/", "http://u@[::1]x",
+        "http://[::1/", "http://[zz]/",
+    ],
+)
+def test_bad_bracketed_host_rejected(url):
+    with pytest.raises(CanonicalizationError):
+        canonicalize_url(url)
+
+
+def test_text_after_bracketed_host_position():
+    with pytest.raises(CanonicalizationError) as info:
+        canonicalize_url("http://u@[::1]a/")
+    assert info.value.position == len("http://u@[::1]")
+
+
+@given(st.text(alphabet="[]:/@.a1 \t%#?", max_size=16))
+def test_only_canonicalization_errors_escape(rest):
+    # Callers catch CanonicalizationError; no other ValueError may escape.
+    try:
+        canonicalize_url("http://" + rest)
+    except CanonicalizationError:
+        pass

@@ -1,5 +1,6 @@
 import bisect
 import datetime
+import gzip
 import hashlib
 import time
 
@@ -115,6 +116,19 @@ def test_gzip_records_roundtrip(tmp_path):
     entry = fx.index.entries[0]
     assert fx.path.read_bytes()[:2] == b"\x1f\x8b"
     assert fx.archive.fetch(entry).body == body
+
+
+def test_whole_file_gzip_rejected_not_truncated(tmp_path):
+    # One gzip member holding five records: all but the first would have
+    # no offset of their own, so the file is rejected, not cut to one record.
+    blobs = [
+        warc.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
+        for i in range(5)
+    ]
+    path = tmp_path / "whole.warc.gz"
+    path.write_bytes(gzip.compress(b"".join(blobs)))
+    with pytest.raises(warc.WarcFormatError, match="per-record gzip"):
+        list(warc.iter_records(str(path)))
 
 
 def test_mixed_plain_and_gzip(tmp_path):

@@ -9,14 +9,14 @@ of wall-clock time.
 from __future__ import annotations
 
 import bisect
-import calendar
 import contextlib
+import datetime
 import hashlib
 import operator
 import os
 import re
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import warc
 from .urls import CanonicalizationError, canonicalize_url, host_of
@@ -39,9 +39,17 @@ __all__ = [
 
 INDEX_HEADER = "SUBCOLLECT-CDX 1"
 
-# WARC/1.1 dates may carry a decimal fraction of a second (ISO 28500:2017).
-_FRACTION_RE = re.compile(r"\.[0-9]+(?=[Zz]\Z)")
-_TIMESTAMP14 = operator.attrgetter("timestamp14")
+_TIMESTAMP14 = operator.itemgetter(1)  # IndexEntry.timestamp14
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+# "%Y-%m-%dT%H:%M:%SZ" with the field patterns and the case-insensitive
+# T and Z of the time module's parser: a 4-digit year, 1- or 2-digit
+# fields, any Unicode digits. WARC/1.1 dates may also carry a decimal
+# fraction of a second (ISO 28500:2017), which is dropped.
+_ISO_DATE_RE = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"[Tt](2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)(?:\.[0-9]+)?[Zz]\Z"
+)
 
 
 class SnapshotNotFound(LookupError):
@@ -58,17 +66,36 @@ class ArchiveIOError(OSError):
 
 def timestamp14_from_iso(iso_date):
     """\"2005-11-30T14:30:00Z\" -> \"20051130143000\"; a fraction of a
-    second (\"...:00.123Z\") is truncated."""
-    iso_date = _FRACTION_RE.sub("", iso_date.strip(), count=1)
-    st = time.strptime(iso_date, "%Y-%m-%dT%H:%M:%SZ")
-    return time.strftime("%Y%m%d%H%M%S", st)
+    second (\"...:00.123Z\") is truncated and the year zero-padded."""
+    m = _ISO_DATE_RE.match(iso_date.strip())
+    if m is None:
+        raise ValueError("bad ISO date: %r" % iso_date)
+    year, month, day, hour, minute, second = map(int, m.groups())
+    datetime.date(year, month, day)  # raises ValueError for year 0 or day 31 of June
+    return "%04d%02d%02d%02d%02d%02d" % (year, month, day, hour, minute, second)
 
 
 def timestamp14_to_epoch(ts14):
-    """14-digit UTC timestamp -> POSIX seconds."""
-    if len(ts14) != 14 or not ts14.isdigit():
+    """14-digit UTC timestamp -> POSIX seconds.
+
+    Valid are 14 ASCII digits that form a calendar date from year 1,
+    hours 00-23, minutes 00-59 and seconds 00-61 (leap seconds count on
+    into the next minute).
+    """
+    if len(ts14) != 14 or not (ts14.isascii() and ts14.isdigit()):
         raise ValueError("bad timestamp14: %r" % ts14)
-    return calendar.timegm(time.strptime(ts14, "%Y%m%d%H%M%S"))
+    rest, second = divmod(int(ts14), 100)
+    rest, minute = divmod(rest, 100)
+    rest, hour = divmod(rest, 100)
+    rest, day = divmod(rest, 100)
+    year, month = divmod(rest, 100)
+    if hour > 23 or minute > 59 or second > 61:
+        raise ValueError("bad timestamp14: %r" % ts14)
+    try:
+        days = datetime.date(year, month, day).toordinal() - _EPOCH_ORDINAL
+    except ValueError:  # year 0, month 13, day 30 of February, ...
+        raise ValueError("bad timestamp14: %r" % ts14) from None
+    return days * 86400 + hour * 3600 + minute * 60 + second
 
 
 def is_valid_timestamp14(ts14):
@@ -79,9 +106,11 @@ def is_valid_timestamp14(ts14):
     return True
 
 
-@dataclass(frozen=True, order=True)
-class IndexEntry:
-    """One archived capture: canonical URL + crawl time + byte range."""
+class IndexEntry(NamedTuple):
+    """One archived capture: canonical URL + crawl time + byte range.
+
+    A tuple, so entries order, compare and hash field by field in C.
+    """
 
     canonical_url: str
     timestamp14: str
@@ -129,14 +158,14 @@ class IndexEntry:
             raise ValueError("index line must have 8 fields, got %d" % len(parts))
         url, ts, mime, status, digest, file_id, offset, length = parts
         return cls(
-            canonical_url=url,
-            timestamp14=ts,
-            mime="" if mime == "-" else mime,
-            http_status=int(status),
-            digest=digest,
-            file_id=file_id,
-            offset=int(offset),
-            length=int(length),
+            url,
+            ts,
+            "" if mime == "-" else mime,
+            int(status),
+            digest,
+            file_id,
+            int(offset),
+            int(length),
         )
 
 

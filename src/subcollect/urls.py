@@ -27,11 +27,13 @@ _HOST_OK_RE = re.compile(r"^[a-z0-9._~%-]+$")
 class CanonicalizationError(ValueError):
     """Raised for URLs that cannot be canonicalized.
 
-    ``position`` is the index of the first offending byte in the input.
+    ``url`` is the input without surrounding whitespace and ``position``
+    the index of the first offending character in it.
     """
 
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
+    def __init__(self, url, message, position):
+        super().__init__("%r: %s (at position %d)" % (url, message, position))
+        self.url = url
         self.position = position
 
 
@@ -47,28 +49,28 @@ def canonicalize_url(url):
     urlsplit; other whitespace is kept as given unless it ends the URL.
     """
     if not isinstance(url, str):
-        raise CanonicalizationError("URL must be a string", 0)
+        raise CanonicalizationError(url, "URL must be a string", 0)
     url = url.strip()
     if not url:
-        raise CanonicalizationError("empty URL", 0)
+        raise CanonicalizationError(url, "empty URL", 0)
 
     m = _SCHEME_RE.match(url)
     if m is None:
-        raise CanonicalizationError("missing URL scheme", 0)
+        raise CanonicalizationError(url, "missing URL scheme", 0)
     scheme = url[: m.end() - 1].lower()
     if scheme not in ("http", "https"):
-        raise CanonicalizationError("unsupported scheme %r" % scheme, 0)
+        raise CanonicalizationError(url, "unsupported scheme %r" % scheme, 0)
     rest = url[m.end() :]
     if not rest.startswith("//"):
-        raise CanonicalizationError("URL is not absolute", m.end())
+        raise CanonicalizationError(url, "URL is not absolute", m.end())
 
     try:
         parts = urlsplit(url)
     except ValueError as exc:  # such as an unclosed "[" in the host
-        raise CanonicalizationError(str(exc), m.end() + 2) from exc
+        raise CanonicalizationError(url, str(exc), m.end() + 2) from exc
     netloc = parts.netloc
     if not netloc:
-        raise CanonicalizationError("empty host", m.end() + 2)
+        raise CanonicalizationError(url, "empty host", m.end() + 2)
 
     # Split off userinfo and port before validating the hostname.
     hostport = netloc.rsplit("@", 1)[-1]
@@ -81,23 +83,23 @@ def canonicalize_url(url):
         host += "]"
         if port and not port.startswith(":"):
             raise CanonicalizationError(
-                "text %r after bracketed host" % port, host_at + len(host)
+                url, "text %r after bracketed host" % port, host_at + len(host)
             )
         port = port.lstrip(":")
     else:
         host, _, port = hostport.partition(":")
     host = host.lower()
     if not host:
-        raise CanonicalizationError("empty host", host_at)
+        raise CanonicalizationError(url, "empty host", host_at)
     if not host.startswith("[") and not _HOST_OK_RE.match(host):
         bad = next(i for i, c in enumerate(host) if not _HOST_OK_RE.match(c))
         raise CanonicalizationError(
-            "invalid character %r in host" % host[bad], host_at + bad
+            url, "invalid character %r in host" % host[bad], host_at + bad
         )
     if port:
         if not port.isdigit():
             raise CanonicalizationError(
-                "invalid port %r" % port, host_at + len(hostport) - len(port)
+                url, "invalid port %r" % port, host_at + len(hostport) - len(port)
             )
         if (scheme == "http" and port == "80") or (scheme == "https" and port == "443"):
             port = ""

@@ -10,6 +10,7 @@ verbatim so records can be copied out byte-for-byte.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ __all__ = [
 
 CRLF = b"\r\n"
 _GZIP_MAGIC = b"\x1f\x8b"
-_CHUNK = 1 << 16
+_MAX_HEADER = 1 << 20  # bytes a record header block may take, through its blank line
 
 
 class WarcFormatError(ValueError):
@@ -86,40 +87,50 @@ def _read_gzip_member(f, offset):
     """Decompress one gzip member starting at the current file position.
 
     Returns (decompressed bytes, compressed length); leaves the file
-    positioned at the first byte after the member.
+    positioned at the first byte after the member. The input is taken
+    from the file's buffer with ``peek`` and only the bytes the member
+    used are skipped, so no byte is read from the file twice.
     """
     decomp = zlib.decompressobj(16 + zlib.MAX_WBITS)
     out = []
-    fed = 0
+    consumed = 0
     while not decomp.eof:
-        chunk = f.read(_CHUNK)
+        chunk = f.peek()
         if not chunk:
             raise WarcFormatError("truncated gzip member", offset)
-        fed += len(chunk)
         try:
             out.append(decomp.decompress(chunk))
         except zlib.error as exc:
             raise WarcFormatError("bad gzip data: %s" % exc, offset) from exc
-    consumed = fed - len(decomp.unused_data)
-    f.seek(offset + consumed)
+        used = len(chunk) - len(decomp.unused_data)
+        f.seek(used, os.SEEK_CUR)
+        consumed += used
     return b"".join(out), consumed
 
 
 def _read_plain_record(f, offset):
-    """Read one uncompressed record incrementally from the current position."""
-    buf = b""
+    """Read one uncompressed record from the current position.
+
+    The header block is read line by line and the payload in one read,
+    so every byte is read once and the file is left at the next record.
+    """
+    lines = []
+    size = 0
     while True:
-        head_end = buf.find(b"\r\n\r\n")
-        if head_end >= 0:
-            break
-        chunk = f.read(_CHUNK)
-        if not chunk:
+        line = f.readline(_MAX_HEADER + 1 - size)
+        if not line:
             raise WarcFormatError("truncated record header", offset)
-        buf += chunk
-        if len(buf) > 1 << 20:
+        size += len(line)
+        if size > _MAX_HEADER:
             raise WarcFormatError("unterminated header block", offset)
+        # The block ends at the first CRLF CRLF: an empty line after a CRLF.
+        if line == CRLF and lines and lines[-1].endswith(CRLF):
+            break
+        lines.append(line)
+    head = b"".join(lines)
+    head_end = size - 4
     # Header block is in hand; Content-Length tells us the full span.
-    for line in buf[:head_end].split(b"\r\n"):
+    for line in head[:head_end].split(b"\r\n"):
         if line.lower().startswith(b"content-length:"):
             value = line.split(b":", 1)[1].strip()
             if not value.isdigit():
@@ -128,11 +139,7 @@ def _read_plain_record(f, offset):
             break
     else:
         raise WarcFormatError("missing or invalid Content-Length", offset)
-    if len(buf) < total:
-        buf += f.read(total - len(buf))
-    rec, consumed = _parse_record(buf[:total], offset)
-    f.seek(offset + consumed)
-    return rec, consumed
+    return _parse_record(head + CRLF + f.read(total - size), offset)
 
 
 def iter_records(path):

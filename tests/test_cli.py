@@ -318,6 +318,14 @@ def test_get_bad_timestamp_code_1(workspace):
     assert main(get_args(workspace, "http://a.de/", "not-a-time")) == 1
 
 
+@pytest.mark.parametrize("at", ["٢٠٠٠0601000000", "２０００0601000000", "20000631000000"])
+def test_get_rejects_non_ascii_digits_and_impossible_dates(workspace, capsys, at):
+    # Non-ASCII digits used to pass the check and then compare as text,
+    # after every ASCII timestamp, so the latest capture came back.
+    assert main(get_args(workspace, "http://a.de/", at)) == 1
+    assert "--at must be a valid 14-digit UTC timestamp" in capsys.readouterr().err
+
+
 def test_evaluate_csv_independent_of_hash_seed(tmp_path):
     # Many hosts with uneven shares, so a hash-ordered float sum would
     # differ in its last digits between interpreter processes.
@@ -416,7 +424,8 @@ EXIT_ROWS = [
                                         ws["index"], "--archive-dir", ws["archive_dir"]], 2,
      "bogus.manifest:3: manifest member not in index: http://zzz.de/ 20000101120000"),
     ("bad-at", lambda ws: _get(ws, "http://a.de/", "2000-01-01"), 1, "--at"),
-    ("bad-url", lambda ws: _get(ws, "http://[::1/", "20000101000000"), 1, "IPv6"),
+    ("bad-url", lambda ws: _get(ws, "http://[::1/", "20000101000000"), 1,
+     "'http://[::1/': Invalid IPv6 URL"),
     ("absent-url", lambda ws: _get(ws, "http://nope.de/", "20000101000000"), 3, None),
     ("index-output", lambda ws: ["index", ws["warc"], "--output", _directory(ws, "idx")], 2,
      "idx"),

@@ -65,6 +65,21 @@ def test_malformed_timestamp_names_field_path():
         parse_spec(spec_doc(time={"from": "2000", "to": "20011231235959"}))
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ("٢٠٠٥0101000000", "٢٠٠٥1231235959"),
+        ("20050229000000", "20051231235959"),
+        ("00000101000000", "20051231235959"),
+    ],
+)
+def test_time_bounds_need_ascii_digits_and_a_real_date(lo, hi):
+    # Non-ASCII digits used to pass and then compare as text: every ASCII
+    # capture time sorts before them, so the scope silently kept nothing.
+    with pytest.raises(SpecError, match="scopes.time.from"):
+        parse_spec(spec_doc(time={"from": lo, "to": hi}))
+
+
 def test_time_interval_order_enforced():
     with pytest.raises(SpecError, match="must not exceed"):
         parse_spec(spec_doc(time={"from": "20020101000000", "to": "20010101000000"}))

@@ -2,10 +2,12 @@ import bisect
 import datetime
 import gzip
 import hashlib
+import io
 import os
 import stat
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,9 +107,7 @@ def test_fetch_tampered_file_raises_corruption(tmp_path):
 
 def test_fetch_offset_out_of_range(tmp_path):
     fx = build_archive(tmp_path, [("http://a.de/", "20000101120000", page())])
-    from dataclasses import replace
-
-    bad = replace(fx.index.entries[0], offset=10**6)
+    bad = fx.index.entries[0]._replace(offset=10**6)
     with pytest.raises(OSError):
         fx.archive.fetch(bad)
 
@@ -150,6 +150,79 @@ def test_mixed_plain_and_gzip(tmp_path):
     for e in entries:
         archive.fetch(e)
     assert archive.counter.fetches == 2
+
+
+def _gzip_member(blob):
+    comp = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+    return comp.compress(blob) + comp.flush()
+
+
+def _padded_record(header_block_size, payload=b"x"):
+    """A record whose header block, through its blank line, has the given size."""
+    head = b"WARC/1.0\r\nWARC-Type: resource\r\nContent-Length: %d\r\nX-Pad: " % len(payload)
+    pad = b"a" * (header_block_size - len(head) - 4)
+    return head + pad + b"\r\n\r\n" + payload + b"\r\n\r\n"
+
+
+def test_iter_records_spans_of_large_records_and_long_headers(tmp_path):
+    big = os.urandom(100_000)
+    blobs = [
+        warc.make_response_record("http://a.de/1", iso_of("20000101120000"), page("1")),
+        warc.make_response_record("http://a.de/2", iso_of("20000101120000"), big),
+        _padded_record(70_000),  # header block crosses 64 KiB
+        _gzip_member(warc.make_response_record("http://a.de/3", iso_of("20000101120000"), big)),
+        _padded_record(10_000),
+        # A bare LF line and a CR CR LF do not end the header block.
+        b"WARC/1.0\r\nX-A: 1\r\n\nX-B: 2\r\r\nContent-Length: 1\r\n\r\nx\r\n\r\n",
+        warc.make_response_record("http://a.de/4", iso_of("20000101120000"), page("4")),
+    ]
+    path = tmp_path / "big.warc"
+    path.write_bytes(b"".join(blobs))
+    spans = [(offset, length) for offset, length, _ in warc.iter_records(str(path))]
+    offsets = [sum(len(b) for b in blobs[:i]) for i in range(len(blobs))]
+    assert spans == list(zip(offsets, map(len, blobs)))
+    for (offset, length), (_, _, rec) in zip(spans, warc.iter_records(str(path))):
+        assert warc.read_record(str(path), offset, length) == rec
+    entries = ingest_warc(str(path), file_id="big.warc")
+    archive = Archive()
+    archive.register("big.warc", str(path))
+    assert [archive.fetch(e).body == big for e in entries] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("gzip_records", [False, True])
+def test_iter_records_reads_each_byte_once(tmp_path, monkeypatch, gzip_records):
+    class CountingFile(io.FileIO):
+        read_bytes = 0
+
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            CountingFile.read_bytes += n or 0
+            return n
+
+    fx = build_archive(
+        tmp_path,
+        [("http://a.de/%d" % i, "20000101120000", page(str(i))) for i in range(300)],
+        gzip_records=gzip_records,
+    )
+    monkeypatch.setattr(
+        warc, "open", lambda path, mode: io.BufferedReader(CountingFile(path, mode)),
+        raising=False,
+    )
+    assert len(list(warc.iter_records(str(fx.path)))) == 300
+    # Each record used to read 64 KiB and seek back: the file many times over.
+    assert CountingFile.read_bytes <= fx.path.stat().st_size + io.DEFAULT_BUFFER_SIZE
+
+
+def test_header_block_limit_is_one_mib(tmp_path):
+    path = tmp_path / "h.warc"
+    path.write_bytes(_padded_record(1 << 20))
+    assert [length for _, length, _ in warc.iter_records(str(path))] == [(1 << 20) + 5]
+    path.write_bytes(_padded_record((1 << 20) + 1))
+    with pytest.raises(warc.WarcFormatError, match="unterminated header block"):
+        list(warc.iter_records(str(path)))
+    path.write_bytes(_padded_record(1 << 20)[:1000])
+    with pytest.raises(warc.WarcFormatError, match="truncated record header"):
+        list(warc.iter_records(str(path)))
 
 
 def test_lookup_nearest(tmp_path):

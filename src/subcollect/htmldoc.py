@@ -21,7 +21,8 @@ here:
   after ``=``, and a tag ends at the first ``>`` outside a quoted value.
   ``href`` and ``rel`` take the first attribute of that name with a
   non-empty value.
-- Every ``<base href>`` re-bases the links after it.
+- Every ``<base href>`` re-bases the links after it. A ``javascript:`` or
+  ``data:`` base is ignored, as WHATWG's "frozen base URL" rule says.
 - The bodies of ``<script>`` and ``<style>`` are raw text, up to
   ``</script`` or ``</style`` (any case) followed by whitespace, ``/`` or
   ``>``, and give no tokens. A self-closing ``<script/>`` is counted but
@@ -37,6 +38,13 @@ here:
 
 Each character is read a bounded number of times, so the time is linear
 in the length of the page, malformed or not.
+
+Links resolve with ``urls.resolve``: RFC 3986 section 5.2 with the quirks
+of CPython's ``urllib.parse`` join kept (see ``urls``), fragments
+dropped. The page URL and each ``<base href>`` are split once; each href
+is then resolved and canonicalized in one pass. A link that does not
+resolve to a canonical http(s) URL, such as a ``mailto:`` one, is
+dropped.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from html import unescape
-from urllib.parse import urljoin
+from typing import NamedTuple
 
-from .urls import canonicalize_url, host_of, same_host, strip_www
+from .urls import CanonicalizationError, page_base, rebase, resolve, same_host, strip_www
 
 __all__ = ["PageAnalysis", "LinkRecord", "parse_html", "analyze", "classify_link", "tokenize"]
 
@@ -55,7 +63,6 @@ TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div", "ancho
 # Maximal runs of Unicode letters/digits (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _CHARSET_RE = re.compile(rb"charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.IGNORECASE)
-_DROP_SCHEMES = ("javascript:", "mailto:", "data:", "about:", "tel:", "ftp:", "file:")
 
 # Markup at a "<". Groups: the "/" of an end tag, and the tag name.
 _MARKUP_RE = re.compile(r"<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)|[!?/])")
@@ -78,8 +85,7 @@ def tokenize(text):
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple):
     target: str  # absolute canonical URL
     kind: str  # "internal" | "external"
 
@@ -165,30 +171,25 @@ def _markup_end(text, lt):
     return gt + 1 if gt >= 0 else -1
 
 
-def _link(base_url, href, page_host, ignore_www):
-    """LinkRecord for one href, or None when the href is dropped."""
-    if href.lower().startswith(_DROP_SCHEMES):
-        return None
-    try:
-        target = canonicalize_url(urljoin(base_url, href))
-    except ValueError:  # CanonicalizationError, or urlsplit rejecting the URL
+def _link(base, href, page_host, ignore_www):
+    """LinkRecord for one href, or None when it resolves to no http(s) URL."""
+    resolved = resolve(base, href)
+    if resolved is None:
         return None
     # classify_link with the page's host key computed once per page.
-    host = host_of(target)
+    target, host = resolved
     if ignore_www:
         host = strip_www(host)
-    return LinkRecord(target=target, kind="internal" if host == page_host else "external")
+    return LinkRecord(target, "internal" if host == page_host else "external")
 
 
-def _scan(text, page_url, ignore_www):
+def _scan(text, page, ignore_www):
     """Analysis of decoded page text, in one left-to-right pass."""
     analysis = PageAnalysis()
     outlinks = analysis.outlinks
     counts = analysis.tag_counts
-    base_url = page_url
-    page_host = host_of(page_url)
-    if ignore_www:
-        page_host = strip_www(page_host)
+    base = page
+    page_host = strip_www(page.host) if ignore_www else page.host
 
     n = len(text)
     texts = []  # the page's text, a piece per stretch between markup
@@ -221,7 +222,7 @@ def _scan(text, page_url, ignore_www):
 
         if tag == "a":
             if href:
-                link = _link(base_url, href.strip(), page_host, ignore_www)
+                link = _link(base, href.strip(), page_host, ignore_www)
                 if link is not None:
                     outlinks.append(link)
                     counts["anchor"] += 1
@@ -238,10 +239,7 @@ def _scan(text, page_url, ignore_www):
             if rel and "stylesheet" in rel.lower():
                 counts["linked_style"] += 1
         elif tag == "base" and href:
-            try:
-                base_url = urljoin(page_url, href.strip())
-            except ValueError:
-                pass  # an unusable <base> leaves the links on the old base
+            base = rebase(page, base, href.strip())
         pos = end
 
     # Pieces are joined with a space, which neither a token nor a
@@ -272,18 +270,19 @@ def parse_html(body, page_url, charset_hint=None, ignore_www=True):
     """Analyze one archived page; never raises on bad markup.
 
     Relative hrefs resolve against <base href> when present, else
-    ``page_url``. javascript:/mailto:/data: links are dropped; text
-    inside <script> and <style> contributes no tokens.
+    ``page_url``. Links to anything but http(s) URLs, such as
+    javascript:/mailto:/data: ones, are dropped; text inside <script>
+    and <style> contributes no tokens.
     """
     try:
-        page_url = canonicalize_url(page_url)
-    except ValueError:
+        page = page_base(page_url)
+    except CanonicalizationError:
         return PageAnalysis()
     if isinstance(body, bytes):
         text = _decode(body, charset_hint)
     else:
         text = body
-    return _scan(text, page_url, ignore_www)
+    return _scan(text, page, ignore_www)
 
 
 def analyze(snapshot):

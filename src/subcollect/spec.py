@@ -86,6 +86,19 @@ def _string_list(value, path):
     return tuple(value)
 
 
+def _domain(value, path):
+    """A domain as host names end in: lowercase, without surrounding
+    whitespace and without one leading and one trailing dot."""
+    domain = value.strip()
+    if domain.startswith("."):
+        domain = domain[1:]
+    if domain.endswith("."):
+        domain = domain[:-1]
+    domain = domain.lower()
+    _expect(domain and "" not in domain.split("."), path, "empty domain label in %r" % value)
+    return domain
+
+
 def _check_keys(obj, allowed, path):
     for key in obj:
         if key not in allowed:
@@ -124,7 +137,8 @@ def parse_spec(text):
         url_scope = tuple(canon)
 
     if "domains" in scopes:
-        domain_scope = tuple(d.lower() for d in _string_list(scopes["domains"], "scopes.domains"))
+        domains = _string_list(scopes["domains"], "scopes.domains")
+        domain_scope = tuple(_domain(d, "scopes.domains[%d]" % i) for i, d in enumerate(domains))
 
     if "time" in scopes:
         t = scopes["time"]

@@ -216,6 +216,8 @@ def ingest_warc(path, file_id=None, stats=None):
         if rec.record_type != "response":
             continue
         uri = rec.header("WARC-Target-URI")
+        if uri and uri[0] == "<" and uri[-1] == ">":  # the WARC/1.0 examples' form
+            uri = uri[1:-1]
         date = rec.header("WARC-Date")
         if not uri or not date:
             stats.skipped += 1

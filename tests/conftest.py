@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import settings
 
 from subcollect import warc
 from subcollect.store import Archive, ArchiveIndex, ingest_warc
 
 FILE_ID = "fixture.warc"
+
+# HYPOTHESIS_PROFILE=ci: no per-example deadline, which a shared runner can
+# miss, and a failure prints the blob that reproduces it.
+settings.register_profile("ci", deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def iso_of(ts14):

@@ -160,6 +160,24 @@ def test_domain_dot_suffix_rule():
     assert not in_scope_metadata(s, entry(url="http://nota.de/"))
 
 
+@pytest.mark.parametrize("domain", ["de", "A.DE", ".de", "a.de.", " de", ".A.de. \t"])
+def test_domain_entries_normalized(domain):
+    s = parse_spec(spec_doc(domains=[domain]))
+    assert in_scope_metadata(s, entry(url="http://www.a.de/x"))
+
+
+def test_domain_normalization_keeps_serialized_form():
+    s = parse_spec(spec_doc(domains=[" .News.A.de."]))
+    assert serialize_spec(s)["scopes"]["domains"] == ["news.a.de"]
+    assert parse_spec(spec_doc(domains=["news.a.de"])).digest() == s.digest()
+
+
+@pytest.mark.parametrize("domain", [".", " . ", "a..de", "..de", "de..", "a.de.."])
+def test_domain_with_empty_label_rejected(domain):
+    with pytest.raises(SpecError, match=r"scopes\.domains\[1\]"):
+        parse_spec(spec_doc(domains=["de", domain]))
+
+
 def test_time_scope_excludes_outside():
     s = SubCollectionSpec(time_scope=("20000101000000", "20011231235959"))
     assert not in_scope_metadata(s, entry(ts="19990101000000"))

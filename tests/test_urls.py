@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from subcollect.urls import (
     CanonicalizationError,
@@ -10,6 +10,7 @@ from subcollect.urls import (
 )
 
 from conftest import urlsplit_host
+import reference_urls
 
 
 def test_case_folding():
@@ -157,3 +158,51 @@ def test_only_canonicalization_errors_escape(rest):
         canonicalize_url("http://" + rest)
     except CanonicalizationError:
         pass
+
+
+def _outcome(canonicalize, url):
+    try:
+        return canonicalize(url)
+    except CanonicalizationError as exc:
+        return str(exc), exc.position
+
+
+# Bracketed hosts stay valid or unbalanced, and only a port or a "/", "?"
+# or "#" follows one: urlsplit's checks of both have changed between
+# Python releases (before 3.11 it did not check what stands between the
+# brackets). Plain tests pin those rules.
+@settings(max_examples=500)
+@given(
+    lead=st.sampled_from(["", " ", "\u00a0", "\x01"]),
+    scheme=st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "http:/", "http:", "x"]),
+    userinfo=st.sampled_from(["", "u@", "u:p@", "@", "a@b@", "\u2100@"]),
+    host=st.sampled_from([
+        "a.de", "A.De", "www.a.de", "", "[::1]", "[2001:DB8::1]", "[::1", "::1]", "[v1.x]",
+        "ho st", "\u212a.de", "\u00fc.de", "a\tb.de", "a_b.de",
+    ]),
+    port=st.sampled_from(["", ":", ":80", ":443", ":0", ":08", ":x", ":\u00b2"]),
+    rest=st.text(alphabet="/?#ab:@.;% \t\n\u00a0\u3000", max_size=10),
+)
+def test_canonicalize_url_equals_reference(lead, scheme, userinfo, host, port, rest):
+    assume(not host.startswith("[") or rest[:1] in ("", "/", "?", "#"))
+    url = lead + scheme + userinfo + host + port + rest
+    assert _outcome(canonicalize_url, url) == _outcome(reference_urls.canonicalize_url, url)
+
+
+@pytest.mark.parametrize(
+    "url, want",
+    [
+        ("http://[v1.x]/", "http://[v1.x]/"),
+        ("http://[::FFFF:1.2.3.4]:8080/", "http://[::ffff:1.2.3.4]:8080/"),
+        ("http://[1.2.3.4]/", "An IPv4 address cannot be in brackets"),
+        ("http://[v1]/", "IPvFuture address is invalid"),
+        ("http://[zz]/", "'zz' does not appear to be an IPv4 or IPv6 address"),
+    ],
+)
+def test_bracketed_host_rule_fixed_across_python_releases(url, want):
+    # Before Python 3.11, urlsplit accepted any text between brackets.
+    try:
+        got = canonicalize_url(url)
+    except CanonicalizationError as exc:
+        got = str(exc)
+    assert want in got

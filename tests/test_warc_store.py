@@ -66,6 +66,18 @@ def test_ingest_skips_response_without_uri(tmp_path):
     assert stats.skipped == 1
 
 
+def test_ingest_strips_angle_brackets_from_target_uri(tmp_path):
+    # The WARC/1.0 spec's examples write the target URI as "<http://...>".
+    plain = warc.make_response_record("http://a.de/", iso_of("20000101120000"), page())
+    bracketed = warc.make_response_record("<http://b.de/>", iso_of("20000101120000"), page())
+    path = tmp_path / "f.warc"
+    warc.write_warc(str(path), [plain, bracketed])
+    stats = IngestStats()
+    entries = ingest_warc(str(path), stats=stats)
+    assert (stats.responses, stats.skipped) == (2, 0)
+    assert [e.canonical_url for e in entries] == ["http://a.de/", "http://b.de/"]
+
+
 def test_truncated_record_names_offset(tmp_path):
     good = warc.make_response_record("http://a.de/", iso_of("20000101120000"), page())
     path = tmp_path / "t.warc"

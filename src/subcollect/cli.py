@@ -70,11 +70,11 @@ def cmd_index(args):
 def cmd_extract(args):
     spec = parse_spec_file(args.spec)
     index = ArchiveIndex.load(args.index)
-    archive = Archive(directory=args.archive_dir)
-    coll = extraction.extract(archive, index, spec)
-    coll.write_manifest(args.output)
-    if args.export_warc:
-        extraction.export_warc(coll, archive, args.export_warc)
+    with Archive(directory=args.archive_dir) as archive:
+        coll = extraction.extract(archive, index, spec)
+        coll.write_manifest(args.output)
+        if args.export_warc:
+            extraction.export_warc(coll, archive, args.export_warc)
     for key in ("candidates_scanned", "fetches", "closure_added", "errors", "members"):
         print("%s=%d" % (key, coll.counters[key]))
     return EXIT_OK if coll.members else EXIT_EMPTY
@@ -84,11 +84,11 @@ def cmd_evaluate(args):
     index = ArchiveIndex.load(args.index)
     coll = extraction.SubCollection.read_manifest(args.manifest, index)
     truth = evaluation.TruthSet.load(args.truth) if args.truth else None
-    archive = Archive(directory=args.archive_dir)
     oracle = None
     if args.spec:
         oracle = evaluation.default_link_oracle(index, parse_spec_file(args.spec))
-    report = evaluation.evaluate(coll, archive, index, truth=truth, oracle=oracle)
+    with Archive(directory=args.archive_dir) as archive:
+        report = evaluation.evaluate(coll, archive, index, truth=truth, oracle=oracle)
     for line in report.as_key_values():
         print(line)
     if args.output:
@@ -104,8 +104,8 @@ def cmd_stats(args):
         _log("error: --sample-n must be positive")
         return EXIT_VALIDATION
     index = ArchiveIndex.load(args.index)
-    archive = Archive(directory=args.archive_dir)
-    report = stats.build_report(index, archive, args.sample_n, args.seed)
+    with Archive(directory=args.archive_dir) as archive:
+        report = stats.build_report(index, archive, args.sample_n, args.seed)
     report.write_wide_csv(args.output)
     base, ext = os.path.splitext(args.output)
     long_path = base + "_long" + (ext or ".csv")
@@ -124,7 +124,8 @@ def cmd_get(args):
     except SnapshotNotFound:
         _log("not found: %s" % args.url)
         return EXIT_EMPTY
-    snap = Archive(directory=args.archive_dir).fetch(ref)
+    with Archive(directory=args.archive_dir) as archive:
+        snap = archive.fetch(ref)
     _log("%s %s %s" % (ref.canonical_url, ref.timestamp14, ref.digest))
     sys.stdout.buffer.write(snap.body)
     sys.stdout.buffer.flush()

@@ -3,7 +3,8 @@
 Turns WARC files into a sorted line-oriented index (one entry per
 archived capture), serves nearest-in-time lookups, and counts every
 snapshot fetch so algorithms can be compared by disk accesses instead
-of wall-clock time.
+of wall-clock time. An :class:`Archive` keeps each WARC file open from
+its first fetch until :meth:`Archive.close`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import warc
-from .urls import CanonicalizationError, canonicalize_url, host_of
+from .urls import CanonicalizationError, canonicalize_url
+from .warc import ArchiveIOError
 
 __all__ = [
     "IndexEntry",
@@ -58,10 +60,6 @@ class SnapshotNotFound(LookupError):
 
 class CorruptSnapshotError(Exception):
     """Fetched bytes do not match the indexed digest."""
-
-
-class ArchiveIOError(OSError):
-    """Archive file missing, unreadable, or offset out of range."""
 
 
 def timestamp14_from_iso(iso_date):
@@ -122,10 +120,6 @@ class IndexEntry(NamedTuple):
     length: int = 0
 
     @property
-    def host(self):
-        return host_of(self.canonical_url)
-
-    @property
     def year(self):
         return int(self.timestamp14[:4])
 
@@ -149,23 +143,6 @@ class IndexEntry(NamedTuple):
                 str(self.offset),
                 str(self.length),
             ]
-        )
-
-    @classmethod
-    def from_line(cls, line):
-        parts = line.split(" ")
-        if len(parts) != 8:
-            raise ValueError("index line must have 8 fields, got %d" % len(parts))
-        url, ts, mime, status, digest, file_id, offset, length = parts
-        return cls(
-            url,
-            ts,
-            "" if mime == "-" else mime,
-            int(status),
-            digest,
-            file_id,
-            int(offset),
-            int(length),
         )
 
 
@@ -213,7 +190,7 @@ def ingest_warc(path, file_id=None, stats=None):
     for offset, length, rec in warc.iter_records(path):
         stats.records += 1
         stats.bytes += length
-        if rec.record_type != "response":
+        if rec.header("WARC-Type") != "response":
             continue
         uri = rec.header("WARC-Target-URI")
         if uri and uri[0] == "<" and uri[-1] == ">":  # the WARC/1.0 examples' form
@@ -283,14 +260,6 @@ class ArchiveIndex:
             found = self._by_url.get(canonicalize_url(url), [])
         return found
 
-    def has_url(self, url):
-        return bool(self.entries_for(url))
-
-    def snapshots_of(self, url):
-        """Ascending capture timestamps; same-time duplicates collapse
-        unless their digests differ."""
-        return [e.timestamp14 for e in self.entries_for(url)]
-
     def lookup_nearest(self, url, target_ts14):
         """Capture of ``url`` closest in time to ``target_ts14``.
 
@@ -320,18 +289,24 @@ class ArchiveIndex:
     @classmethod
     def load(cls, path):
         entries = []
+        make = IndexEntry._make
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != INDEX_HEADER:
+            if f.readline().rstrip("\n") != INDEX_HEADER:
                 raise ValueError("not a %s file: %s" % (INDEX_HEADER, path))
             for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
+                parts = line.rstrip("\n").split(" ")
                 try:
-                    entries.append(IndexEntry.from_line(line))
+                    url, ts, mime, status, digest, file_id, offset, length = parts
+                    entries.append(make((
+                        url, ts, "" if mime == "-" else mime, int(status),
+                        digest, file_id, int(offset), int(length),
+                    )))
                 except ValueError as exc:
-                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from exc
+                    if parts == [""]:
+                        continue  # a blank line
+                    if len(parts) != 8:
+                        exc = "index line must have 8 fields, got %d" % len(parts)
+                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
         return cls(entries)
 
 
@@ -339,42 +314,55 @@ class Archive:
     """Read access to the WARC files behind an index.
 
     ``directory`` maps each entry's file_id to <directory>/<file_id>;
-    explicit paths can be registered instead. ``counter`` tallies every
-    fetch.
+    explicit paths can be registered instead. Each file is opened on its
+    first fetch and stays open until :meth:`close`, which leaving a
+    ``with Archive(...) as archive:`` block calls. ``counter`` tallies
+    every fetch.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._paths = {}
+        self._files = {}
         self.counter = AccessCounter()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        files, self._files = self._files, {}
+        for f in files.values():
+            f.close()
 
     def register(self, file_id, path):
         self._paths[file_id] = path
 
-    def _path_for(self, file_id):
-        if file_id in self._paths:
-            return self._paths[file_id]
-        if self.directory is not None:
-            return os.path.join(self.directory, file_id)
-        raise ArchiveIOError("no path known for archive file %r" % file_id)
+    def _file(self, file_id):
+        f = self._files.get(file_id)
+        if f is None:
+            if file_id in self._paths:
+                path = self._paths[file_id]
+            elif self.directory is not None:
+                path = os.path.join(self.directory, file_id)
+            else:
+                raise ArchiveIOError("no path known for archive file %r" % file_id)
+            try:
+                f = self._files[file_id] = open(path, "rb", buffering=0)
+            except OSError as exc:
+                raise ArchiveIOError(str(exc)) from exc
+        return f
 
     def fetch(self, ref):
-        """Fetch one snapshot; one disk access, ref.length bytes."""
-        path = self._path_for(ref.file_id)
+        """Fetch one snapshot; one positioned read of ref.length bytes."""
         try:
-            size = os.path.getsize(path)
-        except OSError as exc:
-            raise ArchiveIOError(str(exc)) from exc
-        if ref.offset + ref.length > size:
-            raise ArchiveIOError(
-                "record at %d+%d exceeds size of %s" % (ref.offset, ref.length, path)
-            )
-        try:
-            rec = warc.read_record(path, ref.offset, ref.length)
+            payload = warc.read_record(self._file(ref.file_id), ref.offset, ref.length)
         except warc.WarcFormatError as exc:
             raise CorruptSnapshotError(str(exc)) from exc
         self.counter.record(ref.length)
-        parsed = warc.parse_http_response(rec.payload)
+        parsed = warc.parse_http_response(payload)
         if parsed is None:
             raise CorruptSnapshotError("record at %d is not an HTTP response" % ref.offset)
         status, headers, body = parsed
@@ -387,7 +375,7 @@ class Archive:
 
     def raw_record(self, ref):
         """On-disk record bytes, for verbatim WARC export."""
-        return warc.raw_record_bytes(self._path_for(ref.file_id), ref.offset, ref.length)
+        return warc.read_span(self._file(ref.file_id), ref.offset, ref.length)
 
 
 @contextlib.contextmanager

@@ -128,7 +128,7 @@ def _authority(scheme, netloc, url, at):
         )
     netloc = host
     if port:
-        if not port.isdigit():
+        if not (port.isascii() and port.isdigit()):
             raise CanonicalizationError(
                 url, "invalid port %r" % port, host_at + len(hostport) - len(port)
             )

@@ -15,10 +15,12 @@ import zlib
 from dataclasses import dataclass, field
 
 __all__ = [
+    "ArchiveIOError",
     "WarcFormatError",
     "WarcRecord",
     "iter_records",
     "read_record",
+    "read_span",
     "parse_http_response",
     "make_response_record",
     "write_warc",
@@ -27,6 +29,10 @@ __all__ = [
 CRLF = b"\r\n"
 _GZIP_MAGIC = b"\x1f\x8b"
 _MAX_HEADER = 1 << 20  # bytes a record header block may take, through its blank line
+
+
+class ArchiveIOError(OSError):
+    """Archive file missing, unreadable, or offset out of range."""
 
 
 class WarcFormatError(ValueError):
@@ -42,45 +48,57 @@ class WarcRecord:
     headers: list = field(default_factory=list)  # ordered (name, value) pairs
     payload: bytes = b""
 
-    def header(self, name, default=None):
+    def header(self, name):
         name = name.lower()
         for k, v in self.headers:
             if k.lower() == name:
                 return v
-        return default
-
-    @property
-    def record_type(self):
-        return self.header("WARC-Type", "")
+        return None
 
 
-def _parse_record(data, offset):
-    """Parse one uncompressed record from ``data``; returns (record, consumed)."""
+def _content_length(head, offset):
+    """Payload length that a header block names, checked on bytes.
+
+    ``head`` runs from the version line to the blank line, exclusive.
+    Every later line needs a colon. The first whose name, stripped, is
+    Content-Length in any case gives the length in ASCII digits. Only
+    that line is decoded: no other character lowercases into
+    "content-length", so ``bytes.lower`` finds every candidate.
+    """
+    lines = head.split(CRLF)
+    if not lines[0].startswith(b"WARC/"):
+        raise WarcFormatError("missing WARC version line", offset)
+    length = None
+    for line in lines[1:]:
+        name, sep, value = line.partition(b":")
+        if not sep:
+            line = line.decode("utf-8", "replace")
+            raise WarcFormatError("malformed header line %r" % line, offset)
+        if length is None and b"content-length" in name.lower():
+            if name.decode("utf-8", "replace").strip().lower() == "content-length":
+                length = value.decode("utf-8", "replace").strip()
+    if length is None or not (length.isascii() and length.isdigit()):
+        raise WarcFormatError("missing or invalid Content-Length", offset)
+    return int(length)
+
+
+def _payload(data, start, end, offset):
+    """``data[start:end]``, which the record terminator must follow."""
+    if len(data) < end + 4:
+        raise WarcFormatError("truncated record payload", offset)
+    if data[end : end + 4] != b"\r\n\r\n":
+        raise WarcFormatError("missing record terminator", offset)
+    return data[start:end]
+
+
+def _split_record(data, offset):
+    """(header block, payload, bytes used) of the record that starts ``data``."""
     head_end = data.find(b"\r\n\r\n")
     if head_end < 0:
         raise WarcFormatError("truncated record header", offset)
-    head = data[:head_end].decode("utf-8", "replace")
-    lines = head.split("\r\n")
-    if not lines[0].startswith("WARC/"):
-        raise WarcFormatError("missing WARC version line", offset)
-    headers = []
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise WarcFormatError("malformed header line %r" % line, offset)
-        headers.append((name.strip(), value.strip()))
-    rec = WarcRecord(headers=headers)
-    length = rec.header("Content-Length")
-    if length is None or not length.isdigit():
-        raise WarcFormatError("missing or invalid Content-Length", offset)
-    length = int(length)
-    body_start = head_end + 4
-    if len(data) < body_start + length + 4:
-        raise WarcFormatError("truncated record payload", offset)
-    rec.payload = data[body_start : body_start + length]
-    if data[body_start + length : body_start + length + 4] != b"\r\n\r\n":
-        raise WarcFormatError("missing record terminator", offset)
-    return rec, body_start + length + 4
+    head = data[:head_end]
+    end = head_end + 4 + _content_length(head, offset)
+    return head, _payload(data, head_end + 4, end, offset), end + 4
 
 
 def _read_gzip_member(f, offset):
@@ -109,7 +127,8 @@ def _read_gzip_member(f, offset):
 
 
 def _read_plain_record(f, offset):
-    """Read one uncompressed record from the current position.
+    """(header block, payload, bytes used) of the uncompressed record at
+    the current position.
 
     The header block is read line by line and the payload in one read,
     so every byte is read once and the file is left at the next record.
@@ -127,19 +146,9 @@ def _read_plain_record(f, offset):
         if line == CRLF and lines and lines[-1].endswith(CRLF):
             break
         lines.append(line)
-    head = b"".join(lines)
-    head_end = size - 4
-    # Header block is in hand; Content-Length tells us the full span.
-    for line in head[:head_end].split(b"\r\n"):
-        if line.lower().startswith(b"content-length:"):
-            value = line.split(b":", 1)[1].strip()
-            if not value.isdigit():
-                raise WarcFormatError("invalid Content-Length", offset)
-            total = head_end + 4 + int(value) + 4
-            break
-    else:
-        raise WarcFormatError("missing or invalid Content-Length", offset)
-    return _parse_record(head + CRLF + f.read(total - size), offset)
+    head = b"".join(lines)[:-2]
+    length = _content_length(head, offset)
+    return head, _payload(f.read(length + 4), 0, length, offset), size + length + 4
 
 
 def iter_records(path):
@@ -159,7 +168,7 @@ def iter_records(path):
                 f.seek(offset)
                 if magic == _GZIP_MAGIC:
                     data, consumed = _read_gzip_member(f, offset)
-                    rec, used = _parse_record(data, offset)
+                    head, payload, used = _split_record(data, offset)
                     if data[used:].strip():
                         raise WarcFormatError(
                             "gzip member holds more than one record; records can be"
@@ -167,39 +176,38 @@ def iter_records(path):
                             " (per-record gzip)",
                             offset,
                         )
-                    yield offset, consumed, rec
                 else:
-                    rec, consumed = _read_plain_record(f, offset)
-                    yield offset, consumed, rec
+                    head, payload, consumed = _read_plain_record(f, offset)
+                headers = []
+                for line in head.decode("utf-8", "replace").split("\r\n")[1:]:
+                    name, _, value = line.partition(":")
+                    headers.append((name.strip(), value.strip()))
+                yield offset, consumed, WarcRecord(headers, payload)
         except WarcFormatError as exc:
             exc.args = ("%s: %s" % (path, exc),)
             raise
 
 
-def read_record(path, offset, length):
-    """Re-read one record previously located by :func:`iter_records`."""
-    with open(path, "rb") as f:
-        f.seek(offset)
-        data = f.read(length)
+def read_span(f, offset, length):
+    """The ``length`` bytes at ``offset`` of the open file ``f``, in one
+    positioned read: a record's on-disk bytes, still gzipped if stored so."""
+    data = os.pread(f.fileno(), length, offset)
     if len(data) < length:
-        raise WarcFormatError("record extends past end of file", offset)
+        raise ArchiveIOError("record at %d+%d exceeds size of %s" % (offset, length, f.name))
+    return data
+
+
+def read_record(f, offset, length):
+    """Payload of the record that :func:`iter_records` located at
+    (offset, length) in the open file ``f``. The framing is checked as
+    :func:`iter_records` checks it; the header block is not decoded."""
+    data = read_span(f, offset, length)
     if data[:2] == _GZIP_MAGIC:
         try:
             data = zlib.decompress(data, 16 + zlib.MAX_WBITS)
         except zlib.error as exc:
             raise WarcFormatError("bad gzip data: %s" % exc, offset) from exc
-    rec, _ = _parse_record(data, offset)
-    return rec
-
-
-def raw_record_bytes(path, offset, length):
-    """The record's on-disk bytes, verbatim (still compressed if gzipped)."""
-    with open(path, "rb") as f:
-        f.seek(offset)
-        data = f.read(length)
-    if len(data) < length:
-        raise WarcFormatError("record extends past end of file", offset)
-    return data
+    return _split_record(data, offset)[1]
 
 
 def parse_http_response(payload):
@@ -218,7 +226,7 @@ def parse_http_response(payload):
     head = payload[:head_end].decode("latin-1")
     lines = head.split("\r\n")
     parts = lines[0].split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
+    if len(parts) < 2 or not (parts[1].isascii() and parts[1].isdigit()):
         return None
     status = int(parts[1])
     headers = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from subcollect import warc
-from subcollect.store import Archive, ArchiveIndex, ingest_warc
+from subcollect.store import Archive, ArchiveIndex, IngestStats, ingest_warc
 
 FILE_ID = "fixture.warc"
 
@@ -44,15 +44,53 @@ def page(title="", links=(), text=""):
 
 
 class FixtureArchive:
-    def __init__(self, path, entries, stats):
+    def __init__(self, path, name, entries, stats):
         self.path = path
         self.index = ArchiveIndex(entries)
         self.stats = stats
         self.archive = Archive()
         self.archive.register(FILE_ID, str(path))
+        self.archive.register(name, str(path))
+        _open_archives.append(self.archive)
 
     def __len__(self):
         return len(self.index)
+
+
+# Archives that build_archive made during the running test.
+_open_archives = []
+
+
+@pytest.fixture(autouse=True)
+def close_fixture_archives():
+    """Close, at each test's teardown, the WARC files its archives opened."""
+    yield
+    while _open_archives:
+        _open_archives.pop().close()
+
+
+def damage_warc(path, entry, kind):
+    """Damage the plain record of ``entry``, the last in the WARC at ``path``.
+
+    "missing" deletes the file; "truncated" cuts the record's last byte;
+    "header" takes the colon out of its first header line;
+    "content-length" puts a superscript two, a Unicode digit that int()
+    rejects, before its Content-Length; "digest" flips one body byte.
+    """
+    if kind == "missing":
+        path.unlink()
+        return
+    data = bytearray(path.read_bytes())
+    if kind == "truncated":
+        del data[entry.offset + entry.length - 1 :]
+    elif kind == "header":
+        data[data.index(b":", entry.offset)] = ord(" ")
+    elif kind == "content-length":
+        at = data.index(b"Content-Length: ", entry.offset) + len(b"Content-Length: ")
+        data[at:at] = "\u00b2".encode("utf-8")
+    else:
+        data[entry.offset + entry.length - 10] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 def build_archive(tmp_path, captures, gzip_records=False, name=FILE_ID):
@@ -66,13 +104,9 @@ def build_archive(tmp_path, captures, gzip_records=False, name=FILE_ID):
         blobs.append(warc.make_response_record(url, iso_of(ts14), body, content_type=ctype))
     path = tmp_path / name
     warc.write_warc(str(path), blobs, gzip_records=gzip_records)
-    from subcollect.store import IngestStats
-
     stats = IngestStats()
     entries = ingest_warc(str(path), file_id=name, stats=stats)
-    fx = FixtureArchive(path, entries, stats)
-    fx.archive._paths[name] = str(path)
-    return fx
+    return FixtureArchive(path, name, entries, stats)
 
 
 @pytest.fixture

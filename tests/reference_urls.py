@@ -1,10 +1,11 @@
 """The urllib-based URL code that ``subcollect.urls`` replaced.
 
 ``canonicalize_url`` and ``link_target`` are the previous implementations,
-copied unchanged, and serve as the reference that the hand-written
-canonicalizer and link resolver are compared against. They run on the
-Python under test, so shapes on which ``urlsplit`` differs between Python
-releases are kept out of the comparisons (see ``version_dependent``).
+copied unchanged but for the port rule (ASCII digits only), and serve as
+the reference that the hand-written canonicalizer and link resolver are
+compared against. They run on the Python under test, so shapes on which
+``urlsplit`` differs between Python releases are kept out of the
+comparisons (see ``version_dependent``).
 """
 
 import re
@@ -64,7 +65,7 @@ def canonicalize_url(url):
             url, "invalid character %r in host" % host[bad], host_at + bad
         )
     if port:
-        if not port.isdigit():
+        if not (port.isascii() and port.isdigit()):
             raise CanonicalizationError(
                 url, "invalid port %r" % port, host_at + len(hostport) - len(port)
             )

@@ -30,6 +30,7 @@ from subcollect.extraction import (
 from subcollect.spec import SubCollectionSpec
 from subcollect.stats import analyze_sample, link_in_archive_rate, sample_refs
 from subcollect.store import Archive, ArchiveIndex, IndexEntry, ingest_warc, timestamp14_to_epoch
+from subcollect.urls import host_of
 
 from conftest import build_archive, iso_of, page
 
@@ -161,7 +162,11 @@ def test_acceptance_3_metric_exactness(tmp_path):
     d2.mkdir()
     fx2 = build_archive(d2, cap2)
     only_a = SubCollection(
-        members=[Member(entry=e, origin="scan") for e in fx2.index if e.host == "a.de"]
+        members=[
+            Member(entry=e, origin="scan")
+            for e in fx2.index
+            if host_of(e.canonical_url) == "a.de"
+        ]
     )
     assert abs(representativeness(only_a, fx2.index, "host") - 0.6887218755408672) < TOL
 
@@ -202,11 +207,10 @@ def test_acceptance_4_ingest_roundtrip_10k(tmp_path):
     entries = ingest_warc(str(path), file_id="big.warc")
     assert len(entries) == n
     index = ArchiveIndex(entries)
-    archive = Archive()
-    archive.register("big.warc", str(path))
-
     spec = SubCollectionSpec(time_scope=("19900101000000", "20991231235959"))
-    coll = extract(archive, index, spec)
+    with Archive() as archive:
+        archive.register("big.warc", str(path))
+        coll = extract(archive, index, spec)
     # fetch() verifies the SHA-256 digest of every record on the way.
     assert coll.counters["fetches"] == n
     assert coll.counters["errors"] == 0

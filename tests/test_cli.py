@@ -9,8 +9,9 @@ import pytest
 import subcollect
 from subcollect import warc
 from subcollect.cli import main
+from subcollect.store import ArchiveIndex
 
-from conftest import iso_of, page
+from conftest import damage_warc, iso_of, page
 
 
 @pytest.fixture
@@ -139,6 +140,14 @@ def test_extract_empty_result_code_3(workspace):
 def test_extract_invalid_spec_code_1(workspace):
     code, _ = run_extract(workspace, {"name": "bad", "scopes": {}})
     assert code == 1
+
+
+def test_extract_counts_non_ascii_content_length_as_one_error(workspace, capsys):
+    entry = ArchiveIndex.load(workspace["index"]).lookup_nearest("http://b.de/", "20000601120000")
+    damage_warc(workspace["tmp"] / "archive" / "f.warc", entry, "content-length")
+    code, _ = run_extract(workspace, {"name": "all", "scopes": {"domains": ["de"]}})
+    counters = dict(l.split("=") for l in capsys.readouterr().out.split())
+    assert (code, counters["errors"], counters["members"]) == (0, "1", "3")
 
 
 def test_extract_deterministic_bytes(workspace):
@@ -411,6 +420,13 @@ def _get(ws, url, at):
             "--url", url, "--at", at]
 
 
+def _damaged_get(ws, kind):
+    """A get of the WARC's last record, damaged after indexing."""
+    entry = ArchiveIndex.load(ws["index"]).lookup_nearest("http://b.de/", "20000601120000")
+    damage_warc(ws["tmp"] / "archive" / "f.warc", entry, kind)
+    return _get(ws, "http://b.de/", "20000601120000")
+
+
 # (row id, argv builder, exit code, text the message must contain)
 EXIT_ROWS = [
     ("bad-spec", lambda ws: _extract_args(
@@ -427,6 +443,11 @@ EXIT_ROWS = [
     ("bad-url", lambda ws: _get(ws, "http://[::1/", "20000101000000"), 1,
      "'http://[::1/': Invalid IPv6 URL"),
     ("absent-url", lambda ws: _get(ws, "http://nope.de/", "20000101000000"), 3, None),
+    ("get-missing-warc", lambda ws: _damaged_get(ws, "missing"), 2, "f.warc"),
+    ("get-truncated-warc", lambda ws: _damaged_get(ws, "truncated"), 2, "exceeds size of"),
+    ("get-damaged-header", lambda ws: _damaged_get(ws, "header"), 2, "malformed header line"),
+    ("get-digest-mismatch", lambda ws: _damaged_get(ws, "digest"), 2,
+     "digest mismatch for http://b.de/@20000601120000"),
     ("index-output", lambda ws: ["index", ws["warc"], "--output", _directory(ws, "idx")], 2,
      "idx"),
     ("extract-output", lambda ws: _extract_args(

@@ -17,6 +17,7 @@ from subcollect.evaluation import (
 from subcollect.extraction import Member, SubCollection
 from subcollect.spec import SubCollectionSpec, in_scope_metadata
 from subcollect.store import ArchiveIndex, IndexEntry, timestamp14_to_epoch
+from subcollect.urls import host_of
 
 from conftest import build_archive, page
 
@@ -198,7 +199,7 @@ def test_representativeness_one_host_vs_uniform_two(tmp_path):
     members = [
         Member(entry=e, origin="scan")
         for e in fx.index
-        if e.host == "a.de"
+        if host_of(e.canonical_url) == "a.de"
     ]
     c = SubCollection(members=members)
     # Closed form: 1 - JSD({1,0} || {1/2,1/2}) = 1 - (H(3/4,1/4) - 1/2).

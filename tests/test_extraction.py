@@ -333,7 +333,7 @@ def test_enforce_size_equal_strata_split(tmp_path):
     fx = build_archive(tmp_path, captures)
     members = make_members(fx.index)
     out = enforce_size(members, 10, fx.index, seed=7)
-    hosts = [m.entry.host for m in out]
+    hosts = [host_of(m.entry.canonical_url) for m in out]
     assert len(out) == 10
     assert hosts.count("a.de") == 5 and hosts.count("b.de") == 5
 
@@ -346,7 +346,7 @@ def test_enforce_size_largest_remainder_quotas(tmp_path):
     fx = build_archive(tmp_path, captures)
     members = make_members(fx.index)
     out = enforce_size(members, 6, fx.index, seed=3)
-    hosts = [m.entry.host for m in out]
+    hosts = [host_of(m.entry.canonical_url) for m in out]
     assert len(out) == 6
     assert hosts.count("a.de") == 3
     assert hosts.count("b.de") == 2

@@ -61,6 +61,12 @@ def test_script_scheme_links_dropped():
     assert a.outlink_targets() == ["http://a.de/keep"]
 
 
+def test_link_with_non_ascii_port_dropped():
+    html = '<a href="http://b.de:\u0668\u0660/x">n</a><a href="http://b.de:80/y">a</a>'
+    a = parse_html(html.encode("utf-8"), "http://a.de/", charset_hint="utf-8")
+    assert a.outlink_targets() == ["http://b.de/y"]
+
+
 def test_anchor_count_equals_outlinks():
     html = b'<a href="/x">x</a><a>no href</a><a href="mailto:z">z</a>'
     a = parse_html(html, "http://a.de/")

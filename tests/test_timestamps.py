@@ -166,7 +166,7 @@ def test_from_iso_pads_years_below_1000():
 
 def test_capture_from_year_999_can_be_looked_up(tmp_path):
     fx = build_archive(tmp_path, [("http://a.de/", "09990101000000", page("old"))])
-    assert fx.index.snapshots_of("http://a.de/") == ["09990101000000"]
+    assert [e.timestamp14 for e in fx.index.entries_for("http://a.de/")] == ["09990101000000"]
     ref = fx.index.lookup_nearest("http://a.de/", "20000101000000")
     assert fx.archive.fetch(ref).body == page("old")
 
@@ -194,12 +194,14 @@ def _dataclass_index_lines(rows):
     return [IndexEntry(*vars(e).values()).to_line() for e in sorted(uniq.values())]
 
 
-def test_entry_is_a_tuple_with_defaults():
+def test_entry_is_a_tuple_with_defaults(tmp_path):
     e = IndexEntry("http://a.de/", "20000101000000")
     assert e == ("http://a.de/", "20000101000000", "application/octet-stream", 200, "", "", 0, 0)
-    assert IndexEntry.from_line(e.to_line()) == e
+    no_mime = e._replace(mime="", digest="d")
+    ArchiveIndex([e, no_mime]).save(str(tmp_path / "idx"))
+    assert ArchiveIndex.load(str(tmp_path / "idx")).entries == [no_mime, e]
     assert e._replace(offset=5).offset == 5
-    assert e.year == 2000 and e.epoch == 946684800 and e.host == "a.de" and not e.is_html
+    assert e.year == 2000 and e.epoch == 946684800 and not e.is_html
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,6 +26,13 @@ def test_non_default_port_kept():
     assert canonicalize_url("http://a.de:8080/p") == "http://a.de:8080/p"
 
 
+@pytest.mark.parametrize("url", ["http://a.de:\u00b2/", "http://a.de:\u0668\u0660/"])
+def test_port_of_non_ascii_digits_rejected(url):
+    # str.isdigit() holds for both; an Arabic-Indic 80 kept its port.
+    with pytest.raises(CanonicalizationError, match="invalid port"):
+        canonicalize_url(url)
+
+
 def test_empty_path_becomes_slash():
     assert canonicalize_url("http://a.de") == "http://a.de/"
 

@@ -3,8 +3,9 @@
 Turns WARC files into a sorted line-oriented index (one entry per
 archived capture), serves nearest-in-time lookups, and counts every
 snapshot fetch so algorithms can be compared by disk accesses instead
-of wall-clock time. An :class:`Archive` keeps each WARC file open from
-its first fetch until :meth:`Archive.close`.
+of wall-clock time. An :class:`Archive` keeps up to
+:data:`MAX_OPEN_FILES` WARC files open from their first fetch until
+:meth:`Archive.close`.
 """
 
 from __future__ import annotations
@@ -297,9 +298,12 @@ class ArchiveIndex:
                 parts = line.rstrip("\n").split(" ")
                 try:
                     url, ts, mime, status, digest, file_id, offset, length = parts
+                    status, offset, length = int(status), int(offset), int(length)
+                    if offset < 0 or length < 0:
+                        raise ValueError("offset and length must not be negative")
                     entries.append(make((
-                        url, ts, "" if mime == "-" else mime, int(status),
-                        digest, file_id, int(offset), int(length),
+                        url, ts, "" if mime == "-" else mime, status,
+                        digest, file_id, offset, length,
                     )))
                 except ValueError as exc:
                     if parts == [""]:
@@ -310,20 +314,26 @@ class ArchiveIndex:
         return cls(entries)
 
 
+# WARCs are commonly cut at 1 GB, so an archive may hold thousands, more
+# than the 1024 files (256 on macOS) a process may open by default. 128
+# leaves half the lower limit to the rest of the process.
+MAX_OPEN_FILES = 128
+
+
 class Archive:
     """Read access to the WARC files behind an index.
 
     ``directory`` maps each entry's file_id to <directory>/<file_id>;
     explicit paths can be registered instead. Each file is opened on its
     first fetch and stays open until :meth:`close`, which leaving a
-    ``with Archive(...) as archive:`` block calls. ``counter`` tallies
-    every fetch.
+    ``with Archive(...) as archive:`` block calls; past MAX_OPEN_FILES,
+    the file used longest ago is closed. ``counter`` tallies every fetch.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._paths = {}
-        self._files = {}
+        self._files = {}  # file_id -> (file, size at opening), least recently used first
         self.counter = AccessCounter()
 
     def __enter__(self):
@@ -334,31 +344,42 @@ class Archive:
 
     def close(self):
         files, self._files = self._files, {}
-        for f in files.values():
+        for f, _ in files.values():
             f.close()
 
     def register(self, file_id, path):
         self._paths[file_id] = path
 
-    def _file(self, file_id):
-        f = self._files.get(file_id)
-        if f is None:
-            if file_id in self._paths:
-                path = self._paths[file_id]
+    def _file(self, ref):
+        """The open WARC of ``ref``, whose span must fit its size at opening."""
+        files = self._files
+        opened = files.pop(ref.file_id, None)
+        if opened is None:
+            if ref.file_id in self._paths:
+                path = self._paths[ref.file_id]
             elif self.directory is not None:
-                path = os.path.join(self.directory, file_id)
+                path = os.path.join(self.directory, ref.file_id)
             else:
-                raise ArchiveIOError("no path known for archive file %r" % file_id)
+                raise ArchiveIOError("no path known for archive file %r" % ref.file_id)
+            if len(files) >= MAX_OPEN_FILES:
+                files.pop(next(iter(files)))[0].close()
             try:
-                f = self._files[file_id] = open(path, "rb", buffering=0)
+                f = open(path, "rb", buffering=0)
             except OSError as exc:
                 raise ArchiveIOError(str(exc)) from exc
+            opened = f, os.fstat(f.fileno()).st_size
+        files[ref.file_id] = opened
+        f, size = opened
+        if ref.offset + ref.length > size:
+            raise ArchiveIOError(
+                "record at %d+%d exceeds size of %s" % (ref.offset, ref.length, f.name)
+            )
         return f
 
     def fetch(self, ref):
         """Fetch one snapshot; one positioned read of ref.length bytes."""
         try:
-            payload = warc.read_record(self._file(ref.file_id), ref.offset, ref.length)
+            payload = warc.read_record(self._file(ref), ref.offset, ref.length)
         except warc.WarcFormatError as exc:
             raise CorruptSnapshotError(str(exc)) from exc
         self.counter.record(ref.length)
@@ -375,7 +396,7 @@ class Archive:
 
     def raw_record(self, ref):
         """On-disk record bytes, for verbatim WARC export."""
-        return warc.read_span(self._file(ref.file_id), ref.offset, ref.length)
+        return warc.read_span(self._file(ref), ref.offset, ref.length)
 
 
 @contextlib.contextmanager

@@ -56,16 +56,16 @@ class WarcRecord:
         return None
 
 
-def _content_length(head, offset):
+def _content_length(lines, offset):
     """Payload length that a header block names, checked on bytes.
 
-    ``head`` runs from the version line to the blank line, exclusive.
-    Every later line needs a colon. The first whose name, stripped, is
-    Content-Length in any case gives the length in ASCII digits. Only
-    that line is decoded: no other character lowercases into
-    "content-length", so ``bytes.lower`` finds every candidate.
+    ``lines`` is the block split on CRLF, from the version line to the
+    blank line, exclusive. Every later line needs a colon. The first
+    whose name, stripped, is Content-Length in any case gives the length
+    in ASCII digits. Only that line is decoded: no other character
+    lowercases into "content-length", so ``bytes.lower`` finds every
+    candidate.
     """
-    lines = head.split(CRLF)
     if not lines[0].startswith(b"WARC/"):
         raise WarcFormatError("missing WARC version line", offset)
     length = None
@@ -92,13 +92,13 @@ def _payload(data, start, end, offset):
 
 
 def _split_record(data, offset):
-    """(header block, payload, bytes used) of the record that starts ``data``."""
+    """(header lines, payload, bytes used) of the record that starts ``data``."""
     head_end = data.find(b"\r\n\r\n")
     if head_end < 0:
         raise WarcFormatError("truncated record header", offset)
-    head = data[:head_end]
-    end = head_end + 4 + _content_length(head, offset)
-    return head, _payload(data, head_end + 4, end, offset), end + 4
+    lines = data[:head_end].split(CRLF)
+    end = head_end + 4 + _content_length(lines, offset)
+    return lines, _payload(data, head_end + 4, end, offset), end + 4
 
 
 def _read_gzip_member(f, offset):
@@ -127,7 +127,7 @@ def _read_gzip_member(f, offset):
 
 
 def _read_plain_record(f, offset):
-    """(header block, payload, bytes used) of the uncompressed record at
+    """(header lines, payload, bytes used) of the uncompressed record at
     the current position.
 
     The header block is read line by line and the payload in one read,
@@ -146,9 +146,9 @@ def _read_plain_record(f, offset):
         if line == CRLF and lines and lines[-1].endswith(CRLF):
             break
         lines.append(line)
-    head = b"".join(lines)[:-2]
-    length = _content_length(head, offset)
-    return head, _payload(f.read(length + 4), 0, length, offset), size + length + 4
+    lines = b"".join(lines)[:-2].split(CRLF)
+    length = _content_length(lines, offset)
+    return lines, _payload(f.read(length + 4), 0, length, offset), size + length + 4
 
 
 def iter_records(path):
@@ -168,7 +168,7 @@ def iter_records(path):
                 f.seek(offset)
                 if magic == _GZIP_MAGIC:
                     data, consumed = _read_gzip_member(f, offset)
-                    head, payload, used = _split_record(data, offset)
+                    lines, payload, used = _split_record(data, offset)
                     if data[used:].strip():
                         raise WarcFormatError(
                             "gzip member holds more than one record; records can be"
@@ -177,10 +177,10 @@ def iter_records(path):
                             offset,
                         )
                 else:
-                    head, payload, consumed = _read_plain_record(f, offset)
+                    lines, payload, consumed = _read_plain_record(f, offset)
                 headers = []
-                for line in head.decode("utf-8", "replace").split("\r\n")[1:]:
-                    name, _, value = line.partition(":")
+                for line in lines[1:]:
+                    name, _, value = line.decode("utf-8", "replace").partition(":")
                     headers.append((name.strip(), value.strip()))
                 yield offset, consumed, WarcRecord(headers, payload)
         except WarcFormatError as exc:
@@ -190,7 +190,9 @@ def iter_records(path):
 
 def read_span(f, offset, length):
     """The ``length`` bytes at ``offset`` of the open file ``f``, in one
-    positioned read: a record's on-disk bytes, still gzipped if stored so."""
+    positioned read: a record's on-disk bytes, still gzipped if stored so.
+    The caller checks the span against the file's size; a short read
+    means the file shrank since."""
     data = os.pread(f.fileno(), length, offset)
     if len(data) < length:
         raise ArchiveIOError("record at %d+%d exceeds size of %s" % (offset, length, f.name))

@@ -427,6 +427,18 @@ def _damaged_get(ws, kind):
     return _get(ws, "http://b.de/", "20000601120000")
 
 
+def _get_with_edited_entry(ws, **fields):
+    """A get of http://b.de/ through an index whose entry has ``fields``."""
+    index = ArchiveIndex.load(ws["index"])
+    entry = index.lookup_nearest("http://b.de/", "20000601120000")
+    lines = [e.to_line() for e in index]
+    lines[index.entries.index(entry)] = entry._replace(**fields).to_line()
+    path = ws["tmp"] / "edited.cdx"
+    path.write_text("SUBCOLLECT-CDX 1\n%s\n" % "\n".join(lines))
+    return ["get", "--index", str(path), "--archive-dir", ws["archive_dir"],
+            "--url", "http://b.de/", "--at", "20000601120000"]
+
+
 # (row id, argv builder, exit code, text the message must contain)
 EXIT_ROWS = [
     ("bad-spec", lambda ws: _extract_args(
@@ -445,6 +457,12 @@ EXIT_ROWS = [
     ("absent-url", lambda ws: _get(ws, "http://nope.de/", "20000101000000"), 3, None),
     ("get-missing-warc", lambda ws: _damaged_get(ws, "missing"), 2, "f.warc"),
     ("get-truncated-warc", lambda ws: _damaged_get(ws, "truncated"), 2, "exceeds size of"),
+    ("get-oversized-length", lambda ws: _get_with_edited_entry(ws, length=10**12), 2,
+     "+1000000000000 exceeds size of"),
+    ("get-length-past-int64", lambda ws: _get_with_edited_entry(ws, length=2**64), 2,
+     "exceeds size of"),
+    ("get-negative-offset", lambda ws: _get_with_edited_entry(ws, offset=-5), 2,
+     "offset and length must not be negative"),
     ("get-damaged-header", lambda ws: _damaged_get(ws, "header"), 2, "malformed header line"),
     ("get-digest-mismatch", lambda ws: _damaged_get(ws, "digest"), 2,
      "digest mismatch for http://b.de/@20000601120000"),

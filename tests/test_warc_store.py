@@ -126,6 +126,62 @@ def test_fetch_offset_out_of_range(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "fields", [{"length": 10**12}, {"length": 2**64}, {"offset": 2**64}]
+)
+def test_span_past_end_of_file_rejected_before_reading(tmp_path, monkeypatch, fields):
+    fx = build_archive(tmp_path, [("http://a.de/", "20000101120000", page())])
+    bad = fx.index.entries[0]._replace(**fields)
+
+    def no_read(*args):
+        raise AssertionError("read attempted")
+
+    monkeypatch.setattr(warc.os, "pread", no_read)
+    for read in (fx.archive.fetch, fx.archive.raw_record):
+        with pytest.raises(ArchiveIOError) as excinfo:
+            read(bad)
+        assert str(excinfo.value) == "record at %d+%d exceeds size of %s" % (
+            bad.offset, bad.length, fx.path)
+
+
+def test_file_that_shrank_while_open_raises_archive_io_error(tmp_path):
+    fx = build_archive(tmp_path, [("http://a.de/", "20000101120000", page())])
+    entry = fx.index.entries[0]
+    fx.archive.fetch(entry)
+    damage_warc(fx.path, entry, "truncated")
+    for read in (fx.archive.fetch, fx.archive.raw_record):
+        with pytest.raises(ArchiveIOError, match="exceeds size of " + str(fx.path)):
+            read(entry)
+
+
+def test_open_files_capped_least_recently_used_closed(tmp_path, monkeypatch):
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def open_now():
+        return sum(not f.closed for f in opened)
+
+    refs = []
+    for i in range(store.MAX_OPEN_FILES + 3):
+        name = "%03d.warc" % i
+        record = warc.make_response_record("http://h%d.de/" % i, iso_of("20000101120000"), page())
+        warc.write_warc(str(tmp_path / name), [record])
+        refs += ingest_warc(str(tmp_path / name), file_id=name)
+    monkeypatch.setattr(store, "open", spy_open, raising=False)
+    with Archive(directory=str(tmp_path)) as archive:
+        for ref in refs + refs:
+            assert archive.fetch(ref).body == page()
+            archive.fetch(refs[0])  # the most recently used file stays open
+            assert open_now() <= store.MAX_OPEN_FILES
+        assert open_now() == store.MAX_OPEN_FILES
+        assert sum(f.name.endswith("000.warc") for f in opened) == 1
+        assert len(opened) == 1 + 2 * (len(refs) - 1)
+    assert open_now() == 0
+
+
+@pytest.mark.parametrize(
     "kind, error, message",
     [
         ("missing", ArchiveIOError, "No such file"),
@@ -438,6 +494,8 @@ def test_index_serialization_roundtrip(tmp_path):
         ("http://a.de/ 20000101000000 - 200 d f 0 1 x", "index line must have 8 fields, got 9"),
         ("http://a.de/ 20000101000000 - 2x0 d f 0 1", "invalid literal for int() with base 10: '2x0'"),
         ("http://a.de/ 20000101000000 - 200 d f 0 ", "invalid literal for int() with base 10: ''"),
+        ("http://a.de/ 20000101000000 - 200 d f -5 1", "offset and length must not be negative"),
+        ("http://a.de/ 20000101000000 - 200 d f 0 -1", "offset and length must not be negative"),
     ],
 )
 def test_index_load_error_names_path_line_and_fault(tmp_path, line, message):

@@ -75,8 +75,8 @@ def cmd_extract(args):
         coll.write_manifest(args.output)
         if args.export_warc:
             extraction.export_warc(coll, archive, args.export_warc)
-    for key in ("candidates_scanned", "fetches", "closure_added", "errors", "members"):
-        print("%s=%d" % (key, coll.counters[key]))
+    for key, value in coll.counters.items():
+        print("%s=%d" % (key, value))
     return EXIT_OK if coll.members else EXIT_EMPTY
 
 

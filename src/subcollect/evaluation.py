@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .htmldoc import analyze
 from .spec import in_scope_metadata
-from .store import timestamp14_to_epoch
+from .store import atomic_open, timestamp14_to_epoch
 from .urls import CanonicalizationError, host_of
 
 __all__ = [
@@ -45,7 +45,7 @@ class TruthSet:
         return ref in self.relevant_refs
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path, "w", encoding="utf-8") as f:
             f.write(TRUTH_HEADER + "\n")
             for url, ts in sorted(self.relevant_refs):
                 f.write("%s %s\n" % (url, ts))
@@ -125,13 +125,18 @@ def default_link_oracle(index, spec=None):
     return oracle
 
 
-def link_completeness(collection, archive, index, oracle=None, analyses=None):
+def link_completeness(collection, archive, index, oracle=None):
     """Per-member fraction of relevant outlink targets present in the
     collection.
 
     Returns (lc_sum, lc_mean): the plain sum over members and the mean
     over members that have at least one relevant outlink (None when no
     member has any).
+
+    Unlike ``extract`` and ``stats``, which count or drop a capture they
+    cannot read, a member that cannot be read raises: the score of a
+    collection that was not read in full would mislead, so ``evaluate``
+    ends with exit code 2.
     """
     if oracle is None:
         oracle = default_link_oracle(index)
@@ -139,13 +144,7 @@ def link_completeness(collection, archive, index, oracle=None, analyses=None):
     lc_sum = 0.0
     contributing = 0
     for m in collection.members:
-        key = (m.entry.canonical_url, m.entry.timestamp14)
-        if analyses is not None and key in analyses:
-            analysis = analyses[key]
-        else:
-            analysis = analyze(archive.fetch(m.entry))
-            if analyses is not None:
-                analyses[key] = analysis
+        analysis = analyze(archive.fetch(m.entry))
         relevant = [t for t in dict.fromkeys(analysis.outlink_targets()) if oracle(t)]
         if not relevant:
             continue
@@ -267,7 +266,7 @@ class EvaluationReport:
         return [(metric, ":".join(facet), value) for metric, facet, value in self.items()]
 
 
-def evaluate(collection, archive, index, truth=None, oracle=None, analyses=None):
+def evaluate(collection, archive, index, truth=None, oracle=None):
     """Compute the full metric suite over one collection.
 
     ``fetches`` in the report is the archive counter delta of this run,
@@ -279,9 +278,7 @@ def evaluate(collection, archive, index, truth=None, oracle=None, analyses=None)
         report.precision = precision(collection, truth)
         report.recall = recall(collection, truth)
         report.recall_by_stratum = stratified_recall(collection, truth)
-    report.lc_sum, report.lc_mean = link_completeness(
-        collection, archive, index, oracle=oracle, analyses=analyses
-    )
+    report.lc_sum, report.lc_mean = link_completeness(collection, archive, index, oracle=oracle)
     report.temporal_width_seconds = temporal_width(collection)
     for facet in FACETS:
         rep = representativeness(collection, index, facet)

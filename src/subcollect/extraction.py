@@ -6,6 +6,11 @@ snapshot picks one capture per URL inside the narrowest shared time
 window) -> link closure (connected mode) -> size enforcement
 (stratified downsample). Every stage is deterministic given the same
 archive, spec, and seed.
+
+The scan and the closure read captures through one memo per run
+(``htmldoc.analyze_capture``): each capture is fetched at most once, and
+one that cannot be read is stored as None, counted once in ``errors``
+and otherwise treated as a page without text or links.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from dataclasses import dataclass, field
 
 # parse_html is not called here; perfbench's tracer test checks that the
 # tracer wraps this binding as well as htmldoc's.
-from .htmldoc import PageAnalysis, analyze, parse_html  # noqa: F401
+from .htmldoc import PageAnalysis, analyze_capture, parse_html  # noqa: F401
 from .relevance import is_relevant
 from .spec import in_scope_metadata
-from .store import CorruptSnapshotError, SnapshotNotFound, atomic_open, timestamp14_to_epoch
+from .store import SnapshotNotFound, atomic_open, timestamp14_to_epoch
 from .urls import host_of
 
 __all__ = [
@@ -113,29 +118,17 @@ def index_prefilter(index, spec):
     return [e for e in index if in_scope_metadata(spec, e)]
 
 
-def scan_extract(archive, index, spec, analyses=None, errors=None, candidates=None):
-    """Fetch every prefiltered candidate once and apply the content scopes.
+def scan_extract(archive, candidates, spec, analyses):
+    """Fetch every candidate once and apply the content scopes.
 
-    Returns the kept entries (candidate order). Corrupt candidates are
-    skipped and tallied in ``errors``; extraction continues. With an
-    ``analyses`` dict the per-page analyses are cached for later stages.
-    ``candidates`` is the result of ``index_prefilter(index, spec)`` when
-    the caller already has it.
+    ``candidates`` is the result of :func:`index_prefilter`. Returns the
+    kept entries (candidate order). The analyses go into the run's
+    ``analyses`` memo; a candidate that cannot be read is not kept.
     """
-    if candidates is None:
-        candidates = index_prefilter(index, spec)
     kept = []
     for entry in candidates:
-        try:
-            snap = archive.fetch(entry)
-        except (CorruptSnapshotError, OSError) as exc:
-            if errors is not None:
-                errors.append((entry, str(exc)))
-            continue
-        analysis = analyze(snap)
-        if analyses is not None:
-            analyses[(entry.canonical_url, entry.timestamp14)] = analysis
-        if is_relevant(analysis, spec).relevant:
+        analysis = analyze_capture(archive, entry, analyses)
+        if analysis is not None and is_relevant(analysis, spec).relevant:
             kept.append(entry)
     return kept
 
@@ -209,7 +202,7 @@ def select_versions(candidates, version_mode):
     return selected
 
 
-def connect_closure(members, archive, index, spec, analyses=None, errors=None):
+def connect_closure(members, archive, index, spec, analyses):
     """Grow ``members`` until every in-archive link target is represented.
 
     For each member s and each outlink of s that has at least one
@@ -217,13 +210,13 @@ def connect_closure(members, archive, index, spec, analyses=None, errors=None):
     temporally nearest to s's crawl time is added (ties to the earlier
     capture). Runs to fixpoint, or stops after spec.closure_max_depth
     rounds. With policy "relevant_links" a candidate capture is only
-    added if it passes the content scopes.
+    added if it passes the content scopes. Pages are read through the
+    run's ``analyses`` memo; one that cannot be read has no links and
+    no text.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
     """
-    if analyses is None:
-        analyses = {}
     members = list(members)
     present = {m.entry.canonical_url for m in members}
     added = 0
@@ -231,15 +224,7 @@ def connect_closure(members, archive, index, spec, analyses=None, errors=None):
     frontier = sorted(members, key=_member_order)
 
     def analysis_of(entry):
-        key = (entry.canonical_url, entry.timestamp14)
-        if key not in analyses:
-            try:
-                analyses[key] = analyze(archive.fetch(entry))
-            except (CorruptSnapshotError, OSError) as exc:
-                if errors is not None:
-                    errors.append((entry, str(exc)))
-                analyses[key] = PageAnalysis()
-        return analyses[key]
+        return analyze_capture(archive, entry, analyses) or PageAnalysis()
 
     while frontier:
         if spec.closure_max_depth is not None and depth >= spec.closure_max_depth:
@@ -355,20 +340,15 @@ def extract(archive, index, spec):
     """Run the full pipeline and return the resulting SubCollection."""
     fetches_before = archive.counter.fetches
     analyses = {}
-    errors = []
 
     candidates = index_prefilter(index, spec)
-    kept = scan_extract(
-        archive, index, spec, analyses=analyses, errors=errors, candidates=candidates
-    )
+    kept = scan_extract(archive, candidates, spec, analyses)
     selected = select_versions(kept, spec.version_mode)
     members = [Member(entry=e, origin="scan") for e in selected]
 
     closure_added = 0
     if spec.link_mode == "connected":
-        members, closure_added = connect_closure(
-            members, archive, index, spec, analyses=analyses, errors=errors
-        )
+        members, closure_added = connect_closure(members, archive, index, spec, analyses)
 
     members = enforce_size(members, spec.size_scope, index, spec.seed)
 
@@ -378,7 +358,7 @@ def extract(archive, index, spec):
         "candidates_scanned": len(candidates),
         "fetches": archive.counter.fetches - fetches_before,
         "closure_added": closure_added,
-        "errors": len(errors),
+        "errors": sum(1 for a in analyses.values() if a is None),
         "members": len(coll.members),
     }
     return coll

@@ -54,9 +54,13 @@ from dataclasses import dataclass, field
 from html import unescape
 from typing import NamedTuple
 
+from .store import CorruptSnapshotError
 from .urls import CanonicalizationError, page_base, rebase, resolve, same_host, strip_www
 
-__all__ = ["PageAnalysis", "LinkRecord", "parse_html", "analyze", "classify_link", "tokenize"]
+__all__ = [
+    "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture",
+    "classify_link", "tokenize",
+]
 
 TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div", "anchor")
 
@@ -295,3 +299,18 @@ def analyze(snapshot):
             charset = value.lower().split("charset=")[-1].split(";")[0].strip()
             break
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset_hint=charset)
+
+
+def analyze_capture(archive, entry, analyses):
+    """Analysis of the capture ``entry``, or None when it cannot be read.
+
+    ``analyses`` is the memo of one run, keyed by the whole entry, since
+    the index keeps apart two captures of one URL in the same second:
+    either outcome is stored there, so each capture is fetched at most once.
+    """
+    if entry not in analyses:
+        try:
+            analyses[entry] = analyze(archive.fetch(entry))
+        except (CorruptSnapshotError, OSError):
+            analyses[entry] = None
+    return analyses[entry]

@@ -14,8 +14,8 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .htmldoc import analyze
-from .store import CorruptSnapshotError, atomic_open
+from .htmldoc import analyze_capture
+from .store import atomic_open
 
 __all__ = [
     "StatsReport",
@@ -67,15 +67,11 @@ def sample_refs(index, n, seed):
 def analyze_sample(sample, archive):
     """Fetch and parse every sampled page: [(entry, PageAnalysis)].
 
-    Exactly len(sample) fetches; corrupt captures are dropped.
+    Exactly len(sample) fetches; captures that cannot be read are dropped.
     """
-    analyzed = []
-    for e in sample:
-        try:
-            analyzed.append((e, analyze(archive.fetch(e))))
-        except (CorruptSnapshotError, OSError):
-            continue
-    return analyzed
+    analyses = {}
+    pairs = [(e, analyze_capture(archive, e, analyses)) for e in sample]
+    return [(e, analysis) for e, analysis in pairs if analysis is not None]
 
 
 def _macro_mean(values):

@@ -402,6 +402,17 @@ def _bogus_manifest(ws):
     return str(path)
 
 
+def _damaged_member_manifest(ws):
+    """A manifest of every capture; its member http://b.de/, the WARC's
+    last record, is damaged after extract wrote it."""
+    path = str(ws["tmp"] / "all.manifest")
+    spec = write_spec(ws["tmp"], {"name": "all", "scopes": {"domains": ["de"]}})
+    assert main(_extract_args(ws, spec, path)) == 0
+    entry = ArchiveIndex.load(ws["index"]).lookup_nearest("http://b.de/", "20000601120000")
+    damage_warc(ws["tmp"] / "archive" / "f.warc", entry, "digest")
+    return path
+
+
 def _corrupt_index(ws):
     path = ws["tmp"] / "corrupt.cdx"
     path.write_text("SUBCOLLECT-CDX 1\nhttp://a.de/ 2000 only-three-fields\n")
@@ -451,6 +462,9 @@ EXIT_ROWS = [
     ("member-not-in-index", lambda ws: ["evaluate", _bogus_manifest(ws), "--index",
                                         ws["index"], "--archive-dir", ws["archive_dir"]], 2,
      "bogus.manifest:3: manifest member not in index: http://zzz.de/ 20000101120000"),
+    ("evaluate-damaged-member", lambda ws: ["evaluate", _damaged_member_manifest(ws), "--index",
+                                            ws["index"], "--archive-dir", ws["archive_dir"]], 2,
+     "digest mismatch for http://b.de/@20000601120000"),
     ("bad-at", lambda ws: _get(ws, "http://a.de/", "2000-01-01"), 1, "--at"),
     ("bad-url", lambda ws: _get(ws, "http://[::1/", "20000101000000"), 1,
      "'http://[::1/': Invalid IPv6 URL"),

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -91,6 +92,13 @@ def test_truth_set_roundtrip(tmp_path):
     t.save(str(path))
     assert path.read_text().startswith("SUBCOLLECT-TRUTH 1\n")
     assert TruthSet.load(str(path)).relevant_refs == t.relevant_refs
+
+
+def test_failed_truth_set_save_leaves_no_file(tmp_path):
+    t = TruthSet(relevant_refs={("http://a.de/", "20000101000000"), (1, 2)})
+    with pytest.raises(TypeError):  # the refs do not sort
+        t.save(str(tmp_path / "truth"))
+    assert os.listdir(tmp_path) == []
 
 
 # link completeness ---------------------------------------------------------

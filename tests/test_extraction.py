@@ -21,7 +21,7 @@ from subcollect.spec import SubCollectionSpec
 from subcollect.store import IndexEntry, timestamp14_to_epoch
 from subcollect.urls import host_of
 
-from conftest import build_archive, page
+from conftest import build_archive, damage_warc, page
 
 
 def ts(sec):
@@ -120,8 +120,9 @@ def test_prefilter_domain_scope(three_hosts):
 
 def test_scan_without_content_scopes_equals_prefilter(three_hosts):
     spec = SubCollectionSpec(domain_scope=("a.de",))
-    kept = scan_extract(three_hosts.archive, three_hosts.index, spec)
-    assert kept == index_prefilter(three_hosts.index, spec)
+    candidates = index_prefilter(three_hosts.index, spec)
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
+    assert kept == candidates
     assert three_hosts.archive.counter.fetches == 3
 
 
@@ -145,7 +146,7 @@ def test_scan_keyword_filter(tmp_path):
         keyword_scope=("web", "archive"),
         relevance_threshold=0.5,
     )
-    kept = scan_extract(fx.archive, fx.index, spec)
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
     assert {e.canonical_url for e in kept} == {"http://h0.de/", "http://h2.de/"}
     assert fx.archive.counter.fetches == 6
 
@@ -153,7 +154,7 @@ def test_scan_keyword_filter(tmp_path):
 def test_scan_empty_archive(tmp_path):
     fx = build_archive(tmp_path, [])
     spec = SubCollectionSpec(domain_scope=("de",))
-    assert scan_extract(fx.archive, fx.index, spec) == []
+    assert scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}) == []
     assert fx.archive.counter.fetches == 0
 
 
@@ -169,11 +170,28 @@ def test_scan_corrupt_candidate_skipped(tmp_path):
     data = bytearray(fx.path.read_bytes())
     data[victim.offset + victim.length - 10] ^= 0xFF
     fx.path.write_bytes(bytes(data))
-    errors = []
+    analyses = {}
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, fx.index, spec, errors=errors)
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, analyses)
     assert [e.canonical_url for e in kept] == ["http://a.de/"]
-    assert len(errors) == 1
+    assert [e.canonical_url for e, a in analyses.items() if a is None] == ["http://b.de/"]
+
+
+def test_scan_reads_each_capture_of_the_same_second(tmp_path):
+    fx = build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive")),
+            ("http://a.de/", ts(0), page(text="cooking")),
+        ],
+    )
+    assert len(fx.index) == 2  # same URL and time, different digests
+    spec = SubCollectionSpec(
+        domain_scope=("de",), keyword_scope=("web", "archive"), relevance_threshold=0.5
+    )
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
+    assert len(kept) == 1
+    assert fx.archive.counter.fetches == 2
 
 
 # select_versions -----------------------------------------------------------
@@ -181,13 +199,15 @@ def test_scan_corrupt_candidate_skipped(tmp_path):
 
 def test_timeline_keeps_all(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(three_hosts.archive, three_hosts.index, spec)
+    candidates = index_prefilter(three_hosts.index, spec)
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
     assert len(select_versions(kept, "timeline")) == 6
 
 
 def test_snapshot_one_per_url(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(three_hosts.archive, three_hosts.index, spec)
+    candidates = index_prefilter(three_hosts.index, spec)
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
     selected = select_versions(kept, "snapshot")
     urls = [e.canonical_url for e in selected]
     assert len(urls) == len(set(urls)) == 4
@@ -204,7 +224,7 @@ def test_snapshot_follows_window_example(tmp_path):
             captures.append((url, ts(t), page("%s%d" % (url, t))))
     fx = build_archive(tmp_path, captures)
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, fx.index, spec)
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
     selected = select_versions(kept, "snapshot")
     got = {e.canonical_url: e.timestamp14 for e in selected}
     assert got == {"http://a.de/": ts(5), "http://b.de/": ts(4), "http://c.de/": ts(6)}
@@ -231,7 +251,7 @@ def test_closure_ignores_unindexed_targets(tmp_path):
         tmp_path, [("http://a.de/", ts(0), page(links=["http://gone.de/"]))]
     )
     members = [member_of(fx.index, "http://a.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec())
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 0
     assert len(grown) == 1
 
@@ -246,7 +266,7 @@ def test_closure_picks_nearest_capture(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", "20050601000000")]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec())
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 1
     added_member = [m for m in grown if m.origin == "closure"][0]
     assert added_member.entry.timestamp14 == "20060601000000"  # |1yr| < |2yr|
@@ -262,7 +282,7 @@ def test_closure_chain_reaches_fixpoint(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec())
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 2
     assert {m.entry.canonical_url for m in grown} == {
         "http://s.de/",
@@ -282,7 +302,7 @@ def test_closure_depth_limit(tmp_path):
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
     grown, added = connect_closure(
-        members, fx.archive, fx.index, closure_spec(closure_max_depth=1)
+        members, fx.archive, fx.index, closure_spec(closure_max_depth=1), {}
     )
     assert added == 1
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://u.de/"}
@@ -307,9 +327,28 @@ def test_closure_relevant_links_policy(tmp_path):
         relevance_threshold=0.3,
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, spec)
+    grown, added = connect_closure(members, fx.archive, fx.index, spec, {})
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://yes.de/"}
     assert added == 1
+
+
+def test_closure_does_not_refetch_a_capture_the_scan_could_not_read(tmp_path):
+    fx = build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive", links=["http://b.de/"])),
+            ("http://b.de/", ts(60), page(text="web archive")),
+        ],
+    )
+    damage_warc(fx.path, fx.index.lookup_nearest("http://b.de/", ts(60)), "digest")
+    spec = closure_spec(
+        closure_policy="relevant_links",
+        keyword_scope=("web", "archive"),
+        relevance_threshold=0.3,
+    )
+    coll = extract(fx.archive, fx.index, spec)
+    assert coll.member_urls() == {"http://a.de/"}
+    assert (coll.counters["fetches"], coll.counters["errors"]) == (2, 1)
 
 
 # enforce_size --------------------------------------------------------------

@@ -13,7 +13,7 @@ from subcollect.stats import (
     tag_stats,
 )
 
-from conftest import build_archive, page
+from conftest import build_archive, damage_warc, page
 
 
 def ts(year, i=0):
@@ -79,6 +79,28 @@ def test_sample_inclusion_frequency_uniform(tmp_path):
     for url, c in counts.items():
         assert abs(c - expected) < 5 * sigma, url
     assert len(counts) == 50
+
+
+# analyze_sample ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["digest", "truncated"])
+def test_analyze_sample_drops_a_capture_damaged_after_indexing(tmp_path, kind):
+    captures = [("http://%s.de/" % h, ts(2000, i), page(h)) for i, h in enumerate("abc")]
+    fx = build_archive(tmp_path, captures)
+    damage_warc(fx.path, fx.index.lookup_nearest("http://c.de/", ts(2000, 2)), kind)
+    sample = sample_refs(fx.index, 10, 0)
+    fetched = []
+    real_fetch = fx.archive.fetch
+
+    def fetch(entry):
+        fetched.append(entry)
+        return real_fetch(entry)
+
+    fx.archive.fetch = fetch
+    analyzed = analyze_sample(sample, fx.archive)
+    assert [e.canonical_url for e, _ in analyzed] == ["http://a.de/", "http://b.de/"]
+    assert fetched == sample  # one fetch per sampled page, the damaged one too
 
 
 # link_in_archive_rate ------------------------------------------------------

@@ -4,12 +4,21 @@ Keyword scoring is cosine similarity between the page's raw
 term-frequency vector and a uniform indicator vector over the keyword
 terms. TF (not TF-IDF) keeps scoring a pure per-page computation; an
 IDF variant would need a corpus pass.
+
+Keyword terms and entity names are tokenized once per spec and cached.
+Per page, a spec with a content scope builds one set of the page's
+tokens; a spec without one builds nothing. A term or name whose first
+token is not in that set costs one lookup, and the page's full term
+counts, which only the score's norm needs, are built only when some
+keyword term occurs on the page.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .htmldoc import tokenize
 
@@ -28,36 +37,59 @@ class RelevanceVerdict:
     relevant: bool = True
 
 
+@lru_cache(maxsize=64)
 def _keyword_terms(keywords):
-    """Distinct lowercase terms; multi-word keywords split into terms."""
-    terms = []
-    for kw in keywords:
-        terms.extend(tokenize(kw))
-    seen, out = set(), []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    """Distinct lowercase terms of a keyword tuple; multi-word keywords
+    split into terms."""
+    return tuple(dict.fromkeys(t for kw in keywords for t in tokenize(kw)))
+
+
+def _terms(keywords):
+    if not keywords:
+        raise ValueError("keyword list must be non-empty")
+    terms = _keyword_terms(tuple(keywords))
+    if not terms:
+        raise ValueError("keywords contain no scoreable terms")
+    return terms
+
+
+@lru_cache(maxsize=256)
+def _entity_names(entity):
+    """The entity's names as token lists, names without a token dropped.
+    The lists are shared by every call: callers must not mutate them."""
+    return tuple(needle for needle in map(tokenize, entity.all_names()) if needle)
+
+
+def _score(tokens, present, terms):
+    dot = sum([tokens.count(t) for t in terms if t in present])
+    if dot == 0:
+        return 0.0
+    doc_norm = math.sqrt(sum(c * c for c in Counter(tokens).values()))
+    return dot / (doc_norm * math.sqrt(len(terms)))
+
+
+def _matches(tokens, present, names):
+    for needle in names:
+        first = needle[0]
+        if first not in present:
+            continue
+        n = len(needle)
+        if n == 1:
+            return True
+        i = -1
+        try:
+            while True:
+                i = tokens.index(first, i + 1)
+                if tokens[i : i + n] == needle:
+                    return True
+        except ValueError:
+            pass
+    return False
 
 
 def keyword_score(tokens, keywords):
     """Cosine similarity of page TF vector vs. uniform keyword vector, in [0, 1]."""
-    if not keywords:
-        raise ValueError("keyword list must be non-empty")
-    terms = _keyword_terms(keywords)
-    if not terms:
-        raise ValueError("keywords contain no scoreable terms")
-    if not tokens:
-        return 0.0
-    tf = {}
-    for t in tokens:
-        tf[t] = tf.get(t, 0) + 1
-    dot = sum(tf.get(t, 0) for t in terms)
-    if dot == 0:
-        return 0.0
-    doc_norm = math.sqrt(sum(c * c for c in tf.values()))
-    return dot / (doc_norm * math.sqrt(len(terms)))
+    return _score(tokens, set(tokens), _terms(keywords))
 
 
 def entity_match(tokens, entity):
@@ -66,16 +98,7 @@ def entity_match(tokens, entity):
     Aliases are tokenized by the same rules as page text, so "UN" never
     matches inside "unprecedented" and matching is case-insensitive.
     """
-    for name in entity.all_names():
-        needle = tokenize(name)
-        if not needle:
-            continue
-        n = len(needle)
-        first = needle[0]
-        for i, tok in enumerate(tokens):
-            if tok == first and tokens[i : i + n] == needle:
-                return True
-    return False
+    return _matches(tokens, set(tokens), _entity_names(entity))
 
 
 def is_relevant(analysis, spec):
@@ -85,20 +108,26 @@ def is_relevant(analysis, spec):
     entities combine per spec.entity_combine. Metadata scopes are the
     caller's responsibility.
     """
+    keywords, entities = spec.keyword_scope, spec.entity_scope
+    if keywords is None and entities is None:
+        return RelevanceVerdict()
+    tokens = analysis.tokens
+    present = set(tokens)
+
     score = None
     keyword_ok = True
-    if spec.keyword_scope is not None:
-        score = keyword_score(analysis.tokens, spec.keyword_scope)
+    if keywords is not None:
+        score = _score(tokens, present, _terms(keywords))
         keyword_ok = score >= spec.relevance_threshold
 
     matched = frozenset()
     entity_ok = True
-    if spec.entity_scope is not None:
+    if entities is not None:
         matched = frozenset(
-            e.id for e in spec.entity_scope if entity_match(analysis.tokens, e)
+            e.id for e in entities if _matches(tokens, present, _entity_names(e))
         )
         if spec.entity_combine == "all":
-            entity_ok = len(matched) == len(spec.entity_scope)
+            entity_ok = len(matched) == len(entities)
         else:
             entity_ok = len(matched) > 0
 
@@ -107,4 +136,3 @@ def is_relevant(analysis, spec):
         matched_entities=matched,
         relevant=keyword_ok and entity_ok,
     )
-

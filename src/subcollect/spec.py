@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .htmldoc import tokenize
 from .store import is_valid_timestamp14
 from .urls import CanonicalizationError, canonicalize_url, host_of
 
@@ -86,6 +87,14 @@ def _string_list(value, path):
     return tuple(value)
 
 
+def _name(value, path):
+    """A keyword or entity name. Relevance compares letter/digit runs, so
+    a name without one could never match a page."""
+    _expect(isinstance(value, str) and value, path, "must be a non-empty string")
+    _expect(tokenize(value), path, "must contain a letter or digit")
+    return value
+
+
 def _domain(value, path):
     """A domain as host names end in: lowercase, without surrounding
     whitespace and without one leading and one trailing dot."""
@@ -152,8 +161,9 @@ def parse_spec(text):
         time_scope = (lo, hi)
 
     if "keywords" in scopes:
+        keywords = _string_list(scopes["keywords"], "scopes.keywords")
         keyword_scope = tuple(
-            k.lower() for k in _string_list(scopes["keywords"], "scopes.keywords")
+            _name(k, "scopes.keywords[%d]" % i).lower() for i, k in enumerate(keywords)
         )
 
     if "entities" in scopes:
@@ -164,13 +174,17 @@ def parse_spec(text):
             path = "scopes.entities[%d]" % i
             _expect(isinstance(e, dict), path, "must be an object")
             _check_keys(e, {"id", "label", "aliases"}, path)
-            label = e.get("label", "")
-            _expect(isinstance(label, str) and label, path + ".label", "must be non-empty")
+            label = _name(e.get("label", ""), path + ".label")
             aliases = e.get("aliases", [])
             _expect(isinstance(aliases, list), path + ".aliases", "must be a list")
-            parsed.append(
-                EntityRef(id=str(e.get("id", "")), label=label, aliases=tuple(aliases))
+            for j, alias in enumerate(aliases):
+                _name(alias, "%s.aliases[%d]" % (path, j))
+            # entity_combine "all" counts distinct matched ids.
+            ident = str(e.get("id", ""))
+            _expect(
+                all(ident != p.id for p in parsed), path + ".id", "repeats id %r" % ident
             )
+            parsed.append(EntityRef(id=ident, label=label, aliases=tuple(aliases)))
         entity_scope = tuple(parsed)
 
     if "size" in scopes:

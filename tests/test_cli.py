@@ -455,6 +455,14 @@ EXIT_ROWS = [
     ("bad-spec", lambda ws: _extract_args(
         ws, write_spec(ws["tmp"], {"name": "bad", "scopes": {}}), str(ws["tmp"] / "m")), 1,
      "scopes"),
+    ("keyword-without-term", lambda ws: _extract_args(
+        ws, write_spec(ws["tmp"], {"name": "k", "scopes": {"keywords": ["!!!"]},
+                                   "relevance": {"threshold": 0.1}}),
+        str(ws["tmp"] / "m")), 1, "scopes.keywords[0]"),
+    ("entity-alias-not-string", lambda ws: _extract_args(
+        ws, write_spec(ws["tmp"], {"name": "e", "scopes": {"entities": [
+            {"id": "e", "label": "L", "aliases": [5]}]}}),
+        str(ws["tmp"] / "m")), 1, "scopes.entities[0].aliases[0]"),
     ("missing-spec", lambda ws: _extract_args(
         ws, str(ws["tmp"] / "nospec.json"), str(ws["tmp"] / "m")), 2, "nospec.json"),
     ("corrupt-index", lambda ws: ["evaluate", _manifest(ws), "--index", _corrupt_index(ws),

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from subcollect.htmldoc import PageAnalysis
-from subcollect.relevance import entity_match, is_relevant, keyword_score
+from subcollect.htmldoc import PageAnalysis, tokenize
+from subcollect.relevance import RelevanceVerdict, entity_match, is_relevant, keyword_score
 from subcollect.spec import EntityRef, SubCollectionSpec
 
 
@@ -105,6 +105,8 @@ def test_no_content_scopes_always_relevant():
     spec = SubCollectionSpec(url_scope=("http://a.de/",))
     assert is_relevant(analysis_with([]), spec).relevant
     assert is_relevant(analysis_with(["anything"]), spec).relevant
+    # Without a content scope the page's tokens are not even read.
+    assert is_relevant(PageAnalysis(tokens=None), spec) == RelevanceVerdict()
 
 
 def test_threshold_inclusive():
@@ -143,3 +145,112 @@ def test_threshold_monotonicity(tokens, low, high):
     a = analysis_with(tokens)
     if is_relevant(a, tight).relevant:
         assert is_relevant(a, loose).relevant
+
+
+# equivalence with the per-call tokenizing implementation -------------------
+#
+# The reference below tokenizes every keyword and entity name on every call
+# and walks the page's tokens in Python. The cached, set-based code must give
+# the same verdicts, and the same score floats bit for bit.
+
+
+def reference_keyword_score(tokens, keywords):
+    terms = list(dict.fromkeys(t for kw in keywords for t in tokenize(kw)))
+    if not terms:
+        raise ValueError("keywords contain no scoreable terms")
+    if not tokens:
+        return 0.0
+    tf = {}
+    for t in tokens:
+        tf[t] = tf.get(t, 0) + 1
+    dot = sum(tf.get(t, 0) for t in terms)
+    if dot == 0:
+        return 0.0
+    doc_norm = math.sqrt(sum(c * c for c in tf.values()))
+    return dot / (doc_norm * math.sqrt(len(terms)))
+
+
+def reference_entity_match(tokens, entity):
+    for name in entity.all_names():
+        needle = tokenize(name)
+        if not needle:
+            continue
+        n = len(needle)
+        for i, tok in enumerate(tokens):
+            if tok == needle[0] and tokens[i : i + n] == needle:
+                return True
+    return False
+
+
+def reference_is_relevant(analysis, spec):
+    score = None
+    keyword_ok = True
+    if spec.keyword_scope is not None:
+        score = reference_keyword_score(analysis.tokens, spec.keyword_scope)
+        keyword_ok = score >= spec.relevance_threshold
+    matched = frozenset()
+    entity_ok = True
+    if spec.entity_scope is not None:
+        matched = frozenset(
+            e.id for e in spec.entity_scope if reference_entity_match(analysis.tokens, e)
+        )
+        if spec.entity_combine == "all":
+            entity_ok = len(matched) == len(spec.entity_scope)
+        else:
+            entity_ok = len(matched) > 0
+    return RelevanceVerdict(
+        keyword_score=score, matched_entities=matched, relevant=keyword_ok and entity_ok
+    )
+
+
+# Page tokens come from a four-word alphabet, so first tokens repeat and a
+# name's prefix often ends the page; names mix case and separators.
+_page = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=25)
+_name = st.builds(
+    lambda words, sep: sep.join(words),
+    st.lists(st.sampled_from(["a", "b", "c", "A", "B", "e"]), min_size=1, max_size=3),
+    st.sampled_from([" ", "-", ". "]),
+)
+_entities = st.lists(
+    st.tuples(_name, st.lists(_name, max_size=3)), min_size=1, max_size=3
+).map(
+    lambda ents: tuple(
+        EntityRef(id="e%d" % i, label=label, aliases=tuple(aliases))
+        for i, (label, aliases) in enumerate(ents)
+    )
+)
+
+
+@given(tokens=_page, keywords=st.lists(_name, min_size=1, max_size=3))
+@example(tokens=["a", "b", "a", "b", "a"], keywords=["a b", "B"])
+def test_keyword_score_equals_reference_exactly(tokens, keywords):
+    assert keyword_score(tokens, keywords) == reference_keyword_score(tokens, keywords)
+
+
+@given(tokens=_page, entities=_entities)
+@example(tokens=["a", "c", "a", "b"], entities=(EntityRef(id="e", label="A B"),))
+@example(tokens=["c", "a"], entities=(EntityRef(id="e", label="a b", aliases=("A-B",)),))
+def test_entity_match_equals_reference(tokens, entities):
+    for entity in entities:
+        assert entity_match(tokens, entity) == reference_entity_match(tokens, entity)
+
+
+@given(
+    tokens=_page,
+    keywords=st.none() | st.lists(_name, min_size=1, max_size=3).map(tuple),
+    entities=st.none() | _entities,
+    combine=st.sampled_from(["any", "all"]),
+    threshold=st.floats(0, 1),
+)
+def test_is_relevant_equals_reference(tokens, keywords, entities, combine, threshold):
+    spec = SubCollectionSpec(
+        keyword_scope=keywords,
+        entity_scope=entities,
+        entity_combine=combine,
+        relevance_threshold=threshold if keywords is not None else None,
+    )
+    got = is_relevant(analysis_with(tokens), spec)
+    want = reference_is_relevant(analysis_with(tokens), spec)
+    assert got.keyword_score == want.keyword_score
+    assert got.matched_entities == want.matched_entities
+    assert got.relevant == want.relevant

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,55 @@ def test_entities_parse_and_dedupe_names():
     s = parse_spec(doc)
     ent = s.entity_scope[0]
     assert ent.all_names() == ["Angela Merkel", "Merkel", "A. Merkel"]
+
+
+@pytest.mark.parametrize("keyword", ["!!!", "\u2014", "___", " - "])
+def test_keyword_without_letter_or_digit_rejected(keyword):
+    doc = json.dumps(
+        {
+            "name": "t",
+            "scopes": {"keywords": ["web", keyword]},
+            "relevance": {"threshold": 0.1},
+        }
+    )
+    with pytest.raises(SpecError, match=r"scopes\.keywords\[1\]"):
+        parse_spec(doc)
+
+
+def entities_doc(*entities):
+    return json.dumps({"name": "t", "scopes": {"entities": list(entities)}})
+
+
+@pytest.mark.parametrize(
+    "entity, path",
+    [
+        ({"id": "e", "label": "L", "aliases": [5]}, "aliases[0]"),
+        ({"id": "e", "label": "L", "aliases": ["x", ["y"]]}, "aliases[1]"),
+        ({"id": "e", "label": "L", "aliases": ["x", ""]}, "aliases[1]"),
+        ({"id": "e", "label": "L", "aliases": ["x", "\u2014"]}, "aliases[1]"),
+        ({"id": "e", "label": "\u2014", "aliases": ["x"]}, "label"),
+        ({"id": "e", "label": "?!"}, "label"),
+    ],
+)
+def test_entity_name_without_token_rejected(entity, path):
+    ok = {"id": "ok", "label": "Merkel"}
+    with pytest.raises(SpecError, match=re.escape("scopes.entities[1]." + path)):
+        parse_spec(entities_doc(ok, entity))
+
+
+@pytest.mark.parametrize("ids", [("e", "e"), ("", ""), (None, None), (None, "")])
+def test_repeated_entity_id_rejected(ids):
+    ents = [{"label": label} for label in ("Merkel", "Schroeder")]
+    for ent, ident in zip(ents, ids):
+        if ident is not None:
+            ent["id"] = ident
+    with pytest.raises(SpecError, match=re.escape("scopes.entities[1].id")):
+        parse_spec(entities_doc(*ents))
+
+
+def test_one_entity_without_id_accepted():
+    s = parse_spec(entities_doc({"label": "Merkel"}))
+    assert s.entity_scope[0].id == ""
 
 
 def test_serialize_roundtrip():

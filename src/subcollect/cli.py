@@ -55,6 +55,14 @@ def cmd_index(args):
     if not args.warcs:
         _log("error: no input WARC files given")
         return EXIT_VALIDATION
+    # An entry names its WARC by base name, so one name must mean one file.
+    paths = {}
+    for path in args.warcs:
+        name = os.path.basename(path)
+        if name in paths:
+            _log("error: %s and %s share the file name %r" % (paths[name], path, name))
+            return EXIT_VALIDATION
+        paths[name] = path
     entries = []
     totals = IngestStats()
     for path in args.warcs:
@@ -84,11 +92,9 @@ def cmd_evaluate(args):
     index = ArchiveIndex.load(args.index)
     coll = extraction.SubCollection.read_manifest(args.manifest, index)
     truth = evaluation.TruthSet.load(args.truth) if args.truth else None
-    oracle = None
-    if args.spec:
-        oracle = evaluation.default_link_oracle(index, parse_spec_file(args.spec))
+    spec = parse_spec_file(args.spec) if args.spec else None
     with Archive(directory=args.archive_dir) as archive:
-        report = evaluation.evaluate(coll, archive, index, truth=truth, oracle=oracle)
+        report = evaluation.evaluate(coll, archive, index, truth=truth, spec=spec)
     for line in report.as_key_values():
         print(line)
     if args.output:

@@ -105,7 +105,7 @@ def stratified_recall(collection, truth):
     return {key: hit / total for key, (hit, total) in per.items()}
 
 
-def default_link_oracle(index, spec=None):
+def default_link_oracle(index, spec):
     """Default notion of a \"relevant outlink\": the target has at least
     one index entry, inside the spec's metadata scopes when given.
 
@@ -125,9 +125,9 @@ def default_link_oracle(index, spec=None):
     return oracle
 
 
-def link_completeness(collection, archive, index, oracle=None):
+def link_completeness(collection, archive, index, spec=None):
     """Per-member fraction of relevant outlink targets present in the
-    collection.
+    collection; relevant as ``default_link_oracle(index, spec)`` judges.
 
     Returns (lc_sum, lc_mean): the plain sum over members and the mean
     over members that have at least one relevant outlink (None when no
@@ -138,8 +138,7 @@ def link_completeness(collection, archive, index, oracle=None):
     collection that was not read in full would mislead, so ``evaluate``
     ends with exit code 2.
     """
-    if oracle is None:
-        oracle = default_link_oracle(index)
+    oracle = default_link_oracle(index, spec)
     member_urls = collection.member_urls()
     lc_sum = 0.0
     contributing = 0
@@ -266,8 +265,9 @@ class EvaluationReport:
         return [(metric, ":".join(facet), value) for metric, facet, value in self.items()]
 
 
-def evaluate(collection, archive, index, truth=None, oracle=None):
-    """Compute the full metric suite over one collection.
+def evaluate(collection, archive, index, truth=None, spec=None):
+    """Compute the full metric suite over one collection; ``spec``, when
+    given, scopes link completeness to its metadata scopes.
 
     ``fetches`` in the report is the archive counter delta of this run,
     i.e. the disk-access cost of the evaluation itself.
@@ -278,7 +278,7 @@ def evaluate(collection, archive, index, truth=None, oracle=None):
         report.precision = precision(collection, truth)
         report.recall = recall(collection, truth)
         report.recall_by_stratum = stratified_recall(collection, truth)
-    report.lc_sum, report.lc_mean = link_completeness(collection, archive, index, oracle=oracle)
+    report.lc_sum, report.lc_mean = link_completeness(collection, archive, index, spec=spec)
     report.temporal_width_seconds = temporal_width(collection)
     for facet in FACETS:
         rep = representativeness(collection, index, facet)

@@ -44,7 +44,8 @@ of CPython's ``urllib.parse`` join kept (see ``urls``), fragments
 dropped. The page URL and each ``<base href>`` are split once; each href
 is then resolved and canonicalized in one pass. A link that does not
 resolve to a canonical http(s) URL, such as a ``mailto:`` one, is
-dropped.
+dropped. A link is internal when its host equals the page's, one leading
+``www.`` stripped from each, and external otherwise.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ from html import unescape
 from typing import NamedTuple
 
 from .store import CorruptSnapshotError
-from .urls import CanonicalizationError, page_base, rebase, resolve, same_host, strip_www
+from .urls import CanonicalizationError, page_base, rebase, resolve, strip_www
 
 __all__ = [
-    "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture",
-    "classify_link", "tokenize",
+    "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture", "tokenize",
 ]
 
 TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div", "anchor")
@@ -108,12 +108,6 @@ class PageAnalysis:
 
     def external_outlinks(self):
         return [l for l in self.outlinks if l.kind == "external"]
-
-
-def classify_link(target, page_url, ignore_www=True):
-    """\"internal\" when target and page share a host (one leading
-    \"www.\" stripped), \"external\" otherwise."""
-    return "internal" if same_host(target, page_url, ignore_www) else "external"
 
 
 def _read_attrs(text, pos, wanted=None):
@@ -175,25 +169,23 @@ def _markup_end(text, lt):
     return gt + 1 if gt >= 0 else -1
 
 
-def _link(base, href, page_host, ignore_www):
-    """LinkRecord for one href, or None when it resolves to no http(s) URL."""
+def _link(base, href, page_host):
+    """LinkRecord for one href, or None when it resolves to no http(s) URL;
+    ``page_host`` is the page's host with its leading "www." stripped."""
     resolved = resolve(base, href)
     if resolved is None:
         return None
-    # classify_link with the page's host key computed once per page.
     target, host = resolved
-    if ignore_www:
-        host = strip_www(host)
-    return LinkRecord(target, "internal" if host == page_host else "external")
+    return LinkRecord(target, "internal" if strip_www(host) == page_host else "external")
 
 
-def _scan(text, page, ignore_www):
+def _scan(text, page):
     """Analysis of decoded page text, in one left-to-right pass."""
     analysis = PageAnalysis()
     outlinks = analysis.outlinks
     counts = analysis.tag_counts
     base = page
-    page_host = strip_www(page.host) if ignore_www else page.host
+    page_host = strip_www(page.host)
 
     n = len(text)
     texts = []  # the page's text, a piece per stretch between markup
@@ -226,7 +218,7 @@ def _scan(text, page, ignore_www):
 
         if tag == "a":
             if href:
-                link = _link(base, href.strip(), page_host, ignore_www)
+                link = _link(base, href.strip(), page_host)
                 if link is not None:
                     outlinks.append(link)
                     counts["anchor"] += 1
@@ -270,7 +262,7 @@ def _meta_charset(body):
     return m.group(1).decode("ascii") if m else None
 
 
-def parse_html(body, page_url, charset_hint=None, ignore_www=True):
+def parse_html(body, page_url, charset_hint=None):
     """Analyze one archived page; never raises on bad markup.
 
     Relative hrefs resolve against <base href> when present, else
@@ -286,7 +278,7 @@ def parse_html(body, page_url, charset_hint=None, ignore_www=True):
         text = _decode(body, charset_hint)
     else:
         text = body
-    return _scan(text, page, ignore_www)
+    return _scan(text, page)
 
 
 def analyze(snapshot):

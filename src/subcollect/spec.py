@@ -180,7 +180,9 @@ def parse_spec(text):
             for j, alias in enumerate(aliases):
                 _name(alias, "%s.aliases[%d]" % (path, j))
             # entity_combine "all" counts distinct matched ids.
-            ident = str(e.get("id", ""))
+            ident = e.get("id", "")
+            if "id" in e:
+                _expect(isinstance(ident, str) and ident, path + ".id", "must be a non-empty string")
             _expect(
                 all(ident != p.id for p in parsed), path + ".id", "repeats id %r" % ident
             )

@@ -78,29 +78,20 @@ def _macro_mean(values):
     return sum(values) / len(values) if values else None
 
 
-def link_in_archive_rate(analyzed, index, same_year=False):
+def link_in_archive_rate(analyzed, index):
     """Per-year (internal_rate, external_rate): the mean over pages of
     the per-page fraction of outlinks whose target has a capture in
-    the index.
+    the index, from any year.
 
-    A link counts as contained if any capture of its target exists;
-    with ``same_year`` the capture must share the page's crawl year.
     Pages without links of a kind are excluded from that kind's mean.
     """
-
-    def contained(target, year):
-        entries = index.entries_for(target)
-        if not same_year:
-            return bool(entries)
-        return any(e.year == year for e in entries)
-
     per_year = {}
     for entry, analysis in analyzed:
         fracs = per_year.setdefault(entry.year, ([], []))
         for slot, links in ((0, analysis.internal_outlinks()), (1, analysis.external_outlinks())):
             if not links:
                 continue
-            hit = sum(1 for l in links if contained(l.target, entry.year))
+            hit = sum(1 for l in links if index.entries_for(l.target))
             fracs[slot].append(hit / len(links))
     return {
         year: (_macro_mean(internal), _macro_mean(external))

@@ -176,15 +176,15 @@ class IngestStats:
     bytes: int = 0
 
 
-def ingest_warc(path, file_id=None, stats=None):
+def ingest_warc(path, stats=None):
     """Index every HTTP-response record of one WARC file.
 
-    Request/metadata/warcinfo records are passed over silently; response
-    records missing WARC-Target-URI or WARC-Date (or carrying a
-    non-HTTP payload) are skipped and tallied in ``stats.skipped``.
+    Each entry's file_id is the file's base name. Request/metadata/warcinfo
+    records are passed over silently; response records missing
+    WARC-Target-URI or WARC-Date (or carrying a non-HTTP payload) are
+    skipped and tallied in ``stats.skipped``.
     """
-    if file_id is None:
-        file_id = os.path.basename(path)
+    file_id = os.path.basename(path)
     if stats is None:
         stats = IngestStats()
     entries = []
@@ -301,6 +301,8 @@ class ArchiveIndex:
                     status, offset, length = int(status), int(offset), int(length)
                     if offset < 0 or length < 0:
                         raise ValueError("offset and length must not be negative")
+                    if "/" in file_id or file_id in ("", ".", ".."):
+                        raise ValueError("file id must be a bare file name, got %r" % file_id)
                     entries.append(make((
                         url, ts, "" if mime == "-" else mime, status,
                         digest, file_id, offset, length,
@@ -323,16 +325,15 @@ MAX_OPEN_FILES = 128
 class Archive:
     """Read access to the WARC files behind an index.
 
-    ``directory`` maps each entry's file_id to <directory>/<file_id>;
-    explicit paths can be registered instead. Each file is opened on its
-    first fetch and stays open until :meth:`close`, which leaving a
+    An entry's record is read from <directory>/<file_id>, where the file
+    id is the WARC's base name at indexing time. Each file is opened on
+    its first fetch and stays open until :meth:`close`, which leaving a
     ``with Archive(...) as archive:`` block calls; past MAX_OPEN_FILES,
     the file used longest ago is closed. ``counter`` tallies every fetch.
     """
 
-    def __init__(self, directory=None):
+    def __init__(self, directory):
         self.directory = directory
-        self._paths = {}
         self._files = {}  # file_id -> (file, size at opening), least recently used first
         self.counter = AccessCounter()
 
@@ -347,24 +348,15 @@ class Archive:
         for f, _ in files.values():
             f.close()
 
-    def register(self, file_id, path):
-        self._paths[file_id] = path
-
     def _file(self, ref):
         """The open WARC of ``ref``, whose span must fit its size at opening."""
         files = self._files
         opened = files.pop(ref.file_id, None)
         if opened is None:
-            if ref.file_id in self._paths:
-                path = self._paths[ref.file_id]
-            elif self.directory is not None:
-                path = os.path.join(self.directory, ref.file_id)
-            else:
-                raise ArchiveIOError("no path known for archive file %r" % ref.file_id)
             if len(files) >= MAX_OPEN_FILES:
                 files.pop(next(iter(files)))[0].close()
             try:
-                f = open(path, "rb", buffering=0)
+                f = open(os.path.join(self.directory, ref.file_id), "rb", buffering=0)
             except OSError as exc:
                 raise ArchiveIOError(str(exc)) from exc
             opened = f, os.fstat(f.fileno()).st_size

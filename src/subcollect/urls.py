@@ -31,7 +31,6 @@ __all__ = [
     "page_base",
     "rebase",
     "resolve",
-    "same_host",
     "strip_www",
 ]
 
@@ -386,15 +385,3 @@ def strip_www(host):
     if host.startswith("www.") and len(host) > 4:
         return host[4:]
     return host
-
-
-def same_host(url_a, url_b, ignore_www=True):
-    """True iff both URLs live on the same host.
-
-    With ``ignore_www`` (the default) one leading "www." label is
-    stripped from each side before comparing.
-    """
-    a, b = host_of(url_a), host_of(url_b)
-    if ignore_www:
-        a, b = strip_www(a), strip_www(b)
-    return a == b

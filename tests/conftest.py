@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from subcollect import warc
+from subcollect.htmldoc import parse_html
 from subcollect.store import Archive, ArchiveIndex, IngestStats, ingest_warc
 
 FILE_ID = "fixture.warc"
@@ -43,14 +44,18 @@ def page(title="", links=(), text=""):
     ).encode("utf-8")
 
 
+def link_kinds(page_url, *hrefs):
+    """The kind parse_html gives each link of a page of these hrefs."""
+    html = "".join('<a href="%s">x</a>' % h for h in hrefs)
+    return [l.kind for l in parse_html(html, page_url).outlinks]
+
+
 class FixtureArchive:
-    def __init__(self, path, name, entries, stats):
+    def __init__(self, path, entries, stats):
         self.path = path
         self.index = ArchiveIndex(entries)
         self.stats = stats
-        self.archive = Archive()
-        self.archive.register(FILE_ID, str(path))
-        self.archive.register(name, str(path))
+        self.archive = Archive(str(path.parent))
         _open_archives.append(self.archive)
 
     def __len__(self):
@@ -105,8 +110,8 @@ def build_archive(tmp_path, captures, gzip_records=False, name=FILE_ID):
     path = tmp_path / name
     warc.write_warc(str(path), blobs, gzip_records=gzip_records)
     stats = IngestStats()
-    entries = ingest_warc(str(path), file_id=name, stats=stats)
-    return FixtureArchive(path, name, entries, stats)
+    entries = ingest_warc(str(path), stats=stats)
+    return FixtureArchive(path, entries, stats)
 
 
 @pytest.fixture

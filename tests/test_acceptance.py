@@ -204,12 +204,11 @@ def test_acceptance_4_ingest_roundtrip_10k(tmp_path):
     path = tmp_path / "big.warc"
     warc.write_warc(str(path), blobs)
 
-    entries = ingest_warc(str(path), file_id="big.warc")
+    entries = ingest_warc(str(path))
     assert len(entries) == n
     index = ArchiveIndex(entries)
     spec = SubCollectionSpec(time_scope=("19900101000000", "20991231235959"))
-    with Archive() as archive:
-        archive.register("big.warc", str(path))
+    with Archive(str(path.parent)) as archive:
         coll = extract(archive, index, spec)
     # fetch() verifies the SHA-256 digest of every record on the way.
     assert coll.counters["fetches"] == n

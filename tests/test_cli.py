@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -89,6 +90,30 @@ def test_index_whole_file_gzip_is_io_error(tmp_path):
     path.write_bytes(gzip.compress(b"".join(blobs)))
     index_path = tmp_path / "idx"
     assert main(["index", str(path), "--output", str(index_path)]) == 2
+    assert not index_path.exists()
+
+
+def _warc_copy(ws, directory):
+    """The workspace WARC copied into ``directory`` under its own base name."""
+    folder = ws["tmp"] / directory
+    folder.mkdir(exist_ok=True)
+    copy = folder / "f.warc"
+    copy.write_bytes(pathlib.Path(ws["warc"]).read_bytes())
+    return str(copy)
+
+
+@pytest.mark.parametrize("twice", [False, True])
+def test_index_refuses_two_warcs_with_one_base_name(workspace, capsys, twice):
+    # The file id is the base name, so an archive directory could serve
+    # only one of the two files.
+    first = workspace["warc"]
+    second = first if twice else _warc_copy(workspace, "other")
+    index_path = workspace["tmp"] / "dup.cdx"
+    assert main(["index", first, second, "--output", str(index_path)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and err == errors[0] + "\n"
+    assert first in errors[0] and second in errors[0] and "'f.warc'" in errors[0]
     assert not index_path.exists()
 
 
@@ -241,6 +266,36 @@ def test_evaluate_unresolvable_member_code_2(workspace):
         ]
     )
     assert code == 2
+
+
+def test_evaluate_spec_scopes_link_completeness(tmp_path, capsys):
+    # http://a.de/ links to two captured pages; only http://a.de/x lies in
+    # the spec's domain scope, and only it is a member.
+    archive_dir = tmp_path / "archive"
+    archive_dir.mkdir()
+    captures = [
+        ("http://a.de/", page("a", links=["/x", "http://b.de/"])),
+        ("http://a.de/x", page("ax")),
+        ("http://b.de/", page("b")),
+    ]
+    warc_path = archive_dir / "f.warc"
+    warc.write_warc(str(warc_path), [
+        warc.make_response_record(u, iso_of("20000101120000"), b) for u, b in captures
+    ])
+    index = str(tmp_path / "index.cdx")
+    assert main(["index", str(warc_path), "--output", index]) == 0
+    spec = write_spec(tmp_path, {"name": "a", "scopes": {"domains": ["a.de"]}})
+    manifest = str(tmp_path / "m")
+    assert main(["extract", "--spec", spec, "--index", index, "--archive-dir",
+                 str(archive_dir), "--output", manifest]) == 0
+    lc_mean = {}
+    for extra in ((), ("--spec", spec)):
+        capsys.readouterr()
+        assert main(["evaluate", manifest, "--index", index, "--archive-dir",
+                     str(archive_dir), *extra]) == 0
+        keys = dict(l.split("=", 1) for l in capsys.readouterr().out.splitlines())
+        lc_mean[extra] = keys["lc_mean"]
+    assert lc_mean == {(): "0.5", ("--spec", spec): "1"}
 
 
 # stats ---------------------------------------------------------------------
@@ -450,6 +505,13 @@ def _get_with_edited_entry(ws, **fields):
             "--url", "http://b.de/", "--at", "20000601120000"]
 
 
+def _get_from_outside(ws):
+    """A get of http://b.de/ through an index whose file id leads out of
+    the archive directory, to a copy of its WARC."""
+    _warc_copy(ws, "other")
+    return _get_with_edited_entry(ws, file_id="../other/f.warc")
+
+
 # (row id, argv builder, exit code, text the message must contain)
 EXIT_ROWS = [
     ("bad-spec", lambda ws: _extract_args(
@@ -490,6 +552,10 @@ EXIT_ROWS = [
      "digest mismatch for http://b.de/@20000601120000"),
     ("index-output", lambda ws: ["index", ws["warc"], "--output", _directory(ws, "idx")], 2,
      "idx"),
+    ("index-same-base-name", lambda ws: ["index", ws["warc"], _warc_copy(ws, "other"),
+                                         "--output", str(ws["tmp"] / "dup.cdx")], 1,
+     "other/f.warc"),
+    ("get-file-id-outside-archive-dir", _get_from_outside, 2, "edited.cdx:"),
     ("extract-output", lambda ws: _extract_args(
         ws, write_spec(ws["tmp"], URL_TIME_SPEC), _directory(ws, "man")), 2, "man"),
     ("export-warc", lambda ws: _extract_args(

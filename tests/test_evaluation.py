@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -16,7 +17,7 @@ from subcollect.evaluation import (
     temporal_width,
 )
 from subcollect.extraction import Member, SubCollection
-from subcollect.spec import SubCollectionSpec, in_scope_metadata
+from subcollect.spec import SubCollectionSpec, in_scope_metadata, parse_spec
 from subcollect.store import ArchiveIndex, IndexEntry, timestamp14_to_epoch
 from subcollect.urls import host_of
 
@@ -315,3 +316,21 @@ def test_default_link_oracle_judges_each_url_once(monkeypatch):
     verdicts = [oracle(u) for u in ("http://a.de/x", "http://b.de/y") * 3]
     assert verdicts == [False, True] * 3
     assert len(calls) == 4  # every capture of each URL, once
+
+
+def test_link_completeness_scoped_by_spec(tmp_path):
+    # http://a.de/ links to two captured pages; the spec's domain scope
+    # holds only http://a.de/x, which is the other member.
+    fx = build_archive(tmp_path, [
+        ("http://a.de/", "20000101120000", page("a", links=["/x", "http://b.de/"])),
+        ("http://a.de/x", "20000101120000", page("ax")),
+        ("http://b.de/", "20000101120000", page("b")),
+    ])
+    c = SubCollection(members=[
+        Member(entry=e, origin="scan") for e in fx.index if host_of(e.canonical_url) == "a.de"
+    ])
+    spec = parse_spec(json.dumps({"name": "a", "scopes": {"domains": ["a.de"]}}))
+    assert link_completeness(c, fx.archive, fx.index) == (0.5, 0.5)
+    assert link_completeness(c, fx.archive, fx.index, spec=spec) == (1.0, 1.0)
+    assert evaluate(c, fx.archive, fx.index).lc_mean == 0.5
+    assert evaluate(c, fx.archive, fx.index, spec=spec).lc_mean == 1.0

@@ -5,16 +5,11 @@ from html.parser import HTMLParser
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subcollect.htmldoc import (
-    LinkRecord,
-    PageAnalysis,
-    classify_link,
-    parse_html,
-    tokenize,
-)
+from subcollect.htmldoc import LinkRecord, PageAnalysis, parse_html, tokenize
 from subcollect.urls import canonicalize_url, host_of, strip_www
 
 import reference_urls
+from conftest import link_kinds
 from reference_urls import link_target, version_dependent
 
 
@@ -142,14 +137,17 @@ def test_no_uppercase_no_empty_tokens():
     assert all(t and t == t.lower() for t in a.tokens)
 
 
+def classify_link(target, page_url):
+    """The per-link rule, the reference for the kinds parse_html gives:
+    \"internal\" when target and page share a host, one leading \"www.\"
+    stripped from each, \"external\" otherwise."""
+    same = strip_www(host_of(target)) == strip_www(host_of(page_url))
+    return "internal" if same else "external"
+
+
 def test_classify_link_basics():
-    assert classify_link("http://a.de/x", "http://a.de/y") == "internal"
-    assert classify_link("http://b.de/x", "http://a.de/y") == "external"
-    assert classify_link("http://www.a.de/x", "http://a.de/y") == "internal"
-
-
-def test_classify_link_www_configurable_off():
-    assert classify_link("http://www.a.de/x", "http://a.de/y", ignore_www=False) == "external"
+    hrefs = ["http://a.de/x", "/z", "http://b.de/x", "http://www.a.de/x"]
+    assert link_kinds("http://a.de/y", *hrefs) == ["internal", "internal", "external", "internal"]
 
 
 @given(
@@ -160,7 +158,7 @@ def test_classify_link_symmetric_in_host_pair(h1, h2):
     # Swapping page and target never changes the verdict: the rule only
     # compares hosts.
     u1, u2 = "http://%s/x" % h1, "http://%s/y" % h2
-    assert classify_link(u1, u2) == classify_link(u2, u1)
+    assert link_kinds(u2, u1) == link_kinds(u1, u2)
 
 
 def test_tokenize_excludes_underscore():
@@ -218,22 +216,21 @@ BASE_HREFS = [
     page_url=st.sampled_from(PAGE_URLS),
     base=st.one_of(st.none(), st.sampled_from(BASE_HREFS)),
     links=st.lists(hrefs.filter(lambda h: '"' not in h and "&" not in h), max_size=5),
-    ignore_www=st.booleans(),
 )
-def test_parse_html_outlinks_equal_per_link_classification(page_url, base, links, ignore_www):
+def test_parse_html_outlinks_equal_per_link_classification(page_url, base, links):
     assume(not any(version_dependent(h) for h in links))
     html = "".join('<a href="%s">x</a>' % h for h in links)
     base_url = page_url = canonicalize_url(page_url)
     if base is not None:
         html = '<base href="%s">' % base + html
         base_url = reference_urls.base_url(page_url, base, page_url)
-    analysis = parse_html(html, page_url, ignore_www=ignore_www)
+    analysis = parse_html(html, page_url)
 
     want = []
     for h in filter(None, links):  # an empty href attribute is no link
         target = link_target(base_url, h.strip())
         if target is not None:
-            want.append((target, classify_link(target, page_url, ignore_www)))
+            want.append((target, classify_link(target, page_url)))
     assert [(l.target, l.kind) for l in analysis.outlinks] == want
 
 
@@ -362,17 +359,13 @@ class _Collector(HTMLParser):
     """The html.parser-based collector that parse_html used before the
     scanner, kept as the reference for well-formed markup."""
 
-    def __init__(self, page_url, ignore_www):
+    def __init__(self, page_url):
         super().__init__(convert_charrefs=True)
         self.page_url = page_url
-        self.ignore_www = ignore_www
         self.base_url = page_url
-        self.page_host = self._host_key(host_of(page_url))
+        self.page_host = strip_www(host_of(page_url))
         self.analysis = PageAnalysis()
         self._suppress_text = 0  # inside <script>/<style>
-
-    def _host_key(self, host):
-        return strip_www(host) if self.ignore_www else host
 
     def handle_starttag(self, tag, attrs):
         counts = self.analysis.tag_counts
@@ -414,14 +407,14 @@ class _Collector(HTMLParser):
         target = link_target(self.base_url, href)
         if target is None:
             return
-        internal = self._host_key(host_of(target)) == self.page_host
+        internal = strip_www(host_of(target)) == self.page_host
         kind = "internal" if internal else "external"
         self.analysis.outlinks.append(LinkRecord(target=target, kind=kind))
         self.analysis.tag_counts["anchor"] += 1
 
 
-def reference_analysis(html, page_url, ignore_www=True):
-    collector = _Collector(canonicalize_url(page_url), ignore_www)
+def reference_analysis(html, page_url):
+    collector = _Collector(canonicalize_url(page_url))
     collector.feed(html)
     collector.close()
     return collector.analysis
@@ -504,14 +497,13 @@ fragment = st.one_of(text, start_tag(), end_tag, comment, declaration, raw_text_
 @given(
     parts=st.lists(fragment, max_size=12),
     page_url=st.sampled_from(PAGE_URLS),
-    ignore_www=st.booleans(),
 )
-def test_scanner_equals_html_parser_on_well_formed_markup(parts, page_url, ignore_www):
+def test_scanner_equals_html_parser_on_well_formed_markup(parts, page_url):
     html = "".join(parts)
     # A javascript: <base> is ignored, unlike in urljoin; plain tests pin that.
     assume(not ("<base" in html.lower() and "javascript:" in html))
-    got = parse_html(html, page_url, ignore_www=ignore_www)
-    want = reference_analysis(html, page_url, ignore_www)
+    got = parse_html(html, page_url)
+    want = reference_analysis(html, page_url)
     assert got.tokens == want.tokens
     assert got.outlinks == want.outlinks
     assert got.tag_counts == want.tag_counts

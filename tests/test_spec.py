@@ -153,14 +153,26 @@ def test_entity_name_without_token_rejected(entity, path):
         parse_spec(entities_doc(ok, entity))
 
 
-@pytest.mark.parametrize("ids", [("e", "e"), ("", ""), (None, None), (None, "")])
+@pytest.mark.parametrize("ids", [("e", "e"), ("1", "1"), (None, None), ("E", "E")])
 def test_repeated_entity_id_rejected(ids):
     ents = [{"label": label} for label in ("Merkel", "Schroeder")]
     for ent, ident in zip(ents, ids):
         if ident is not None:
             ent["id"] = ident
-    with pytest.raises(SpecError, match=re.escape("scopes.entities[1].id")):
+    with pytest.raises(SpecError, match=re.escape("scopes.entities[1].id: repeats id")):
         parse_spec(entities_doc(*ents))
+
+
+@pytest.mark.parametrize("ident", [None, [1], 1, "", True, {"a": "b"}])
+@pytest.mark.parametrize("at", [0, 1])
+def test_entity_id_not_a_non_empty_string_rejected(ident, at):
+    # str() of such a value used to be the id: null became "None", and 1
+    # collided with "1".
+    ents = [{"id": "e%d" % i, "label": label} for i, label in enumerate(("Merkel", "Kohl"))]
+    ents[at]["id"] = ident
+    with pytest.raises(SpecError) as excinfo:
+        parse_spec(entities_doc(*ents))
+    assert str(excinfo.value) == "scopes.entities[%d].id: must be a non-empty string" % at
 
 
 def test_one_entity_without_id_accepted():

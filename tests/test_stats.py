@@ -133,7 +133,7 @@ def test_rate_half_contained(tmp_path):
     assert external is None
 
 
-def test_rate_same_year_variant(tmp_path):
+def test_rate_counts_a_capture_from_any_year(tmp_path):
     captures = [
         ("http://a.de/", ts(2000), page(links=["/x"])),
         ("http://a.de/x", ts(2005), page("later only")),
@@ -141,7 +141,6 @@ def test_rate_same_year_variant(tmp_path):
     fx = build_archive(tmp_path, captures)
     analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
     assert link_in_archive_rate(analyzed, fx.index)[2000][0] == pytest.approx(1.0)
-    assert link_in_archive_rate(analyzed, fx.index, same_year=True)[2000][0] == pytest.approx(0.0)
 
 
 def test_planted_rate_recovery(tmp_path):

@@ -197,6 +197,7 @@ def _dataclass_index_lines(rows):
 def test_entry_is_a_tuple_with_defaults(tmp_path):
     e = IndexEntry("http://a.de/", "20000101000000")
     assert e == ("http://a.de/", "20000101000000", "application/octet-stream", 200, "", "", 0, 0)
+    e = e._replace(file_id="f.warc")  # load rejects the default, an empty file id
     no_mime = e._replace(mime="", digest="d")
     ArchiveIndex([e, no_mime]).save(str(tmp_path / "idx"))
     assert ArchiveIndex.load(str(tmp_path / "idx")).entries == [no_mime, e]

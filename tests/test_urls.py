@@ -1,15 +1,9 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from subcollect.urls import (
-    CanonicalizationError,
-    canonicalize_url,
-    host_of,
-    same_host,
-    strip_www,
-)
+from subcollect.urls import CanonicalizationError, canonicalize_url, host_of, strip_www
 
-from conftest import urlsplit_host
+from conftest import link_kinds, urlsplit_host
 import reference_urls
 
 
@@ -96,9 +90,12 @@ def test_strip_www():
 
 
 def test_same_host_www_rule():
-    assert same_host("http://www.a.de/x", "http://a.de/y")
-    assert not same_host("http://www.a.de/x", "http://a.de/y", ignore_www=False)
-    assert not same_host("http://b.de/x", "http://a.de/y")
+    # One leading "www." is stripped from each host before they compare.
+    kinds = link_kinds("http://a.de/y", "http://www.a.de/x", "http://b.de/x")
+    assert kinds == ["internal", "external"]
+    assert link_kinds("http://www.a.de/y", "http://a.de/x", "http://www.a.de/z") == ["internal"] * 2
+    kinds = link_kinds("http://a.de/y", "http://www.www.a.de/", "http://wwwx.a.de/")
+    assert kinds == ["external"] * 2
 
 
 def test_space_percent_escaped():

@@ -168,7 +168,7 @@ def test_open_files_capped_least_recently_used_closed(tmp_path, monkeypatch):
         name = "%03d.warc" % i
         record = warc.make_response_record("http://h%d.de/" % i, iso_of("20000101120000"), page())
         warc.write_warc(str(tmp_path / name), [record])
-        refs += ingest_warc(str(tmp_path / name), file_id=name)
+        refs += ingest_warc(str(tmp_path / name))
     monkeypatch.setattr(store, "open", spy_open, raising=False)
     with Archive(directory=str(tmp_path)) as archive:
         for ref in refs + refs:
@@ -272,10 +272,9 @@ def test_mixed_plain_and_gzip(tmp_path):
 
     comp = zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
     path.write_bytes(b1 + comp.compress(b2) + comp.flush())
-    entries = ingest_warc(str(path), file_id="mixed.warc")
+    entries = ingest_warc(str(path))
     assert len(entries) == 2
-    with Archive() as archive:
-        archive.register("mixed.warc", str(path))
+    with Archive(str(tmp_path)) as archive:
         for e in entries:
             archive.fetch(e)
     assert archive.counter.fetches == 2
@@ -313,9 +312,8 @@ def test_iter_records_spans_of_large_records_and_long_headers(tmp_path):
     with open(path, "rb") as f:
         for (offset, length), (_, _, rec) in zip(spans, warc.iter_records(str(path))):
             assert warc.read_record(f, offset, length) == rec.payload
-    entries = ingest_warc(str(path), file_id="big.warc")
-    with Archive() as archive:
-        archive.register("big.warc", str(path))
+    entries = ingest_warc(str(path))
+    with Archive(str(tmp_path)) as archive:
         assert [archive.fetch(e).body == big for e in entries] == [False, True, True, False]
 
 
@@ -496,6 +494,13 @@ def test_index_serialization_roundtrip(tmp_path):
         ("http://a.de/ 20000101000000 - 200 d f 0 ", "invalid literal for int() with base 10: ''"),
         ("http://a.de/ 20000101000000 - 200 d f -5 1", "offset and length must not be negative"),
         ("http://a.de/ 20000101000000 - 200 d f 0 -1", "offset and length must not be negative"),
+        ("http://a.de/ 20000101000000 - 200 d ../o.warc 0 1",
+         "file id must be a bare file name, got '../o.warc'"),
+        ("http://a.de/ 20000101000000 - 200 d /tmp/o.warc 0 1",
+         "file id must be a bare file name, got '/tmp/o.warc'"),
+        ("http://a.de/ 20000101000000 - 200 d . 0 1", "file id must be a bare file name, got '.'"),
+        ("http://a.de/ 20000101000000 - 200 d .. 0 1", "file id must be a bare file name, got '..'"),
+        ("http://a.de/ 20000101000000 - 200 d  0 1", "file id must be a bare file name, got ''"),
     ],
 )
 def test_index_load_error_names_path_line_and_fault(tmp_path, line, message):

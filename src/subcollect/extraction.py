@@ -10,7 +10,9 @@ archive, spec, and seed.
 The scan and the closure read captures through one memo per run
 (``htmldoc.analyze_capture``): each capture is fetched at most once, and
 one that cannot be read is stored as None, counted once in ``errors``
-and otherwise treated as a page without text or links.
+and otherwise treated as a page without text or links. A second memo
+keeps each capture's relevance verdict, so each capture is judged at
+most once.
 """
 
 from __future__ import annotations
@@ -118,17 +120,28 @@ def index_prefilter(index, spec):
     return [e for e in index if in_scope_metadata(spec, e)]
 
 
-def scan_extract(archive, candidates, spec, analyses):
+def _relevant(archive, entry, spec, analyses, verdicts):
+    """Whether the capture ``entry`` passes the content scopes; one that
+    cannot be read is judged as a page without text. The verdict goes
+    into the run's ``verdicts`` memo, so each capture is judged once."""
+    if entry not in verdicts:
+        analysis = analyze_capture(archive, entry, analyses) or PageAnalysis()
+        verdicts[entry] = is_relevant(analysis, spec).relevant
+    return verdicts[entry]
+
+
+def scan_extract(archive, candidates, spec, analyses, verdicts):
     """Fetch every candidate once and apply the content scopes.
 
     ``candidates`` is the result of :func:`index_prefilter`. Returns the
-    kept entries (candidate order). The analyses go into the run's
-    ``analyses`` memo; a candidate that cannot be read is not kept.
+    kept entries (candidate order). The analyses and verdicts go into the
+    run's ``analyses`` and ``verdicts`` memos; a candidate that cannot be
+    read is not kept.
     """
     kept = []
     for entry in candidates:
         analysis = analyze_capture(archive, entry, analyses)
-        if analysis is not None and is_relevant(analysis, spec).relevant:
+        if analysis is not None and _relevant(archive, entry, spec, analyses, verdicts):
             kept.append(entry)
     return kept
 
@@ -202,7 +215,7 @@ def select_versions(candidates, version_mode):
     return selected
 
 
-def connect_closure(members, archive, index, spec, analyses):
+def connect_closure(members, archive, index, spec, analyses, verdicts):
     """Grow ``members`` until every in-archive link target is represented.
 
     For each member s and each outlink of s that has at least one
@@ -211,8 +224,8 @@ def connect_closure(members, archive, index, spec, analyses):
     capture). Runs to fixpoint, or stops after spec.closure_max_depth
     rounds. With policy "relevant_links" a candidate capture is only
     added if it passes the content scopes. Pages are read through the
-    run's ``analyses`` memo; one that cannot be read has no links and
-    no text.
+    run's ``analyses`` memo and judged through its ``verdicts`` memo;
+    one that cannot be read has no links and no text.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
@@ -223,16 +236,13 @@ def connect_closure(members, archive, index, spec, analyses):
     depth = 0
     frontier = sorted(members, key=_member_order)
 
-    def analysis_of(entry):
-        return analyze_capture(archive, entry, analyses) or PageAnalysis()
-
     while frontier:
         if spec.closure_max_depth is not None and depth >= spec.closure_max_depth:
             break
         depth += 1
         new_members = []
         for m in frontier:
-            analysis = analysis_of(m.entry)
+            analysis = analyze_capture(archive, m.entry, analyses) or PageAnalysis()
             for link in analysis.outlinks:
                 if link.target in present:
                     continue
@@ -241,7 +251,7 @@ def connect_closure(members, archive, index, spec, analyses):
                 except SnapshotNotFound:
                     continue  # not available in the archive
                 if spec.closure_policy == "relevant_links" and spec.has_content_scopes():
-                    if not is_relevant(analysis_of(capture), spec).relevant:
+                    if not _relevant(archive, capture, spec, analyses, verdicts):
                         continue
                 present.add(link.target)
                 new_members.append(Member(entry=capture, origin="closure"))
@@ -340,15 +350,18 @@ def extract(archive, index, spec):
     """Run the full pipeline and return the resulting SubCollection."""
     fetches_before = archive.counter.fetches
     analyses = {}
+    verdicts = {}
 
     candidates = index_prefilter(index, spec)
-    kept = scan_extract(archive, candidates, spec, analyses)
+    kept = scan_extract(archive, candidates, spec, analyses, verdicts)
     selected = select_versions(kept, spec.version_mode)
     members = [Member(entry=e, origin="scan") for e in selected]
 
     closure_added = 0
     if spec.link_mode == "connected":
-        members, closure_added = connect_closure(members, archive, index, spec, analyses)
+        members, closure_added = connect_closure(
+            members, archive, index, spec, analyses, verdicts
+        )
 
     members = enforce_size(members, spec.size_scope, index, spec.seed)
 

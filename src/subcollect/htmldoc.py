@@ -5,11 +5,19 @@ best-effort: any input yields an analysis, never an exception. The
 analysis carries exactly what downstream stages need: text tokens,
 resolved outlinks, and counts for a handful of layout-indicative tags.
 
-A page is read in one left-to-right pass. Every tag is found and its
-end located the same way; attributes are read only for the tags the
-analysis uses: a, base, link, script and style (table and div are only
-counted). The rules follow the WHATWG HTML tokenizer where they matter
-here:
+A page is read in one left-to-right pass of ``_MARKUP_RE.finditer``.
+Each match is a tag, a comment or a declaration. A tag whose rest holds
+no quote is matched whole, up to its ``>``, so an end tag or a start tag
+other than a, base, link, script and style is finished by the regex
+(table and div are only counted). Quoted attributes, those five tags,
+comments and declarations are read on by helpers, which consume a span
+past the match: a comment, a quoted value or a raw-text body. A match
+that starts inside a consumed span is skipped. Every consumed span ends
+just after a ``>``, and no match runs past the first ``>`` after its
+start, so a skipped match never reaches past the span. When it ends
+short of the span's end, the pass resumes with a new ``finditer`` from
+that end, so at most one match is read inside each span. The rules
+follow the WHATWG HTML tokenizer where they matter here:
 
 - ``<`` and an ASCII letter open a start tag, ``</`` and a letter an end
   tag. The name runs to whitespace, ``/`` or ``>``. Tag and attribute
@@ -39,6 +47,16 @@ here:
 Each character is read a bounded number of times, so the time is linear
 in the length of the page, malformed or not.
 
+Tokens are the maximal runs of Unicode letters and digits (``_``
+excluded), lowercased; ``_TOKEN_RE`` matches them. Text that is all
+ASCII, as most pages are, takes a faster path to the same list: one
+``translate`` through a 128-entry table (A-Z lowered, a-z and 0-9 kept,
+every other character a space), then ``split()``. On ASCII text the
+regex's word characters are exactly a-z, A-Z, 0-9 and ``_``, and
+``lower()`` maps only A-Z, so the two paths agree. Any other text takes
+the regex, whose Unicode case rules (such as U+0130 lowering to two code
+points) a table could not follow.
+
 Links resolve with ``urls.resolve``: RFC 3986 section 5.2 with the quirks
 of CPython's ``urllib.parse`` join kept (see ``urls``), fragments
 dropped. The page URL and each ``<base href>`` are split once; each href
@@ -66,10 +84,19 @@ TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div", "ancho
 
 # Maximal runs of Unicode letters/digits (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII text is tokenized by this table and ``split()``: A-Z lowered,
+# a-z and 0-9 kept, every other ASCII character (``_`` too) a space.
+_ASCII_TOKEN_TABLE = str.maketrans(
+    {i: chr(i).lower() if chr(i).isalnum() else " " for i in range(128)}
+)
 _CHARSET_RE = re.compile(rb"charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.IGNORECASE)
 
-# Markup at a "<". Groups: the "/" of an end tag, and the tag name.
-_MARKUP_RE = re.compile(r"<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)|[!?/])")
+# Markup at a "<". Groups: the "/" of an end tag, the tag name, and the
+# rest of the tag up to its ">" when that holds no quote. No match runs
+# past the first ">" after its "<". The patterns use no atomic groups and
+# no possessive quantifiers, which Python 3.10 (the oldest that
+# requires-python allows) does not compile.
+_MARKUP_RE = re.compile(r"<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)([^>\"']*>)?|[!?/])")
 # One attribute: separators, a name, then optionally "=" and a value. A
 # quote that is never closed runs to the end of input and leaves its
 # closing group (3 or 5) empty.
@@ -86,6 +113,8 @@ _RAW_TEXT_END_RE = {
 
 def tokenize(text):
     """Lowercase letter/digit runs; no stemming, no stopword removal."""
+    if text.isascii():
+        return text.translate(_ASCII_TOKEN_TABLE).split()
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
@@ -144,17 +173,6 @@ def _read_attrs(text, pos, wanted=None):
     return gt + 1, gt > pos and text[gt - 1] == "/", value
 
 
-def _tag_end(text, pos):
-    """Index after the ``>`` closing a tag whose attributes start at
-    ``pos``, or -1 when the tag is open at the end of input."""
-    gt = text.find(">", pos)
-    if gt < 0:
-        return -1
-    if text.find('"', pos, gt) < 0 and text.find("'", pos, gt) < 0:
-        return gt + 1
-    return _read_attrs(text, pos)[0]
-
-
 def _markup_end(text, lt):
     """Index after the markup that starts with ``<!``, ``<?``, or ``</``
     and no letter, at ``lt``; -1 when it is open at the end of input."""
@@ -187,56 +205,65 @@ def _scan(text, page):
     base = page
     page_host = strip_www(page.host)
 
-    n = len(text)
     texts = []  # the page's text, a piece per stretch between markup
-    pos = 0
-    while pos < n:
-        m = _MARKUP_RE.search(text, pos)
-        if m is None:
-            texts.append(text[pos:])
-            break
-        if m.start() > pos:
-            texts.append(text[pos : m.start()])
-        slash, tag = m.groups()
-        if tag is None:  # "<!", "<?", or "</" and no letter
-            end = _markup_end(text, m.start())
-        elif slash:  # an end tag
-            end = _tag_end(text, m.end())
-            tag = None
-        else:
-            tag = tag.lower()
-            if tag == "a" or tag == "base":
-                end, _, href = _read_attrs(text, m.end(), "href")
-            elif tag == "link":
-                end, _, rel = _read_attrs(text, m.end(), "rel")
-            elif tag == "script" or tag == "style":
-                end, self_closing, _ = _read_attrs(text, m.end())
-            else:
-                end = _tag_end(text, m.end())
-        if end < 0:
-            break
-
-        if tag == "a":
-            if href:
-                link = _link(base, href.strip(), page_host)
-                if link is not None:
-                    outlinks.append(link)
-                    counts["anchor"] += 1
-        elif tag == "table" or tag == "div":
-            counts[tag] += 1
-        elif tag == "script" or tag == "style":
-            counts["script" if tag == "script" else "style_element"] += 1
-            if not self_closing:
-                close = _RAW_TEXT_END_RE[tag].search(text, end)
-                end = _tag_end(text, close.end() - 1) if close else -1
-                if end < 0:
+    pos = 0  # where the text not yet read starts
+    resume = True
+    while resume:
+        resume = False
+        for m in _MARKUP_RE.finditer(text, pos):
+            start = m.start()
+            if start < pos:
+                # Markup inside the comment, quoted value or raw-text body
+                # just read. It ends by that span's end; unless it ends
+                # there, a new pass resumes from that end.
+                if m.end() < pos:
+                    resume = True
                     break
-        elif tag == "link":
-            if rel and "stylesheet" in rel.lower():
-                counts["linked_style"] += 1
-        elif tag == "base" and href:
-            base = rebase(page, base, href.strip())
-        pos = end
+                continue
+            if start > pos:
+                texts.append(text[pos:start])
+            slash, tag, rest = m.groups()
+            if tag is None:  # "<!", "<?", or "</" and no letter
+                end = _markup_end(text, start)
+            elif slash:  # an end tag
+                end = m.end() if rest else _read_attrs(text, m.end())[0]
+                tag = None
+            else:
+                tag = tag.lower()
+                if tag == "a" or tag == "base":
+                    end, _, href = _read_attrs(text, m.end(2), "href")
+                elif tag == "link":
+                    end, _, rel = _read_attrs(text, m.end(2), "rel")
+                elif tag == "script" or tag == "style":
+                    end, self_closing, _ = _read_attrs(text, m.end(2))
+                else:
+                    end = m.end() if rest else _read_attrs(text, m.end())[0]
+            if end < 0:
+                break
+
+            if tag == "a":
+                if href:
+                    link = _link(base, href.strip(), page_host)
+                    if link is not None:
+                        outlinks.append(link)
+                        counts["anchor"] += 1
+            elif tag == "table" or tag == "div":
+                counts[tag] += 1
+            elif tag == "script" or tag == "style":
+                counts["script" if tag == "script" else "style_element"] += 1
+                if not self_closing:
+                    close = _RAW_TEXT_END_RE[tag].search(text, end)
+                    end = _read_attrs(text, close.end() - 1)[0] if close else -1
+                    if end < 0:
+                        break
+            elif tag == "link":
+                if rel and "stylesheet" in rel.lower():
+                    counts["linked_style"] += 1
+            elif tag == "base" and href:
+                base = rebase(page, base, href.strip())
+            pos = end
+        else:
+            texts.append(text[pos:])
 
     # Pieces are joined with a space, which neither a token nor a
     # character reference can span. The copy is exact-size: analyses are

@@ -232,6 +232,13 @@ def ingest_warc(path, stats=None):
     return entries
 
 
+def _check_file_id(file_id):
+    """Raise ValueError unless ``file_id`` names a file inside the archive
+    directory."""
+    if "/" in file_id or file_id in ("", ".", ".."):
+        raise ValueError("file id must be a bare file name, got %r" % file_id)
+
+
 class ArchiveIndex:
     """Sorted in-memory index over IndexEntry rows with per-URL lookup."""
 
@@ -282,9 +289,16 @@ class ArchiveIndex:
         return best[1]
 
     def save(self, path):
+        """Write the index. An entry whose file id :meth:`load` would
+        reject fails the save, with the message load gives, and leaves no
+        file."""
         with atomic_open(path, "w", encoding="utf-8") as f:
             f.write(INDEX_HEADER + "\n")
-            for e in self.entries:
+            for lineno, e in enumerate(self.entries, start=2):
+                try:
+                    _check_file_id(e.file_id)
+                except ValueError as exc:
+                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
                 f.write(e.to_line() + "\n")
 
     @classmethod
@@ -301,8 +315,7 @@ class ArchiveIndex:
                     status, offset, length = int(status), int(offset), int(length)
                     if offset < 0 or length < 0:
                         raise ValueError("offset and length must not be negative")
-                    if "/" in file_id or file_id in ("", ".", ".."):
-                        raise ValueError("file id must be a bare file name, got %r" % file_id)
+                    _check_file_id(file_id)
                     entries.append(make((
                         url, ts, "" if mime == "-" else mime, status,
                         digest, file_id, offset, length,

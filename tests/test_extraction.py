@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcollect import extraction
 from subcollect.extraction import (
     Member,
     SubCollection,
@@ -17,6 +18,7 @@ from subcollect.extraction import (
     scan_extract,
     select_versions,
 )
+from subcollect.relevance import is_relevant
 from subcollect.spec import SubCollectionSpec
 from subcollect.store import IndexEntry, timestamp14_to_epoch
 from subcollect.urls import host_of
@@ -121,7 +123,7 @@ def test_prefilter_domain_scope(three_hosts):
 def test_scan_without_content_scopes_equals_prefilter(three_hosts):
     spec = SubCollectionSpec(domain_scope=("a.de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
     assert kept == candidates
     assert three_hosts.archive.counter.fetches == 3
 
@@ -146,7 +148,7 @@ def test_scan_keyword_filter(tmp_path):
         keyword_scope=("web", "archive"),
         relevance_threshold=0.5,
     )
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
     assert {e.canonical_url for e in kept} == {"http://h0.de/", "http://h2.de/"}
     assert fx.archive.counter.fetches == 6
 
@@ -154,7 +156,7 @@ def test_scan_keyword_filter(tmp_path):
 def test_scan_empty_archive(tmp_path):
     fx = build_archive(tmp_path, [])
     spec = SubCollectionSpec(domain_scope=("de",))
-    assert scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}) == []
+    assert scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {}) == []
     assert fx.archive.counter.fetches == 0
 
 
@@ -172,7 +174,7 @@ def test_scan_corrupt_candidate_skipped(tmp_path):
     fx.path.write_bytes(bytes(data))
     analyses = {}
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, analyses)
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, analyses, {})
     assert [e.canonical_url for e in kept] == ["http://a.de/"]
     assert [e.canonical_url for e, a in analyses.items() if a is None] == ["http://b.de/"]
 
@@ -189,7 +191,7 @@ def test_scan_reads_each_capture_of_the_same_second(tmp_path):
     spec = SubCollectionSpec(
         domain_scope=("de",), keyword_scope=("web", "archive"), relevance_threshold=0.5
     )
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
     assert len(kept) == 1
     assert fx.archive.counter.fetches == 2
 
@@ -200,14 +202,14 @@ def test_scan_reads_each_capture_of_the_same_second(tmp_path):
 def test_timeline_keeps_all(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
     assert len(select_versions(kept, "timeline")) == 6
 
 
 def test_snapshot_one_per_url(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
     selected = select_versions(kept, "snapshot")
     urls = [e.canonical_url for e in selected]
     assert len(urls) == len(set(urls)) == 4
@@ -224,7 +226,7 @@ def test_snapshot_follows_window_example(tmp_path):
             captures.append((url, ts(t), page("%s%d" % (url, t))))
     fx = build_archive(tmp_path, captures)
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
     selected = select_versions(kept, "snapshot")
     got = {e.canonical_url: e.timestamp14 for e in selected}
     assert got == {"http://a.de/": ts(5), "http://b.de/": ts(4), "http://c.de/": ts(6)}
@@ -251,7 +253,7 @@ def test_closure_ignores_unindexed_targets(tmp_path):
         tmp_path, [("http://a.de/", ts(0), page(links=["http://gone.de/"]))]
     )
     members = [member_of(fx.index, "http://a.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
     assert added == 0
     assert len(grown) == 1
 
@@ -266,7 +268,7 @@ def test_closure_picks_nearest_capture(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", "20050601000000")]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
     assert added == 1
     added_member = [m for m in grown if m.origin == "closure"][0]
     assert added_member.entry.timestamp14 == "20060601000000"  # |1yr| < |2yr|
@@ -282,7 +284,7 @@ def test_closure_chain_reaches_fixpoint(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
     assert added == 2
     assert {m.entry.canonical_url for m in grown} == {
         "http://s.de/",
@@ -302,7 +304,7 @@ def test_closure_depth_limit(tmp_path):
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
     grown, added = connect_closure(
-        members, fx.archive, fx.index, closure_spec(closure_max_depth=1), {}
+        members, fx.archive, fx.index, closure_spec(closure_max_depth=1), {}, {}
     )
     assert added == 1
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://u.de/"}
@@ -327,7 +329,7 @@ def test_closure_relevant_links_policy(tmp_path):
         relevance_threshold=0.3,
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, spec, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, spec, {}, {})
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://yes.de/"}
     assert added == 1
 
@@ -348,6 +350,82 @@ def test_closure_does_not_refetch_a_capture_the_scan_could_not_read(tmp_path):
     )
     coll = extract(fx.archive, fx.index, spec)
     assert coll.member_urls() == {"http://a.de/"}
+    assert (coll.counters["fetches"], coll.counters["errors"]) == (2, 1)
+
+
+def counting_is_relevant(monkeypatch):
+    """Replace extraction's is_relevant with one that records the tokens of
+    each page it judges."""
+    judged = []
+
+    def counting(analysis, spec):
+        judged.append(tuple(analysis.tokens))
+        return is_relevant(analysis, spec)
+
+    monkeypatch.setattr(extraction, "is_relevant", counting)
+    return judged
+
+
+def relevant_links_spec():
+    return closure_spec(
+        closure_policy="relevant_links",
+        keyword_scope=("web", "archive"),
+        relevance_threshold=0.3,
+    )
+
+
+def two_members_link_to_one_rejected_page(tmp_path):
+    return build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive", links=["http://no.de/"])),
+            ("http://b.de/", ts(60), page(text="web archive", links=["http://no.de/"])),
+            ("http://no.de/", ts(120), page(text="cooking only")),
+        ],
+    )
+
+
+def test_closure_judges_a_rejected_capture_once(tmp_path, monkeypatch):
+    fx = two_members_link_to_one_rejected_page(tmp_path)
+    judged = counting_is_relevant(monkeypatch)
+    members = [
+        member_of(fx.index, "http://a.de/", ts(0)),
+        member_of(fx.index, "http://b.de/", ts(60)),
+    ]
+    grown, added = connect_closure(members, fx.archive, fx.index, relevant_links_spec(), {}, {})
+    assert added == 0
+    assert judged == [("cooking", "only")]
+
+
+def test_extract_judges_each_capture_once(tmp_path, monkeypatch):
+    fx = two_members_link_to_one_rejected_page(tmp_path)
+    judged = counting_is_relevant(monkeypatch)
+    coll = extract(fx.archive, fx.index, relevant_links_spec())
+    assert coll.member_urls() == {"http://a.de/", "http://b.de/"}
+    # The scan judges all three pages; the closure reuses the verdict on no.de.
+    assert len(judged) == 3
+    assert judged.count(("cooking", "only")) == 1
+    assert coll.counters["fetches"] == 3
+
+
+def test_closure_judges_an_unreadable_capture_as_a_page_without_text(tmp_path):
+    # Threshold 0 accepts a page without text. The scan keeps no capture
+    # it cannot read; the closure judges one as a page without text.
+    fx = build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive", links=["http://b.de/"])),
+            ("http://b.de/", ts(60), page(text="web archive")),
+        ],
+    )
+    damage_warc(fx.path, fx.index.lookup_nearest("http://b.de/", ts(60)), "digest")
+    spec = closure_spec(
+        closure_policy="relevant_links", keyword_scope=("web", "archive"), relevance_threshold=0.0
+    )
+    coll = extract(fx.archive, fx.index, spec)
+    assert [(m.entry.canonical_url, m.origin) for m in coll.members] == [
+        ("http://a.de/", "scan"), ("http://b.de/", "closure"),
+    ]
     assert (coll.counters["fetches"], coll.counters["errors"]) == (2, 1)
 
 

@@ -3,11 +3,12 @@ import time
 from html.parser import HTMLParser
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subcollect.htmldoc import LinkRecord, PageAnalysis, parse_html, tokenize
 from subcollect.urls import canonicalize_url, host_of, strip_www
 
+import reference_htmldoc
 import reference_urls
 from conftest import link_kinds
 from reference_urls import link_target, version_dependent
@@ -592,12 +593,34 @@ def test_token_never_spans_markup():
 # Linear time on malformed input ---------------------------------------------
 
 
-@pytest.mark.parametrize("unit", ['<a "', "<!--", "<a href=x ", "<", "<script>"])
+@pytest.mark.parametrize("unit", [
+    '<a "', "<!--", "<a href=x ", "<", "<script>",
+    # Tags inside a comment, a quoted value and a raw-text body.
+    "<!--<p <a <b x-->", '<p title="<a <b <c">', "<script><a <p <b</script>",
+])
 def test_malformed_megabyte_parses_in_linear_time(unit):
     html = unit * ((1 << 20) // len(unit))
     start = time.perf_counter()
     parse_html(html, "http://a.de/")
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("head, unit, tail", [
+    ("<!--", "<p ", "-->"),
+    ("<!--", "<a", "-->"),
+    ('<p title="', "<p ", '">'),
+    ("<a title='", "<a", "'>"),
+    ("<script>", "<p ", "</script>"),
+    ("<style>", "<a", "</style>"),
+])
+def test_megabyte_of_tags_inside_one_span_parses_in_linear_time(head, unit, tail):
+    # None of these tags ends before the span does, so each could be
+    # read up to the span's end.
+    html = head + unit * ((1 << 20) // len(unit)) + tail + "after"
+    start = time.perf_counter()
+    a = parse_html(html, "http://a.de/")
+    assert time.perf_counter() - start < 2.0
+    assert a.tokens[-1] == "after"
 
 
 MARKUP_BITS = [
@@ -612,3 +635,39 @@ MARKUP_BITS = [
 def test_any_markup_yields_an_analysis(html):
     a = parse_html(html, "http://a.de/")
     assert a.tag_counts["anchor"] == len(a.outlinks)
+
+
+def test_markup_inside_a_read_span_is_not_read():
+    a = parse_html(
+        "<!-- <a href=/c> --><p title='<a href=/q>'><script><a href=/s></script>"
+        "<table title=\"<table>\"><a href=/x>x</a>",
+        "http://a.de/",
+    )
+    assert a.outlink_targets() == ["http://a.de/x"]
+    assert a.tag_counts["table"] == 1
+    assert a.tokens == ["x"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(MARKUP_BITS), max_size=30).map("".join))
+def test_scanner_equals_reference_on_markup_soup(html):
+    # html.parser cannot judge malformed markup; the previous scan can.
+    got = parse_html(html, "http://a.de/")
+    want = reference_htmldoc.parse_html(html, "http://a.de/")
+    assert got.tokens == want.tokens
+    assert got.outlinks == want.outlinks
+    assert got.tag_counts == want.tag_counts
+
+
+@settings(max_examples=500)
+@given(st.text(st.characters(exclude_categories=())))
+@example("\u0130")  # "İ" lowers to two code points
+@example("\u039f\u0394\u039f\u03a3")  # a word-final capital sigma
+@example("_")
+@example("x\u00b2")  # a superscript digit is not a decimal digit
+@example("\U0001d7d9")  # mathematical double-struck digit one
+@example("\u01c5")  # a titlecase letter
+@example("a\u00a0b")  # no-break space
+@example("A_b-C9 \ud800z")  # a lone surrogate
+def test_tokenize_equals_reference(text):
+    assert tokenize(text) == reference_htmldoc.tokenize(text)

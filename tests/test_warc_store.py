@@ -511,6 +511,19 @@ def test_index_load_error_names_path_line_and_fault(tmp_path, line, message):
     assert str(excinfo.value) == "%s:3: %s" % (path, message)
 
 
+@pytest.mark.parametrize("file_id", ["", ".", "..", "a/b.warc", "/tmp/o.warc"])
+def test_index_save_refuses_a_file_id_load_rejects(tmp_path, file_id):
+    good = IndexEntry("http://a.de/", "20000101000000", file_id="f.warc")
+    bad = IndexEntry("http://b.de/", "20000101000000", file_id=file_id)
+    path = tmp_path / "idx"
+    with pytest.raises(ValueError) as excinfo:
+        ArchiveIndex([good, bad]).save(str(path))
+    assert str(excinfo.value) == "%s:3: file id must be a bare file name, got %r" % (
+        path, file_id,
+    )
+    assert os.listdir(tmp_path) == []  # no index, no temporary file
+
+
 def test_index_save_is_sorted(tmp_path):
     fx = build_archive(
         tmp_path,

@@ -131,7 +131,8 @@ def link_completeness(collection, archive, index, spec=None):
 
     Returns (lc_sum, lc_mean): the plain sum over members and the mean
     over members that have at least one relevant outlink (None when no
-    member has any).
+    member has any). Only links are read, so members are parsed
+    without tokens.
 
     Unlike ``extract`` and ``stats``, which count or drop a capture they
     cannot read, a member that cannot be read raises: the score of a
@@ -143,7 +144,7 @@ def link_completeness(collection, archive, index, spec=None):
     lc_sum = 0.0
     contributing = 0
     for m in collection.members:
-        analysis = analyze(archive.fetch(m.entry))
+        analysis = analyze(archive.fetch(m.entry), tokens=False)
         relevant = [t for t in dict.fromkeys(analysis.outlink_targets()) if oracle(t)]
         if not relevant:
             continue

@@ -12,7 +12,10 @@ The scan and the closure read captures through one memo per run
 one that cannot be read is stored as None, counted once in ``errors``
 and otherwise treated as a page without text or links. A second memo
 keeps each capture's relevance verdict, so each capture is judged at
-most once.
+most once. Only judging reads a page's tokens, so once a capture is
+judged its memo analysis keeps just its outlinks and tag counts: the
+memory of a scan grows with the links of the pages it reads, not with
+their text.
 """
 
 from __future__ import annotations
@@ -123,10 +126,15 @@ def index_prefilter(index, spec):
 def _relevant(archive, entry, spec, analyses, verdicts):
     """Whether the capture ``entry`` passes the content scopes; one that
     cannot be read is judged as a page without text. The verdict goes
-    into the run's ``verdicts`` memo, so each capture is judged once."""
+    into the run's ``verdicts`` memo, so each capture is judged once, and
+    the capture's tokens leave the ``analyses`` memo."""
     if entry not in verdicts:
-        analysis = analyze_capture(archive, entry, analyses) or PageAnalysis()
-        verdicts[entry] = is_relevant(analysis, spec).relevant
+        analysis = analyze_capture(archive, entry, analyses)
+        verdicts[entry] = is_relevant(analysis or PageAnalysis(), spec).relevant
+        if analysis is not None:
+            analyses[entry] = PageAnalysis(
+                outlinks=analysis.outlinks, tag_counts=analysis.tag_counts
+            )
     return verdicts[entry]
 
 

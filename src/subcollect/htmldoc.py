@@ -4,6 +4,10 @@ Pages from the mid-90s onward are frequently malformed, so parsing is
 best-effort: any input yields an analysis, never an exception. The
 analysis carries exactly what downstream stages need: text tokens,
 resolved outlinks, and counts for a handful of layout-indicative tags.
+Only relevance reads tokens, so a caller that reads only links and tags
+(``evaluate``, ``stats``) passes ``tokens=False``: the text between
+markup is then neither collected nor entity-decoded nor tokenized, and
+the outlinks and tag counts are the same.
 
 A page is read in one left-to-right pass of ``_MARKUP_RE.finditer``.
 Each match is a tag, a comment or a declaration. A tag whose rest holds
@@ -197,8 +201,9 @@ def _link(base, href, page_host):
     return LinkRecord(target, "internal" if strip_www(host) == page_host else "external")
 
 
-def _scan(text, page):
-    """Analysis of decoded page text, in one left-to-right pass."""
+def _scan(text, page, tokens):
+    """Analysis of decoded page text, in one left-to-right pass; the text
+    pieces are collected and tokenized only when ``tokens`` is true."""
     analysis = PageAnalysis()
     outlinks = analysis.outlinks
     counts = analysis.tag_counts
@@ -220,7 +225,7 @@ def _scan(text, page):
                     resume = True
                     break
                 continue
-            if start > pos:
+            if tokens and start > pos:
                 texts.append(text[pos:start])
             slash, tag, rest = m.groups()
             if tag is None:  # "<!", "<?", or "</" and no letter
@@ -263,12 +268,13 @@ def _scan(text, page):
                 base = rebase(page, base, href.strip())
             pos = end
         else:
-            texts.append(text[pos:])
+            if tokens:
+                texts.append(text[pos:])
 
-    # Pieces are joined with a space, which neither a token nor a
-    # character reference can span. The copy is exact-size: analyses are
-    # cached per page, and a list built by appending keeps spare capacity.
-    analysis.tokens = list(tokenize(unescape(" ".join(texts))))
+    if tokens:
+        # Pieces are joined with a space, which neither a token nor a
+        # character reference can span.
+        analysis.tokens = tokenize(unescape(" ".join(texts)))
     return analysis
 
 
@@ -289,13 +295,14 @@ def _meta_charset(body):
     return m.group(1).decode("ascii") if m else None
 
 
-def parse_html(body, page_url, charset_hint=None):
+def parse_html(body, page_url, charset_hint=None, tokens=True):
     """Analyze one archived page; never raises on bad markup.
 
     Relative hrefs resolve against <base href> when present, else
     ``page_url``. Links to anything but http(s) URLs, such as
     javascript:/mailto:/data: ones, are dropped; text inside <script>
-    and <style> contributes no tokens.
+    and <style> contributes no tokens. With ``tokens`` false the text
+    between markup is skipped and the analysis has no tokens.
     """
     try:
         page = page_base(page_url)
@@ -305,10 +312,10 @@ def parse_html(body, page_url, charset_hint=None):
         text = _decode(body, charset_hint)
     else:
         text = body
-    return _scan(text, page)
+    return _scan(text, page, tokens)
 
 
-def analyze(snapshot):
+def analyze(snapshot, tokens=True):
     """Page analysis for a fetched snapshot; non-HTML yields an empty one."""
     if not snapshot.ref.is_html:
         return PageAnalysis()
@@ -317,19 +324,20 @@ def analyze(snapshot):
         if name.lower() == "content-type" and "charset=" in value.lower():
             charset = value.lower().split("charset=")[-1].split(";")[0].strip()
             break
-    return parse_html(snapshot.body, snapshot.ref.canonical_url, charset_hint=charset)
+    return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
 
 
-def analyze_capture(archive, entry, analyses):
+def analyze_capture(archive, entry, analyses, tokens=True):
     """Analysis of the capture ``entry``, or None when it cannot be read.
 
     ``analyses`` is the memo of one run, keyed by the whole entry, since
     the index keeps apart two captures of one URL in the same second:
     either outcome is stored there, so each capture is fetched at most once.
+    All calls on one memo pass the same ``tokens``.
     """
     if entry not in analyses:
         try:
-            analyses[entry] = analyze(archive.fetch(entry))
+            analyses[entry] = analyze(archive.fetch(entry), tokens)
         except (CorruptSnapshotError, OSError):
             analyses[entry] = None
     return analyses[entry]

@@ -4,7 +4,8 @@ tag evolution, and outlink counts per crawl year.
 Everything except the per-year snapshot histogram runs over a seeded
 uniform sample of the archive's HTML captures, so the cost is bounded
 on arbitrarily large archives and every run is reproducible from
-(index, n, seed).
+(index, n, seed). Only links and tag counts are measured, so sampled
+pages are parsed without tokens.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ def analyze_sample(sample, archive):
     """Fetch and parse every sampled page: [(entry, PageAnalysis)].
 
     Exactly len(sample) fetches; captures that cannot be read are dropped.
+    The analyses carry no tokens.
     """
     analyses = {}
-    pairs = [(e, analyze_capture(archive, e, analyses)) for e in sample]
+    pairs = [(e, analyze_capture(archive, e, analyses, tokens=False)) for e in sample]
     return [(e, analysis) for e, analysis in pairs if analysis is not None]
 
 

@@ -3,7 +3,9 @@
 Turns WARC files into a sorted line-oriented index (one entry per
 archived capture), serves nearest-in-time lookups, and counts every
 snapshot fetch so algorithms can be compared by disk accesses instead
-of wall-clock time. An :class:`Archive` keeps up to
+of wall-clock time. A loaded index keeps one string object per distinct
+URL, mime type and file id, which the captures of one URL and the
+entries of one WARC share. An :class:`Archive` keeps up to
 :data:`MAX_OPEN_FILES` WARC files open from their first fetch until
 :meth:`Archive.close`.
 """
@@ -305,6 +307,8 @@ class ArchiveIndex:
     def load(cls, path):
         entries = []
         make = IndexEntry._make
+        # One object per distinct string, shared by every entry that has it.
+        urls, mimes, file_ids = {}, {}, {}
         with open(path, "r", encoding="utf-8") as f:
             if f.readline().rstrip("\n") != INDEX_HEADER:
                 raise ValueError("not a %s file: %s" % (INDEX_HEADER, path))
@@ -317,8 +321,9 @@ class ArchiveIndex:
                         raise ValueError("offset and length must not be negative")
                     _check_file_id(file_id)
                     entries.append(make((
-                        url, ts, "" if mime == "-" else mime, status,
-                        digest, file_id, offset, length,
+                        urls.setdefault(url, url), ts,
+                        mimes.setdefault(mime, "" if mime == "-" else mime), status,
+                        digest, file_ids.setdefault(file_id, file_id), offset, length,
                     )))
                 except ValueError as exc:
                     if parts == [""]:

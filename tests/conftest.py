@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from urllib.parse import urlsplit
 
 import pytest
@@ -42,6 +43,17 @@ def page(title="", links=(), text=""):
         "<html><head><title>%s</title></head><body><p>%s</p>%s</body></html>"
         % (title, text, anchors)
     ).encode("utf-8")
+
+
+def traced_peak(fn, *args):
+    """(peak, result): the most memory that tracemalloc saw allocated at
+    once during ``fn(*args)``, in bytes, and what the call returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def link_kinds(page_url, *hrefs):

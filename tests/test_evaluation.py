@@ -148,6 +148,23 @@ def test_lc_no_outlinks_not_applicable(tmp_path):
     assert lc_mean is None
 
 
+def test_lc_parses_members_without_tokens(tmp_path, monkeypatch):
+    fx = lc_fixture(tmp_path)
+    c = members_from(fx, ["http://s1.de/", "http://s2.de/", "http://in.de/"])
+    analyzed = []
+    real_analyze = evaluation.analyze
+
+    def recording(snapshot, **kwargs):
+        analysis = real_analyze(snapshot, **kwargs)
+        analyzed.append(analysis)
+        return analysis
+
+    monkeypatch.setattr(evaluation, "analyze", recording)
+    assert link_completeness(c, fx.archive, fx.index) == pytest.approx((1.5, 0.75))
+    assert len(analyzed) == 3
+    assert all(a.tokens == [] for a in analyzed)
+
+
 def test_lc_adding_missing_target_never_decreases_mean(tmp_path):
     fx = lc_fixture(tmp_path)
     before = members_from(fx, ["http://s1.de/", "http://s2.de/", "http://in.de/"])

@@ -23,7 +23,7 @@ from subcollect.spec import SubCollectionSpec
 from subcollect.store import IndexEntry, timestamp14_to_epoch
 from subcollect.urls import host_of
 
-from conftest import build_archive, damage_warc, page
+from conftest import build_archive, damage_warc, page, traced_peak
 
 
 def ts(sec):
@@ -427,6 +427,39 @@ def test_closure_judges_an_unreadable_capture_as_a_page_without_text(tmp_path):
         ("http://a.de/", "scan"), ("http://b.de/", "closure"),
     ]
     assert (coll.counters["fetches"], coll.counters["errors"]) == (2, 1)
+
+
+def forty_long_rejected_pages_and_one_topic_page(tmp_path):
+    """40 pages of 5,000 words each that a web-archive keyword scope
+    rejects, and one page it keeps."""
+    words = " ".join("cooking%d" % i for i in range(5000))
+    captures = [("http://no.de/%d" % i, ts(i), page(text=words)) for i in range(40)]
+    captures.append(
+        ("http://yes.de/", ts(40), page(text="web archive", links=["http://no.de/0"]))
+    )
+    return build_archive(tmp_path, captures)
+
+
+def test_extract_memory_does_not_grow_with_the_text_it_rejects(tmp_path):
+    fx = forty_long_rejected_pages_and_one_topic_page(tmp_path)
+    spec = SubCollectionSpec(keyword_scope=("web", "archive"), relevance_threshold=0.3)
+    peak, coll = traced_peak(extract, fx.archive, fx.index, spec)
+    assert coll.member_urls() == {"http://yes.de/"}
+    # The tokens of the 40 rejected pages alone take about 12 MB.
+    assert peak < 3_000_000
+
+
+def test_scan_keeps_no_tokens_of_a_judged_capture(tmp_path):
+    fx = forty_long_rejected_pages_and_one_topic_page(tmp_path)
+    spec = SubCollectionSpec(keyword_scope=("web", "archive"), relevance_threshold=0.3)
+    analyses, verdicts = {}, {}
+    kept = scan_extract(fx.archive, list(fx.index), spec, analyses, verdicts)
+    assert [e.canonical_url for e in kept] == ["http://yes.de/"]
+    assert set(verdicts) == set(fx.index)
+    assert all(analyses[e].tokens == [] for e in verdicts)
+    # The closure still reads the links of a judged page.
+    assert analyses[kept[0]].outlink_targets() == ["http://no.de/0"]
+    assert analyses[kept[0]].tag_counts["anchor"] == 1
 
 
 # enforce_size --------------------------------------------------------------

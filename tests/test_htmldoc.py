@@ -660,6 +660,21 @@ def test_scanner_equals_reference_on_markup_soup(html):
 
 
 @settings(max_examples=500)
+@given(st.lists(st.sampled_from(MARKUP_BITS), max_size=30).map("".join))
+@example("<base href=http://b.de/d/><a href=x>t</a>")
+@example("<script>var s = '<a href=/s>';</script><a href=/x>x</a>")
+@example("<style>a { color: red }</style><link rel=stylesheet><div>d</div>")
+@example("<!-- <a href=/c> --><table><a href=/y>y</a>")
+@example("<a href=/z>z</a><div title='open")
+def test_parse_without_tokens_equals_parse_in_links_and_tags(html):
+    got = parse_html(html, "http://a.de/", tokens=False)
+    want = parse_html(html, "http://a.de/")
+    assert got.tokens == []
+    assert got.outlinks == want.outlinks
+    assert got.tag_counts == want.tag_counts
+
+
+@settings(max_examples=500)
 @given(st.text(st.characters(exclude_categories=())))
 @example("\u0130")  # "İ" lowers to two code points
 @example("\u039f\u0394\u039f\u03a3")  # a word-final capital sigma

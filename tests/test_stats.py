@@ -13,7 +13,7 @@ from subcollect.stats import (
     tag_stats,
 )
 
-from conftest import build_archive, damage_warc, page
+from conftest import build_archive, damage_warc, page, traced_peak
 
 
 def ts(year, i=0):
@@ -101,6 +101,21 @@ def test_analyze_sample_drops_a_capture_damaged_after_indexing(tmp_path, kind):
     analyzed = analyze_sample(sample, fx.archive)
     assert [e.canonical_url for e, _ in analyzed] == ["http://a.de/", "http://b.de/"]
     assert fetched == sample  # one fetch per sampled page, the damaged one too
+
+
+def test_analyze_sample_keeps_no_tokens(tmp_path):
+    words = " ".join("word%d" % i for i in range(5000))
+    captures = [
+        ("http://a.de/%d" % i, ts(2000, i), page(text=words, links=["/x"])) for i in range(40)
+    ]
+    fx = build_archive(tmp_path, captures)
+    sample = sample_refs(fx.index, 100, 0)
+    peak, analyzed = traced_peak(analyze_sample, sample, fx.archive)
+    assert len(analyzed) == 40
+    assert all(a.tokens == [] for _, a in analyzed)
+    assert all(a.outlink_targets() == ["http://a.de/x"] for _, a in analyzed)
+    # The tokens of the 40 pages alone take about 12 MB.
+    assert peak < 3_000_000
 
 
 # link_in_archive_rate ------------------------------------------------------

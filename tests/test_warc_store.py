@@ -485,6 +485,24 @@ def test_index_serialization_roundtrip(tmp_path):
         assert got.to_line() == want.to_line()
 
 
+def test_index_load_keeps_one_string_per_url_mime_and_file(tmp_path):
+    captures = [("http://a.de/", "200%d0101120000" % i, page("a")) for i in range(3)]
+    captures.append(("http://b.de/", "20000101120000", page("b"), "text/plain"))
+    entries = list(build_archive(tmp_path, captures, name="one.warc").index)
+    again = [(url, ts14, page("again")) for url, ts14, _ in captures[:2]]
+    entries += build_archive(tmp_path, again, name="two.warc").index
+    index = ArchiveIndex(entries)
+    path = tmp_path / "idx"
+    index.save(str(path))
+    loaded = ArchiveIndex.load(str(path))
+    assert loaded.entries == index.entries
+    for field in ("canonical_url", "mime", "file_id"):
+        for value in {getattr(e, field) for e in loaded}:
+            shared = {id(getattr(e, field)) for e in loaded if getattr(e, field) == value}
+            assert len(shared) == 1, (field, value)
+    assert len(loaded.entries_for("http://a.de/")) == 5
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

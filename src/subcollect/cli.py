@@ -68,10 +68,10 @@ def cmd_index(args):
     for path in args.warcs:
         entries.extend(ingest_warc(path, stats=totals))
     ArchiveIndex(entries).save(args.output)
-    _log(
-        "indexed records=%d responses=%d skipped=%d bytes=%d"
-        % (totals.records, totals.responses, totals.skipped, totals.bytes)
+    line = "indexed records=%d responses=%d skipped=%d bytes=%d" % (
+        totals.records, totals.responses, totals.skipped, totals.bytes
     )
+    _log(line + "".join(" %s=%d" % kv for kv in totals.passed_over.items() if kv[1]))
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import hashlib
 import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import warc
@@ -170,35 +170,52 @@ class AccessCounter:
         self.bytes_read += nbytes
 
 
+# The record types of ISO 28500 that ingest passes over; any other
+# WARC-Type is counted as "other".
+PASSED_OVER = (
+    "warcinfo", "request", "metadata", "revisit", "resource", "conversion", "continuation",
+)
+
+
 @dataclass
 class IngestStats:
     records: int = 0
     responses: int = 0
     skipped: int = 0
     bytes: int = 0
+    # non-response records by WARC-Type, in PASSED_OVER order, then "other"
+    passed_over: dict = field(default_factory=lambda: dict.fromkeys(PASSED_OVER + ("other",), 0))
 
 
 def ingest_warc(path, stats=None):
     """Index every HTTP-response record of one WARC file.
 
-    Each entry's file_id is the file's base name. Request/metadata/warcinfo
-    records are passed over silently; response records missing
-    WARC-Target-URI or WARC-Date (or carrying a non-HTTP payload) are
-    skipped and tallied in ``stats.skipped``.
+    Each entry's file_id is the file's base name. Records of any other
+    type are passed over and counted by type in ``stats.passed_over``;
+    response records missing WARC-Target-URI or WARC-Date (or carrying
+    a non-HTTP payload) are skipped and tallied in ``stats.skipped``.
+    Each distinct Target-URI is canonicalized once per file, so the
+    entries of one URL share one string.
     """
     file_id = os.path.basename(path)
     if stats is None:
         stats = IngestStats()
+    passed_over = stats.passed_over
+    canonical = {}  # Target-URI -> canonical URL
     entries = []
     for offset, length, rec in warc.iter_records(path):
         stats.records += 1
         stats.bytes += length
-        if rec.header("WARC-Type") != "response":
+        # One scan; the first header of a name wins, as in WarcRecord.header.
+        fields = {name.lower(): value for name, value in reversed(rec.headers)}
+        kind = fields.get("warc-type")
+        if kind != "response":
+            passed_over[kind if kind in passed_over else "other"] += 1
             continue
-        uri = rec.header("WARC-Target-URI")
+        uri = fields.get("warc-target-uri")
         if uri and uri[0] == "<" and uri[-1] == ">":  # the WARC/1.0 examples' form
             uri = uri[1:-1]
-        date = rec.header("WARC-Date")
+        date = fields.get("warc-date")
         if not uri or not date:
             stats.skipped += 1
             continue
@@ -208,7 +225,8 @@ def ingest_warc(path, stats=None):
             continue
         status, http_headers, body = parsed
         try:
-            canonical = canonicalize_url(uri)
+            if uri not in canonical:
+                canonical[uri] = canonicalize_url(uri)
             ts14 = timestamp14_from_iso(date)
         except (CanonicalizationError, ValueError):
             stats.skipped += 1
@@ -220,7 +238,7 @@ def ingest_warc(path, stats=None):
                 break
         entries.append(
             IndexEntry(
-                canonical_url=canonical,
+                canonical_url=canonical[uri],
                 timestamp14=ts14,
                 mime=mime,
                 http_status=status,

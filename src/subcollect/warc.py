@@ -1,11 +1,18 @@
-"""Minimal WARC/1.0 reader and writer.
+"""Minimal WARC/1.0 reader.
 
 Supports plain and per-record-gzipped records in the same file
 (gzip detected by the 1f 8b magic at record start). A gzip member that
 holds more than one record, as in a whole-file-gzipped WARC, is an
-error: its later records have no offset of their own. Only the header
-fields needed for indexing are interpreted; everything else is kept
-verbatim so records can be copied out byte-for-byte.
+error: its later records have no offset of their own.
+
+:func:`iter_records` reads a file in one pass through one bounded
+buffer: it finds each header block with one search for its blank line
+and decompresses each gzip member from the same buffer. One rule,
+:func:`_parse_header`, decodes a header block once and gives both its
+(name, value) pairs and its Content-Length, for :func:`iter_records`
+and :func:`read_record` alike. Only the header fields needed for
+indexing are interpreted; everything else is kept verbatim so records
+can be copied out byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,13 +29,12 @@ __all__ = [
     "read_record",
     "read_span",
     "parse_http_response",
-    "make_response_record",
-    "write_warc",
 ]
 
-CRLF = b"\r\n"
 _GZIP_MAGIC = b"\x1f\x8b"
 _MAX_HEADER = 1 << 20  # bytes a record header block may take, through its blank line
+_CHUNK = 1 << 16  # bytes iter_records reads at a time
+_GZIP_PIECE = 1 << 14  # compressed bytes handed to zlib at a time
 
 
 class ArchiveIOError(OSError):
@@ -56,30 +62,31 @@ class WarcRecord:
         return None
 
 
-def _content_length(lines, offset):
-    """Payload length that a header block names, checked on bytes.
+def _parse_header(block, offset):
+    """(headers, Content-Length) of a header block: the bytes from the
+    version line up to the blank line, exclusive.
 
-    ``lines`` is the block split on CRLF, from the version line to the
-    blank line, exclusive. Every later line needs a colon. The first
-    whose name, stripped, is Content-Length in any case gives the length
-    in ASCII digits. Only that line is decoded: no other character
-    lowercases into "content-length", so ``bytes.lower`` finds every
-    candidate.
+    The block is decoded once. Every line after the version line needs a
+    colon; names and values are stripped. The first header named
+    Content-Length in any case gives the payload length in ASCII digits.
     """
-    if not lines[0].startswith(b"WARC/"):
+    lines = block.decode("utf-8", "replace").split("\r\n")
+    if not lines[0].startswith("WARC/"):
         raise WarcFormatError("missing WARC version line", offset)
+    headers = []
     length = None
     for line in lines[1:]:
-        name, sep, value = line.partition(b":")
+        name, sep, value = line.partition(":")
         if not sep:
-            line = line.decode("utf-8", "replace")
             raise WarcFormatError("malformed header line %r" % line, offset)
-        if length is None and b"content-length" in name.lower():
-            if name.decode("utf-8", "replace").strip().lower() == "content-length":
-                length = value.decode("utf-8", "replace").strip()
+        name = name.strip()
+        value = value.strip()
+        headers.append((name, value))
+        if length is None and name.lower() == "content-length":
+            length = value
     if length is None or not (length.isascii() and length.isdigit()):
         raise WarcFormatError("missing or invalid Content-Length", offset)
-    return int(length)
+    return headers, int(length)
 
 
 def _payload(data, start, end, offset):
@@ -92,63 +99,13 @@ def _payload(data, start, end, offset):
 
 
 def _split_record(data, offset):
-    """(header lines, payload, bytes used) of the record that starts ``data``."""
+    """(headers, payload, bytes used) of the record that starts ``data``."""
     head_end = data.find(b"\r\n\r\n")
     if head_end < 0:
         raise WarcFormatError("truncated record header", offset)
-    lines = data[:head_end].split(CRLF)
-    end = head_end + 4 + _content_length(lines, offset)
-    return lines, _payload(data, head_end + 4, end, offset), end + 4
-
-
-def _read_gzip_member(f, offset):
-    """Decompress one gzip member starting at the current file position.
-
-    Returns (decompressed bytes, compressed length); leaves the file
-    positioned at the first byte after the member. The input is taken
-    from the file's buffer with ``peek`` and only the bytes the member
-    used are skipped, so no byte is read from the file twice.
-    """
-    decomp = zlib.decompressobj(16 + zlib.MAX_WBITS)
-    out = []
-    consumed = 0
-    while not decomp.eof:
-        chunk = f.peek()
-        if not chunk:
-            raise WarcFormatError("truncated gzip member", offset)
-        try:
-            out.append(decomp.decompress(chunk))
-        except zlib.error as exc:
-            raise WarcFormatError("bad gzip data: %s" % exc, offset) from exc
-        used = len(chunk) - len(decomp.unused_data)
-        f.seek(used, os.SEEK_CUR)
-        consumed += used
-    return b"".join(out), consumed
-
-
-def _read_plain_record(f, offset):
-    """(header lines, payload, bytes used) of the uncompressed record at
-    the current position.
-
-    The header block is read line by line and the payload in one read,
-    so every byte is read once and the file is left at the next record.
-    """
-    lines = []
-    size = 0
-    while True:
-        line = f.readline(_MAX_HEADER + 1 - size)
-        if not line:
-            raise WarcFormatError("truncated record header", offset)
-        size += len(line)
-        if size > _MAX_HEADER:
-            raise WarcFormatError("unterminated header block", offset)
-        # The block ends at the first CRLF CRLF: an empty line after a CRLF.
-        if line == CRLF and lines and lines[-1].endswith(CRLF):
-            break
-        lines.append(line)
-    lines = b"".join(lines)[:-2].split(CRLF)
-    length = _content_length(lines, offset)
-    return lines, _payload(f.read(length + 4), 0, length, offset), size + length + 4
+    headers, length = _parse_header(data[:head_end], offset)
+    end = head_end + 4 + length
+    return headers, _payload(data, head_end + 4, end, offset), end + 4
 
 
 def iter_records(path):
@@ -157,18 +114,38 @@ def iter_records(path):
     ``length`` is the on-disk byte span of the record (compressed span
     for gzipped records), so (offset, length) round-trips via
     :func:`read_record`. A WarcFormatError's message starts with ``path``.
+
+    The file is read once, front to back, through one buffer of about
+    :data:`_CHUNK` bytes, which grows only to hold a longer record.
     """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = b""
+        base = 0  # file offset of buf[0]
+        pos = 0  # where the next record starts in buf
         try:
             while True:
-                offset = f.tell()
-                magic = f.read(2)
-                if not magic:
-                    return
-                f.seek(offset)
-                if magic == _GZIP_MAGIC:
-                    data, consumed = _read_gzip_member(f, offset)
-                    lines, payload, used = _split_record(data, offset)
+                if len(buf) - pos < len(_GZIP_MAGIC):
+                    buf, base, pos = buf[pos:] + f.read(_CHUNK), base + pos, 0
+                    if not buf:
+                        return
+                offset = base + pos
+                if buf.startswith(_GZIP_MAGIC, pos):
+                    decomp = zlib.decompressobj(16 + zlib.MAX_WBITS)
+                    out = []
+                    while not decomp.eof:
+                        if pos == len(buf):
+                            buf, base, pos = f.read(_CHUNK), base + pos, 0
+                            if not buf:
+                                raise WarcFormatError("truncated gzip member", offset)
+                        piece = buf[pos : pos + _GZIP_PIECE]
+                        try:
+                            out.append(decomp.decompress(piece))
+                        except zlib.error as exc:
+                            raise WarcFormatError("bad gzip data: %s" % exc, offset) from exc
+                        pos += len(piece) - len(decomp.unused_data)
+                    data = b"".join(out)
+                    headers, payload, used = _split_record(data, offset)
                     if data[used:].strip():
                         raise WarcFormatError(
                             "gzip member holds more than one record; records can be"
@@ -177,12 +154,28 @@ def iter_records(path):
                             offset,
                         )
                 else:
-                    lines, payload, consumed = _read_plain_record(f, offset)
-                headers = []
-                for line in lines[1:]:
-                    name, _, value = line.decode("utf-8", "replace").partition(":")
-                    headers.append((name.strip(), value.strip()))
-                yield offset, consumed, WarcRecord(headers, payload)
+                    # The block ends at the first CRLF CRLF, at most
+                    # _MAX_HEADER bytes from the record start.
+                    head_end = buf.find(b"\r\n\r\n", pos, pos + _MAX_HEADER)
+                    while head_end < 0:
+                        if len(buf) - pos > _MAX_HEADER:
+                            raise WarcFormatError("unterminated header block", offset)
+                        more = f.read(_CHUNK)
+                        if not more:
+                            raise WarcFormatError("truncated record header", offset)
+                        buf, base, pos = buf[pos:] + more, offset, 0
+                        head_end = buf.find(b"\r\n\r\n", 0, _MAX_HEADER)
+                    headers, length = _parse_header(buf[pos:head_end], offset)
+                    end = head_end + 4 + length
+                    if len(buf) < end + 4 and base + len(buf) < size:
+                        # The rest of a record longer than the buffer, as
+                        # far as the file goes.
+                        more = f.read(min(end + 4, size - base) - len(buf))
+                        buf, base, head_end, end = buf[pos:] + more, offset, head_end - pos, end - pos
+                        pos = 0
+                    payload = _payload(buf, head_end + 4, end, offset)
+                    pos = end + 4
+                yield offset, base + pos - offset, WarcRecord(headers, payload)
         except WarcFormatError as exc:
             exc.args = ("%s: %s" % (path, exc),)
             raise
@@ -202,7 +195,7 @@ def read_span(f, offset, length):
 def read_record(f, offset, length):
     """Payload of the record that :func:`iter_records` located at
     (offset, length) in the open file ``f``. The framing is checked as
-    :func:`iter_records` checks it; the header block is not decoded."""
+    :func:`iter_records` checks it, by the same header rule."""
     data = read_span(f, offset, length)
     if data[:2] == _GZIP_MAGIC:
         try:
@@ -237,59 +230,3 @@ def parse_http_response(payload):
         if sep:
             headers.append((name.strip(), value.strip()))
     return status, headers, body
-
-
-def _serialize_record(headers, payload):
-    buf = [b"WARC/1.0", CRLF]
-    for name, value in headers:
-        buf += [name.encode("utf-8"), b": ", str(value).encode("utf-8"), CRLF]
-    buf += [CRLF, payload, CRLF, CRLF]
-    return b"".join(buf)
-
-
-def make_response_record(url, iso_date, body, status=200, content_type="text/html"):
-    """Build the bytes of one WARC response record wrapping an HTTP response."""
-    http = b"".join(
-        [
-            b"HTTP/1.1 %d OK\r\n" % status,
-            b"Content-Type: %s\r\n" % content_type.encode("latin-1"),
-            b"Content-Length: %d\r\n" % len(body),
-            b"\r\n",
-            body,
-        ]
-    )
-    headers = [
-        ("WARC-Type", "response"),
-        ("WARC-Target-URI", url),
-        ("WARC-Date", iso_date),
-        ("Content-Type", "application/http; msgtype=response"),
-        ("Content-Length", str(len(http))),
-    ]
-    return _serialize_record(headers, http)
-
-
-def make_record(record_type, url, iso_date, payload):
-    """Build an arbitrary-typed record (request/metadata/warcinfo fixtures)."""
-    headers = [("WARC-Type", record_type)]
-    if url:
-        headers.append(("WARC-Target-URI", url))
-    if iso_date:
-        headers.append(("WARC-Date", iso_date))
-    headers.append(("Content-Length", str(len(payload))))
-    return _serialize_record(headers, payload)
-
-
-def write_warc(path, record_blobs, gzip_records=False):
-    """Write pre-serialized record byte blobs to ``path``.
-
-    With ``gzip_records`` each record becomes its own gzip member.
-    """
-    comp_level = 6
-    with open(path, "wb") as f:
-        for blob in record_blobs:
-            if gzip_records:
-                comp = zlib.compressobj(comp_level, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
-                f.write(comp.compress(blob))
-                f.write(comp.flush())
-            else:
-                f.write(blob)

@@ -9,9 +9,10 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import settings
 
-from subcollect import warc
 from subcollect.htmldoc import parse_html
 from subcollect.store import Archive, ArchiveIndex, IngestStats, ingest_warc
+
+import warcwriter
 
 FILE_ID = "fixture.warc"
 
@@ -118,9 +119,9 @@ def build_archive(tmp_path, captures, gzip_records=False, name=FILE_ID):
         ctype = cap[3] if len(cap) > 3 else "text/html"
         if isinstance(body, str):
             body = body.encode("utf-8")
-        blobs.append(warc.make_response_record(url, iso_of(ts14), body, content_type=ctype))
+        blobs.append(warcwriter.make_response_record(url, iso_of(ts14), body, content_type=ctype))
     path = tmp_path / name
-    warc.write_warc(str(path), blobs, gzip_records=gzip_records)
+    warcwriter.write_warc(str(path), blobs, gzip_records=gzip_records)
     stats = IngestStats()
     entries = ingest_warc(str(path), stats=stats)
     return FixtureArchive(path, entries, stats)

@@ -9,7 +9,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcollect import warc
 from subcollect.cli import main
 from subcollect.evaluation import (
     TruthSet,
@@ -33,6 +32,7 @@ from subcollect.store import Archive, ArchiveIndex, IndexEntry, ingest_warc, tim
 from subcollect.urls import host_of
 
 from conftest import build_archive, iso_of, page
+import warcwriter
 
 
 def ok(n, name):
@@ -197,12 +197,12 @@ def test_acceptance_4_ingest_roundtrip_10k(tmp_path):
     for i in range(n):
         body = page("p%d" % i, links=["/l%d" % (i % 97)], text="content %d" % i)
         blobs.append(
-            warc.make_response_record(
+            warcwriter.make_response_record(
                 "http://h%d.de/p%d" % (i % 211, i), iso_of(ts(i * 31)), body
             )
         )
     path = tmp_path / "big.warc"
-    warc.write_warc(str(path), blobs)
+    warcwriter.write_warc(str(path), blobs)
 
     entries = ingest_warc(str(path))
     assert len(entries) == n
@@ -259,8 +259,8 @@ def test_acceptance_6_cli_determinism(tmp_path):
         captures.append(
             ("http://h%d.de/p%d" % (i % 8, i), ts(i * 997), page(str(i), links=links))
         )
-    blobs = [warc.make_response_record(u, iso_of(t), b) for u, t, b in captures]
-    warc.write_warc(str(archive_dir / "f.warc"), blobs)
+    blobs = [warcwriter.make_response_record(u, iso_of(t), b) for u, t, b in captures]
+    warcwriter.write_warc(str(archive_dir / "f.warc"), blobs)
     index_path = tmp_path / "idx"
     assert main(["index", str(archive_dir / "f.warc"), "--output", str(index_path)]) == 0
 

@@ -8,11 +8,11 @@ import sys
 import pytest
 
 import subcollect
-from subcollect import warc
 from subcollect.cli import main
 from subcollect.store import ArchiveIndex
 
 from conftest import damage_warc, iso_of, page
+import warcwriter
 
 
 @pytest.fixture
@@ -27,10 +27,10 @@ def workspace(tmp_path):
         ("http://b.de/", "20000601120000", page("b", text="cooking")),
     ]
     blobs = [
-        warc.make_response_record(u, iso_of(t), b) for u, t, b in captures
+        warcwriter.make_response_record(u, iso_of(t), b) for u, t, b in captures
     ]
     warc_path = archive_dir / "f.warc"
-    warc.write_warc(str(warc_path), blobs)
+    warcwriter.write_warc(str(warc_path), blobs)
     index_path = tmp_path / "index.cdx"
     assert main(["index", str(warc_path), "--output", str(index_path)]) == 0
     return {
@@ -77,13 +77,31 @@ def test_index_rerun_byte_identical(workspace, tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_index_reports_passed_over_records_after_the_counts(tmp_path, capsys):
+    date = iso_of("20000101120000")
+    blobs = [
+        warcwriter.make_record("warcinfo", None, date, b"software: x"),
+        warcwriter.make_response_record("http://a.de/", date, page("a")),
+        warcwriter.make_record("revisit", "http://a.de/", date, b""),
+        warcwriter.make_record("revisit", "http://a.de/", date, b""),
+        warcwriter.make_record("x-custom", "http://a.de/", date, b""),
+    ]
+    path = tmp_path / "kinds.warc"
+    warcwriter.write_warc(str(path), blobs)
+    assert main(["index", str(path), "--output", str(tmp_path / "idx")]) == 0
+    assert capsys.readouterr().err == (
+        "indexed records=5 responses=1 skipped=0 bytes=%d warcinfo=1 revisit=2 other=1\n"
+        % path.stat().st_size
+    )
+
+
 def test_index_unreadable_input_is_io_error(tmp_path):
     assert main(["index", str(tmp_path / "missing.warc"), "--output", str(tmp_path / "i")]) == 2
 
 
 def test_index_whole_file_gzip_is_io_error(tmp_path):
     blobs = [
-        warc.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
+        warcwriter.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
         for i in range(5)
     ]
     path = tmp_path / "whole.warc.gz"
@@ -279,8 +297,8 @@ def test_evaluate_spec_scopes_link_completeness(tmp_path, capsys):
         ("http://b.de/", page("b")),
     ]
     warc_path = archive_dir / "f.warc"
-    warc.write_warc(str(warc_path), [
-        warc.make_response_record(u, iso_of("20000101120000"), b) for u, b in captures
+    warcwriter.write_warc(str(warc_path), [
+        warcwriter.make_response_record(u, iso_of("20000101120000"), b) for u, b in captures
     ])
     index = str(tmp_path / "index.cdx")
     assert main(["index", str(warc_path), "--output", index]) == 0
@@ -401,8 +419,8 @@ def test_evaluate_csv_independent_of_hash_seed(tmp_path):
         for k in range(1 + h % 7)
     ]
     warc_path = archive_dir / "f.warc"
-    warc.write_warc(
-        str(warc_path), [warc.make_response_record(u, iso_of(t), b) for u, t, b in captures]
+    warcwriter.write_warc(
+        str(warc_path), [warcwriter.make_response_record(u, iso_of(t), b) for u, t, b in captures]
     )
     index = tmp_path / "index.cdx"
     assert main(["index", str(warc_path), "--output", str(index)]) == 0

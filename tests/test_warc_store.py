@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcollect import store, warc
+from subcollect.urls import canonicalize_url
 from subcollect.store import (
     Archive,
     ArchiveIndex,
@@ -27,7 +28,9 @@ from subcollect.store import (
     timestamp14_to_epoch,
 )
 
-from conftest import FILE_ID, build_archive, damage_warc, iso_of, page
+from conftest import FILE_ID, build_archive, damage_warc, iso_of, page, traced_peak
+import reference_warc
+import warcwriter
 
 
 def test_timestamp_transcription():
@@ -39,15 +42,57 @@ def test_ingest_counts_only_responses(tmp_path):
     for i in range(3):
         ts = "2000010%d120000" % (i + 1)
         blobs.append(
-            warc.make_response_record("http://a.de/%d" % i, iso_of(ts), page("p%d" % i))
+            warcwriter.make_response_record("http://a.de/%d" % i, iso_of(ts), page("p%d" % i))
         )
         blobs.append(
-            warc.make_record("request", "http://a.de/%d" % i, iso_of(ts), b"GET / HTTP/1.1\r\n")
+            warcwriter.make_record("request", "http://a.de/%d" % i, iso_of(ts), b"GET / HTTP/1.1\r\n")
         )
     path = tmp_path / "mixed.warc"
-    warc.write_warc(str(path), blobs)
+    warcwriter.write_warc(str(path), blobs)
     entries = ingest_warc(str(path))
     assert len(entries) == 3
+
+
+def test_ingest_counts_passed_over_records_by_type(tmp_path):
+    kinds = list(store.PASSED_OVER) + ["response", "x-custom", "Response", None]
+    blobs = [
+        warcwriter.make_record(kind, "http://a.de/", iso_of("20000101120000"), b"x")
+        if kind else b"WARC/1.0\r\nContent-Length: 1\r\n\r\nx\r\n\r\n"
+        for kind in kinds
+    ]
+    path = tmp_path / "types.warc"
+    warcwriter.write_warc(str(path), blobs)
+    stats = IngestStats()
+    assert ingest_warc(str(path), stats=stats) == []
+    # The response's payload is not HTTP: skipped, not passed over.
+    assert (stats.records, stats.responses, stats.skipped) == (len(kinds), 0, 1)
+    assert stats.passed_over == {
+        "warcinfo": 1, "request": 1, "metadata": 1, "revisit": 1, "resource": 1,
+        "conversion": 1, "continuation": 1, "other": 3,
+    }
+
+
+def test_ingest_canonicalizes_each_target_uri_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(url):
+        calls.append(url)
+        return canonicalize_url(url)
+
+    monkeypatch.setattr(store, "canonicalize_url", counting)
+    uris = ["http://A.de/", "http://b.de/x", "http://A.de/", "http://a.de/", "http://b.de/x"]
+    blobs = [
+        warcwriter.make_response_record(uri, iso_of("2000010%d120000" % (i + 1)), page(str(i)))
+        for i, uri in enumerate(uris)
+    ]
+    path = tmp_path / "repeat.warc"
+    warcwriter.write_warc(str(path), blobs)
+    entries = ingest_warc(str(path))
+    assert calls == ["http://A.de/", "http://b.de/x", "http://a.de/"]
+    assert [e.canonical_url for e in entries] == [
+        "http://a.de/", "http://b.de/x", "http://a.de/", "http://a.de/", "http://b.de/x"
+    ]
+    assert entries[0].canonical_url is entries[2].canonical_url
 
 
 def test_ingest_empty_file(tmp_path):
@@ -57,10 +102,10 @@ def test_ingest_empty_file(tmp_path):
 
 
 def test_ingest_skips_response_without_uri(tmp_path):
-    good = warc.make_response_record("http://a.de/", iso_of("20000101120000"), page())
-    bad = warc.make_record("response", None, iso_of("20000101120000"), b"HTTP/1.1 200 OK\r\n\r\nhi")
+    good = warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), page())
+    bad = warcwriter.make_record("response", None, iso_of("20000101120000"), b"HTTP/1.1 200 OK\r\n\r\nhi")
     path = tmp_path / "f.warc"
-    warc.write_warc(str(path), [bad, good])
+    warcwriter.write_warc(str(path), [bad, good])
     stats = IngestStats()
     entries = ingest_warc(str(path), stats=stats)
     assert len(entries) == 1
@@ -69,10 +114,10 @@ def test_ingest_skips_response_without_uri(tmp_path):
 
 def test_ingest_strips_angle_brackets_from_target_uri(tmp_path):
     # The WARC/1.0 spec's examples write the target URI as "<http://...>".
-    plain = warc.make_response_record("http://a.de/", iso_of("20000101120000"), page())
-    bracketed = warc.make_response_record("<http://b.de/>", iso_of("20000101120000"), page())
+    plain = warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), page())
+    bracketed = warcwriter.make_response_record("<http://b.de/>", iso_of("20000101120000"), page())
     path = tmp_path / "f.warc"
-    warc.write_warc(str(path), [plain, bracketed])
+    warcwriter.write_warc(str(path), [plain, bracketed])
     stats = IngestStats()
     entries = ingest_warc(str(path), stats=stats)
     assert (stats.responses, stats.skipped) == (2, 0)
@@ -80,7 +125,7 @@ def test_ingest_strips_angle_brackets_from_target_uri(tmp_path):
 
 
 def test_truncated_record_names_offset(tmp_path):
-    good = warc.make_response_record("http://a.de/", iso_of("20000101120000"), page())
+    good = warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), page())
     path = tmp_path / "t.warc"
     path.write_bytes(good + good[: len(good) // 2])
     with pytest.raises(warc.WarcFormatError) as excinfo:
@@ -166,8 +211,8 @@ def test_open_files_capped_least_recently_used_closed(tmp_path, monkeypatch):
     refs = []
     for i in range(store.MAX_OPEN_FILES + 3):
         name = "%03d.warc" % i
-        record = warc.make_response_record("http://h%d.de/" % i, iso_of("20000101120000"), page())
-        warc.write_warc(str(tmp_path / name), [record])
+        record = warcwriter.make_response_record("http://h%d.de/" % i, iso_of("20000101120000"), page())
+        warcwriter.write_warc(str(tmp_path / name), [record])
         refs += ingest_warc(str(tmp_path / name))
     monkeypatch.setattr(store, "open", spy_open, raising=False)
     with Archive(directory=str(tmp_path)) as archive:
@@ -205,7 +250,7 @@ def test_fetch_from_damaged_warc(tmp_path, kind, error, message):
 def test_ingest_non_ascii_content_length_names_path_and_offset(tmp_path, gzip_records):
     # "\u00b2279".isdigit() holds, but int() rejects the superscript two.
     blobs = [
-        warc.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page())
+        warcwriter.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page())
         for i in range(2)
     ]
     blobs[1] = blobs[1].replace(b"Content-Length: ", "Content-Length: \u00b2".encode(), 1)
@@ -223,19 +268,19 @@ def test_non_ascii_http_status_is_not_a_response(tmp_path):
     payload = b"HTTP/1.1 \xb200 OK\r\n\r\nhi"  # latin-1 superscript two
     assert warc.parse_http_response(payload) is None
     path = tmp_path / "f.warc"
-    record = warc.make_record("response", "http://a.de/", iso_of("20000101120000"), payload)
-    warc.write_warc(str(path), [record])
+    record = warcwriter.make_record("response", "http://a.de/", iso_of("20000101120000"), payload)
+    warcwriter.write_warc(str(path), [record])
     stats = IngestStats()
     assert ingest_warc(str(path), stats=stats) == [] and stats.skipped == 1
 
 
 def test_ingest_skips_non_ascii_port(tmp_path):
     blobs = [
-        warc.make_response_record(url, iso_of("20000101120000"), page())
+        warcwriter.make_response_record(url, iso_of("20000101120000"), page())
         for url in ["http://a.de:\u0668\u0660/", "http://a.de:80/"]
     ]
     path = tmp_path / "f.warc"
-    warc.write_warc(str(path), blobs)
+    warcwriter.write_warc(str(path), blobs)
     stats = IngestStats()
     entries = ingest_warc(str(path), stats=stats)
     assert [e.canonical_url for e in entries] == ["http://a.de/"] and stats.skipped == 1
@@ -255,7 +300,7 @@ def test_whole_file_gzip_rejected_not_truncated(tmp_path):
     # One gzip member holding five records: all but the first would have
     # no offset of their own, so the file is rejected, not cut to one record.
     blobs = [
-        warc.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
+        warcwriter.make_response_record("http://a.de/%d" % i, iso_of("20000101120000"), page("p"))
         for i in range(5)
     ]
     path = tmp_path / "whole.warc.gz"
@@ -265,8 +310,8 @@ def test_whole_file_gzip_rejected_not_truncated(tmp_path):
 
 
 def test_mixed_plain_and_gzip(tmp_path):
-    b1 = warc.make_response_record("http://a.de/1", iso_of("20000101120000"), page("1"))
-    b2 = warc.make_response_record("http://a.de/2", iso_of("20000102120000"), page("2"))
+    b1 = warcwriter.make_response_record("http://a.de/1", iso_of("20000101120000"), page("1"))
+    b2 = warcwriter.make_response_record("http://a.de/2", iso_of("20000102120000"), page("2"))
     path = tmp_path / "mixed.warc"
     import zlib
 
@@ -295,14 +340,14 @@ def _padded_record(header_block_size, payload=b"x"):
 def test_iter_records_spans_of_large_records_and_long_headers(tmp_path):
     big = os.urandom(100_000)
     blobs = [
-        warc.make_response_record("http://a.de/1", iso_of("20000101120000"), page("1")),
-        warc.make_response_record("http://a.de/2", iso_of("20000101120000"), big),
+        warcwriter.make_response_record("http://a.de/1", iso_of("20000101120000"), page("1")),
+        warcwriter.make_response_record("http://a.de/2", iso_of("20000101120000"), big),
         _padded_record(70_000),  # header block crosses 64 KiB
-        _gzip_member(warc.make_response_record("http://a.de/3", iso_of("20000101120000"), big)),
+        _gzip_member(warcwriter.make_response_record("http://a.de/3", iso_of("20000101120000"), big)),
         _padded_record(10_000),
         # A bare LF line and a CR CR LF do not end the header block.
         b"WARC/1.0\r\nX-A: 1\r\n\nX-B: 2\r\r\nContent-Length: 1\r\n\r\nx\r\n\r\n",
-        warc.make_response_record("http://a.de/4", iso_of("20000101120000"), page("4")),
+        warcwriter.make_response_record("http://a.de/4", iso_of("20000101120000"), page("4")),
     ]
     path = tmp_path / "big.warc"
     path.write_bytes(b"".join(blobs))
@@ -578,9 +623,9 @@ def test_fractional_second_warc_date_truncated():
 
 
 def test_ingest_warc_1_1_fractional_date(tmp_path):
-    rec = warc.make_response_record("http://a.de/", "2009-01-01T00:00:00.123Z", page())
+    rec = warcwriter.make_response_record("http://a.de/", "2009-01-01T00:00:00.123Z", page())
     path = tmp_path / "f.warc"
-    warc.write_warc(str(path), [rec])
+    warcwriter.write_warc(str(path), [rec])
     stats = IngestStats()
     entries = ingest_warc(str(path), stats=stats)
     assert [e.timestamp14 for e in entries] == ["20090101000000"]
@@ -589,11 +634,11 @@ def test_ingest_warc_1_1_fractional_date(tmp_path):
 
 def test_whitespace_url_survives_save_and_load(tmp_path):
     blobs = [
-        warc.make_response_record("http://a.de/a b", iso_of("20000101120000"), page("ab")),
-        warc.make_response_record("http://a.de/c", iso_of("20000101120000"), page("c")),
+        warcwriter.make_response_record("http://a.de/a b", iso_of("20000101120000"), page("ab")),
+        warcwriter.make_response_record("http://a.de/c", iso_of("20000101120000"), page("c")),
     ]
     path = tmp_path / "ws.warc"
-    warc.write_warc(str(path), blobs)
+    warcwriter.write_warc(str(path), blobs)
     index = ArchiveIndex(ingest_warc(str(path)))
     index.save(str(tmp_path / "ws.cdx"))
     loaded = ArchiveIndex.load(str(tmp_path / "ws.cdx"))
@@ -836,3 +881,164 @@ def test_read_record_equals_decoding_parser(tmp_path_factory, data, gzipped):
         assert "more than one record" in first
     else:
         assert first == want
+
+
+# --- the one-pass reader against the line-reading reader it replaced ------
+
+
+def outcome(read, path):
+    """Every (offset, length, headers, payload) that ``read(path)``
+    yields, then the WarcFormatError message without the path, or None."""
+    got = []
+    try:
+        for offset, length, rec in read(str(path)):
+            got.append((offset, length, rec.headers, rec.payload))
+    except warc.WarcFormatError as exc:
+        return got, str(exc).replace(str(path) + ": ", "", 1)
+    return got, None
+
+
+def assert_readers_agree(path):
+    want = outcome(reference_warc.iter_records, path)
+    assert outcome(warc.iter_records, path) == want
+    return want
+
+
+def _filler(size):
+    """A valid record of exactly ``size`` bytes (at least 45)."""
+    head = b"WARC/1.0\r\nContent-Length: %d\r\n\r\n" % 0
+    n = size - len(head) - 4
+    for _ in range(2):  # the length's digits count toward the size
+        head = b"WARC/1.0\r\nContent-Length: %d\r\n\r\n" % n
+        n = size - len(head) - 4
+    return head + b"f" * n + b"\r\n\r\n"
+
+
+@st.composite
+def warc_files(draw):
+    """Several records, plain and gzip mixed, each possibly damaged as in
+    records(), after a filler that ends anywhere in the last few KiB
+    before the reader's first buffer boundary, so that later records
+    straddle it."""
+    blobs = []
+    if draw(st.booleans()):
+        blobs.append(_filler(warc._CHUNK - draw(st.integers(0, 3000))))
+    valid = st.builds(
+        warcwriter.make_response_record,
+        st.sampled_from(["http://a.de/", "http://b.de/x"]),
+        st.just("2000-01-01T12:00:00Z"),
+        st.binary(max_size=3000),
+    )
+    for data in draw(st.lists(valid | valid | records(), min_size=1, max_size=5)):
+        blobs.append(_gzip_member(data) if draw(st.booleans()) else data)
+    blobs.append(draw(st.sampled_from([b"", b"", b"\r\n", b"\x1f", b"WARC/1.0\r\n"])))
+    return b"".join(blobs)
+
+
+@settings(max_examples=300)
+@given(data=warc_files())
+def test_iter_records_equals_line_reader(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "records.warc"
+    path.write_bytes(data)
+    assert_readers_agree(path)
+
+
+@pytest.mark.parametrize("gzipped", [False, True])
+@pytest.mark.parametrize("spot", [
+    "record start", "magic", "version line", "header", "blank line", "payload start",
+    "payload", "terminator", "record end",
+])
+def test_records_straddling_the_buffer_boundary(tmp_path, gzipped, spot):
+    # The first buffer ends at `spot` of the second record (for a gzip
+    # member, at the same count of its compressed bytes); the third
+    # record is longer than a buffer.
+    second = warcwriter.make_response_record("http://a.de/2", iso_of("20000101120000"), b"y" * 700)
+    head = second.index(b"\r\n\r\n") + 4
+    cut = {
+        "record start": 0, "magic": 1, "version line": 5, "header": 60,
+        "blank line": head - 2, "payload start": head, "payload": head + 300,
+        "terminator": len(second) - 2, "record end": len(second),
+    }[spot]
+    third = warcwriter.make_response_record(
+        "http://a.de/3", iso_of("20000101120000"), os.urandom(3 * warc._CHUNK)
+    )
+    blobs = [second, third, second]
+    if gzipped:
+        blobs = list(map(_gzip_member, blobs))
+    blobs.insert(0, _filler(warc._CHUNK - min(cut, len(blobs[0]))))
+    path = tmp_path / "straddle.warc"
+    path.write_bytes(b"".join(blobs))
+    got, error = assert_readers_agree(path)
+    assert error is None and [length for _, length, _, _ in got] == list(map(len, blobs))
+
+
+@pytest.mark.parametrize("extra, cut, error", [
+    (0, False, None),
+    (1, False, "unterminated header block (record at offset 1000)"),
+    # The file ends 1 MiB into a header block, before its blank line.
+    (10, True, "truncated record header (record at offset 1000)"),
+])
+def test_header_block_limit_after_other_records(tmp_path, extra, cut, error):
+    block = _padded_record((1 << 20) + extra)
+    block = block[: 1 << 20] if cut else block + _filler(50)
+    path = tmp_path / "h.warc"
+    path.write_bytes(_filler(1000) + block)
+    got, got_error = assert_readers_agree(path)
+    assert got_error == error and len(got) == (3 if error is None else 1)
+
+
+def test_payload_length_past_the_file_end_is_truncation(tmp_path):
+    # The line reader asked the file for the whole claimed length and
+    # failed with MemoryError or OverflowError; the length is now
+    # checked against the file's size before any read.
+    path = tmp_path / "huge.warc"
+    for digits in (b"99999999999999", b"9" * 22):
+        path.write_bytes(
+            _filler(100) + b"WARC/1.0\r\nContent-Length: %s\r\n\r\nabc\r\n\r\n" % digits
+        )
+        got, error = outcome(warc.iter_records, path)
+        assert len(got) == 1 and error == "truncated record payload (record at offset 100)"
+
+
+def test_iter_records_memory_stays_bounded(tmp_path, monkeypatch):
+    # About 20 MB in records of a few KiB. A reader that holds the whole
+    # file would peak at its size; one that maps it would read no bytes
+    # through the file object.
+    record = warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), b"z" * 2000)
+    path = tmp_path / "big.warc"
+    with open(path, "wb") as f:
+        for _ in range(20_000_000 // len(record)):
+            f.write(record)
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            reads.append(n or 0)
+            return n
+
+    monkeypatch.setattr(
+        warc, "open", lambda path, mode: io.BufferedReader(CountingFile(path, mode)),
+        raising=False,
+    )
+    peak, n = traced_peak(lambda: sum(1 for _ in warc.iter_records(str(path))))
+    assert n == 20_000_000 // len(record)
+    assert sum(reads) == path.stat().st_size
+    assert peak < 2 << 20
+
+
+def test_abandoned_iteration_closes_the_file(tmp_path, monkeypatch):
+    opened = []
+
+    def spy_open(path, mode):
+        opened.append(open(path, mode))
+        return opened[-1]
+
+    fx = build_archive(
+        tmp_path, [("http://a.de/%d" % i, "20000101120000", page(str(i))) for i in range(5)]
+    )
+    monkeypatch.setattr(warc, "open", spy_open, raising=False)
+    records = warc.iter_records(str(fx.path))
+    next(records)
+    del records
+    assert len(opened) == 1 and opened[0].closed

@@ -80,9 +80,11 @@ def cmd_extract(args):
     index = ArchiveIndex.load(args.index)
     with Archive(directory=args.archive_dir) as archive:
         coll = extraction.extract(archive, index, spec)
-        coll.write_manifest(args.output)
-        if args.export_warc:
-            extraction.export_warc(coll, archive, args.export_warc)
+        # The manifest is renamed after the export, so a failed export leaves neither.
+        with atomic_open(args.output, "w", encoding="utf-8") as f:
+            coll.write_manifest(f)
+            if args.export_warc:
+                extraction.export_warc(coll, archive, args.export_warc)
     for key, value in coll.counters.items():
         print("%s=%d" % (key, value))
     return EXIT_OK if coll.members else EXIT_EMPTY

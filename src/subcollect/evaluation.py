@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .htmldoc import analyze
 from .spec import in_scope_metadata
@@ -34,9 +33,11 @@ TRUTH_HEADER = "SUBCOLLECT-TRUTH 1"
 FACETS = ("host", "year", "mime")
 
 
-@dataclass
 class TruthSet:
-    relevant_refs: set = field(default_factory=set)  # {(canonical_url, ts14)}
+    __slots__ = ("relevant_refs",)
+
+    def __init__(self, relevant_refs=None):
+        self.relevant_refs = set() if relevant_refs is None else relevant_refs  # {(url, ts14)}
 
     def __len__(self):
         return len(self.relevant_refs)
@@ -221,17 +222,20 @@ def facet_entropy(collection, facet):
     return _entropy(dist.values()) / math.log2(len(dist))
 
 
-@dataclass
 class EvaluationReport:
-    precision: float = None
-    recall: float = None
-    recall_by_stratum: dict = field(default_factory=dict)
-    lc_sum: float = None
-    lc_mean: float = None
-    temporal_width_seconds: int = None
-    representativeness: dict = field(default_factory=dict)
-    facet_entropy: dict = field(default_factory=dict)
-    fetches: int = 0
+    __slots__ = (
+        "precision", "recall", "recall_by_stratum", "lc_sum", "lc_mean",
+        "temporal_width_seconds", "representativeness", "facet_entropy", "fetches",
+    )
+
+    def __init__(self, precision=None, recall=None, recall_by_stratum=None, lc_sum=None,
+                 lc_mean=None, temporal_width_seconds=None, representativeness=None,
+                 facet_entropy=None, fetches=0):
+        self.precision, self.recall, self.lc_sum, self.lc_mean = precision, recall, lc_sum, lc_mean
+        self.temporal_width_seconds, self.fetches = temporal_width_seconds, fetches
+        self.recall_by_stratum = {} if recall_by_stratum is None else recall_by_stratum
+        self.representativeness = {} if representativeness is None else representativeness
+        self.facet_entropy = {} if facet_entropy is None else facet_entropy
 
     def items(self):
         """(metric, facet parts, value) for every defined metric, in

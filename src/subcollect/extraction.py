@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # parse_html is not called here; perfbench's tracer test checks that the
 # tracer wraps this binding as well as htmldoc's.
@@ -49,10 +49,8 @@ __all__ = [
 MANIFEST_HEADER = "SUBCOLLECT-MANIFEST 1"
 
 
-@dataclass(frozen=True)
-class Member:
-    entry: object  # IndexEntry
-    origin: str  # "scan" | "closure"
+# entry is an IndexEntry; origin is "scan" or "closure".
+Member = namedtuple("Member", "entry origin")
 
 
 def _member_order(m):
@@ -60,11 +58,13 @@ def _member_order(m):
     return (m.entry.canonical_url, m.entry.timestamp14)
 
 
-@dataclass
 class SubCollection:
-    members: list = field(default_factory=list)
-    spec_digest: str = ""
-    counters: dict = field(default_factory=dict)
+    __slots__ = ("members", "spec_digest", "counters")
+
+    def __init__(self, members=None, spec_digest="", counters=None):
+        self.members = [] if members is None else members
+        self.spec_digest = spec_digest
+        self.counters = {} if counters is None else counters
 
     def entries(self):
         return [m.entry for m in self.members]
@@ -75,15 +75,15 @@ class SubCollection:
     def sort(self):
         self.members.sort(key=_member_order)
 
-    def write_manifest(self, path):
+    def write_manifest(self, f):
+        """Write the manifest to the text file ``f``."""
         lines = [MANIFEST_HEADER, "spec-digest %s" % self.spec_digest]
         for m in self.members:
             e = m.entry
             lines.append(
                 "%s %s %s %s" % (e.canonical_url, e.timestamp14, e.digest, m.origin)
             )
-        with atomic_open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines) + "\n")
 
     @classmethod
     def read_manifest(cls, path, index):
@@ -123,6 +123,14 @@ def index_prefilter(index, spec):
     return [e for e in index if in_scope_metadata(spec, e)]
 
 
+def _drop_tokens(entry, analysis, analyses):
+    """Keep only the links and tag counts of ``analysis`` in the run's
+    ``analyses`` memo: once a page is judged or its links are read,
+    nothing in a run reads its tokens again."""
+    if analysis is not None and analysis.tokens:
+        analyses[entry] = PageAnalysis(outlinks=analysis.outlinks, tag_counts=analysis.tag_counts)
+
+
 def _relevant(archive, entry, spec, analyses, verdicts):
     """Whether the capture ``entry`` passes the content scopes; one that
     cannot be read is judged as a page without text. The verdict goes
@@ -131,10 +139,7 @@ def _relevant(archive, entry, spec, analyses, verdicts):
     if entry not in verdicts:
         analysis = analyze_capture(archive, entry, analyses)
         verdicts[entry] = is_relevant(analysis or PageAnalysis(), spec).relevant
-        if analysis is not None:
-            analyses[entry] = PageAnalysis(
-                outlinks=analysis.outlinks, tag_counts=analysis.tag_counts
-            )
+        _drop_tokens(entry, analysis, analyses)
     return verdicts[entry]
 
 
@@ -232,8 +237,8 @@ def connect_closure(members, archive, index, spec, analyses, verdicts):
     capture). Runs to fixpoint, or stops after spec.closure_max_depth
     rounds. With policy "relevant_links" a candidate capture is only
     added if it passes the content scopes. Pages are read through the
-    run's ``analyses`` memo and judged through its ``verdicts`` memo;
-    one that cannot be read has no links and no text.
+    run's ``analyses`` memo, which then drops their tokens, and judged
+    through its ``verdicts`` memo; one unreadable has no links or text.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
@@ -251,6 +256,7 @@ def connect_closure(members, archive, index, spec, analyses, verdicts):
         new_members = []
         for m in frontier:
             analysis = analyze_capture(archive, m.entry, analyses) or PageAnalysis()
+            _drop_tokens(m.entry, analysis, analyses)
             for link in analysis.outlinks:
                 if link.target in present:
                     continue

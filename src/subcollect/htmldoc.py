@@ -73,9 +73,8 @@ dropped. A link is internal when its host equals the page's, one leading
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from html import unescape
-from typing import NamedTuple
 
 from .store import CorruptSnapshotError
 from .urls import CanonicalizationError, page_base, rebase, resolve, strip_www
@@ -122,16 +121,17 @@ def tokenize(text):
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-class LinkRecord(NamedTuple):
-    target: str  # absolute canonical URL
-    kind: str  # "internal" | "external"
+# target is an absolute canonical URL; kind is "internal" or "external".
+LinkRecord = namedtuple("LinkRecord", "target kind")
 
 
-@dataclass
 class PageAnalysis:
-    tokens: list = field(default_factory=list)
-    outlinks: list = field(default_factory=list)
-    tag_counts: dict = field(default_factory=lambda: {t: 0 for t in TAG_CLASSES})
+    __slots__ = ("tokens", "outlinks", "tag_counts")
+
+    def __init__(self, tokens=(), outlinks=None, tag_counts=None):
+        self.tokens = [] if tokens == () else tokens  # a fresh list; None stays None
+        self.outlinks = [] if outlinks is None else outlinks
+        self.tag_counts = dict.fromkeys(TAG_CLASSES, 0) if tag_counts is None else tag_counts
 
     def outlink_targets(self):
         return [l.target for l in self.outlinks]

@@ -16,8 +16,7 @@ keyword term occurs on the page.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .htmldoc import tokenize
@@ -30,11 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class RelevanceVerdict:
-    keyword_score: float = None  # None when the spec has no keyword scope
-    matched_entities: frozenset = frozenset()
-    relevant: bool = True
+# keyword_score is None when the spec has no keyword scope.
+RelevanceVerdict = namedtuple(
+    "RelevanceVerdict", "keyword_score matched_entities relevant",
+    defaults=(None, frozenset(), True),
+)
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .htmldoc import tokenize
 from .store import is_valid_timestamp14
@@ -32,11 +32,8 @@ class SpecError(ValueError):
     """Invalid specification; message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class EntityRef:
-    id: str
-    label: str
-    aliases: tuple = ()
+class EntityRef(namedtuple("EntityRef", "id label aliases", defaults=((),))):
+    __slots__ = ()
 
     def all_names(self):
         """Label plus aliases, case-insensitively deduplicated."""
@@ -49,22 +46,22 @@ class EntityRef:
         return out
 
 
-@dataclass(frozen=True)
-class SubCollectionSpec:
-    name: str = ""
-    url_scope: tuple = None
-    domain_scope: tuple = None
-    time_scope: tuple = None  # (from_ts14, to_ts14)
-    keyword_scope: tuple = None
-    entity_scope: tuple = None
-    size_scope: int = None
-    link_mode: str = "disconnected"
-    version_mode: str = "timeline"
-    relevance_threshold: float = None
-    entity_combine: str = "any"
-    closure_policy: str = "all_links"
-    closure_max_depth: int = None  # None = unbounded
-    seed: int = 0
+# The spec's fields and their defaults, in order.
+_SPEC_FIELDS = {
+    "name": "", "url_scope": None, "domain_scope": None,
+    "time_scope": None,  # (from_ts14, to_ts14)
+    "keyword_scope": None, "entity_scope": None, "size_scope": None,
+    "link_mode": "disconnected", "version_mode": "timeline", "relevance_threshold": None,
+    "entity_combine": "any", "closure_policy": "all_links",
+    "closure_max_depth": None,  # None = unbounded
+    "seed": 0,
+}
+
+
+class SubCollectionSpec(
+    namedtuple("SubCollectionSpec", _SPEC_FIELDS, defaults=_SPEC_FIELDS.values())
+):
+    __slots__ = ()
 
     def has_content_scopes(self):
         return self.keyword_scope is not None or self.entity_scope is not None

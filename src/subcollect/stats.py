@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .htmldoc import analyze_capture
 from .store import atomic_open
@@ -159,12 +158,14 @@ YearRow = namedtuple(
 )
 
 
-@dataclass
 class StatsReport:
-    rows: list = field(default_factory=list)  # YearRow, ascending year
-    normalized_tags: dict = field(default_factory=dict)  # {year: {tag: [0,1]}}
-    sample_size: int = 0
-    seed: int = 0
+    __slots__ = ("rows", "normalized_tags", "sample_size", "seed")
+
+    def __init__(self, rows=None, normalized_tags=None, sample_size=0, seed=0):
+        self.rows = [] if rows is None else rows  # YearRow, ascending year
+        # {year: {tag: [0,1]}}
+        self.normalized_tags = {} if normalized_tags is None else normalized_tags
+        self.sample_size, self.seed = sample_size, seed
 
     def write_wide_csv(self, path):
         """One row per year, plot-ready."""

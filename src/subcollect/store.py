@@ -19,8 +19,7 @@ import hashlib
 import operator
 import os
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import warc
 from .urls import CanonicalizationError, canonicalize_url
@@ -107,20 +106,19 @@ def is_valid_timestamp14(ts14):
     return True
 
 
-class IndexEntry(NamedTuple):
+class IndexEntry(
+    namedtuple(
+        "IndexEntry",
+        "canonical_url timestamp14 mime http_status digest file_id offset length",
+        defaults=("application/octet-stream", 200, "", "", 0, 0),
+    )
+):
     """One archived capture: canonical URL + crawl time + byte range.
 
     A tuple, so entries order, compare and hash field by field in C.
     """
 
-    canonical_url: str
-    timestamp14: str
-    mime: str = "application/octet-stream"
-    http_status: int = 200
-    digest: str = ""
-    file_id: str = ""
-    offset: int = 0
-    length: int = 0
+    __slots__ = ()
 
     @property
     def year(self):
@@ -149,13 +147,8 @@ class IndexEntry(NamedTuple):
         )
 
 
-@dataclass
-class Snapshot:
-    """A fetched capture: the indexed identity plus HTTP headers and body."""
-
-    ref: IndexEntry
-    http_headers: list
-    body: bytes
+# A fetched capture: the indexed IndexEntry plus HTTP headers and body.
+Snapshot = namedtuple("Snapshot", "ref http_headers body")
 
 
 class AccessCounter:
@@ -177,14 +170,15 @@ PASSED_OVER = (
 )
 
 
-@dataclass
 class IngestStats:
-    records: int = 0
-    responses: int = 0
-    skipped: int = 0
-    bytes: int = 0
-    # non-response records by WARC-Type, in PASSED_OVER order, then "other"
-    passed_over: dict = field(default_factory=lambda: dict.fromkeys(PASSED_OVER + ("other",), 0))
+    __slots__ = ("records", "responses", "skipped", "bytes", "passed_over")
+
+    def __init__(self, records=0, responses=0, skipped=0, bytes=0, passed_over=None):
+        self.records, self.responses, self.skipped, self.bytes = records, responses, skipped, bytes
+        # non-response records by WARC-Type, in PASSED_OVER order, then "other"
+        if passed_over is None:
+            passed_over = dict.fromkeys(PASSED_OVER + ("other",), 0)
+        self.passed_over = passed_over
 
 
 def ingest_warc(path, stats=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ipaddress
 import re
 import unicodedata
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "Base",
@@ -194,21 +194,16 @@ def canonicalize_url(url):
 # Link resolution ------------------------------------------------------------
 
 
-class Base(NamedTuple):
-    """What the links of a page resolve against.
-
-    ``prefix`` is None when only absolute links can resolve: the base
-    is not a canonical http(s) URL.
-    """
-
-    scheme: str
-    prefix: str = None  # "scheme://netloc" of the canonical base URL
-    host: str = None
-    stack: tuple = ()  # directory segments left by dot-segment removal
-    directory: str = None  # "/".join(stack) + "/", rooted
-    url: str = None  # the canonical base URL
-    path: str = None  # the path that a query- or fragment-only href keeps
-    query: str = None
+# What the links of a page resolve against. ``prefix`` is "scheme://netloc"
+# of the canonical base URL, and None when only absolute links can
+# resolve: the base is not a canonical http(s) URL. ``stack`` holds the
+# directory segments left by dot-segment removal, ``directory`` is
+# "/".join(stack) + "/", rooted, ``url`` the canonical base URL, and
+# ``path`` the path that a query- or fragment-only href keeps.
+Base = namedtuple(
+    "Base", "scheme prefix host stack directory url path query",
+    defaults=(None, None, (), None, None, None, None),
+)
 
 
 def _push(stack, segments):

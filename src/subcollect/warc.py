@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
 
 __all__ = [
     "ArchiveIOError",
@@ -49,10 +48,12 @@ class WarcFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass
 class WarcRecord:
-    headers: list = field(default_factory=list)  # ordered (name, value) pairs
-    payload: bytes = b""
+    __slots__ = ("headers", "payload")
+
+    def __init__(self, headers=None, payload=b""):
+        self.headers = [] if headers is None else headers  # ordered (name, value) pairs
+        self.payload = payload
 
     def header(self, name):
         name = name.lower()

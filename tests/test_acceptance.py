@@ -357,8 +357,6 @@ def _spec_pair(draw):
         kwargs["domain_scope"] = ("de", "org")
     base = SubCollectionSpec(**kwargs)
 
-    from dataclasses import replace
-
     narrowed = base
     if base.url_scope is None and draw(st.booleans()):
         urls = tuple(
@@ -371,14 +369,14 @@ def _spec_pair(draw):
                 )
             )
         )
-        narrowed = replace(narrowed, url_scope=urls)
+        narrowed = narrowed._replace(url_scope=urls)
     if base.domain_scope is None:
-        narrowed = replace(
-            narrowed, domain_scope=(draw(st.sampled_from(_hosts + ["de"])),)
+        narrowed = narrowed._replace(
+            domain_scope=(draw(st.sampled_from(_hosts + ["de"])),)
         )
     if base.time_scope is None:
         y = draw(st.sampled_from(_years))
-        narrowed = replace(narrowed, time_scope=("%s0101000000" % y, "%s1231235959" % y))
+        narrowed = narrowed._replace(time_scope=("%s0101000000" % y, "%s1231235959" % y))
     return base, narrowed
 
 

@@ -628,6 +628,19 @@ def test_failed_export_leaves_no_partial_warc(workspace, monkeypatch):
     assert not [p for p in os.listdir(workspace["tmp"]) if p.endswith(".tmp")]
 
 
+def test_failed_export_writes_no_manifest(workspace):
+    spec = write_spec(workspace["tmp"], URL_TIME_SPEC)
+    fresh = workspace["tmp"] / "fresh.manifest"
+    kept = workspace["tmp"] / "kept.manifest"
+    kept.write_text("earlier run\n")
+    export = str(workspace["tmp"] / "missing" / "export.warc")
+    for manifest in (fresh, kept):
+        assert main(_extract_args(workspace, spec, str(manifest), "--export-warc", export)) == 2
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier run\n"
+    assert not [p for p in os.listdir(workspace["tmp"]) if p.endswith(".tmp")]
+
+
 def test_failed_long_csv_leaves_no_partial_file(workspace, capsys):
     out = workspace["tmp"] / "s.csv"
     (workspace["tmp"] / "s_long.csv").mkdir()

@@ -462,6 +462,26 @@ def test_scan_keeps_no_tokens_of_a_judged_capture(tmp_path):
     assert analyses[kept[0]].tag_counts["anchor"] == 1
 
 
+def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
+    fx = build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive", links=["http://b.de/"])),
+            ("http://b.de/", ts(60), page(text="long text", links=["http://c.de/"])),
+            ("http://c.de/", ts(120), page(text="more text")),
+        ],
+    )
+    analyses = {}
+    members = [member_of(fx.index, "http://a.de/", ts(0))]
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), analyses, {})
+    assert added == 2 and fx.archive.counter.fetches == 3
+    assert all(a.tokens == [] for a in analyses.values())
+    # The links and tag counts stay for a later read.
+    b = member_of(fx.index, "http://b.de/", ts(60)).entry
+    assert analyses[b].outlink_targets() == ["http://c.de/"]
+    assert analyses[b].tag_counts["anchor"] == 1
+
+
 # enforce_size --------------------------------------------------------------
 
 
@@ -561,7 +581,8 @@ def test_extract_deterministic_across_workers(three_hosts, tmp_path):
     for _ in range(3):
         coll = extract(three_hosts.archive, three_hosts.index, spec)
         path = tmp_path / ("m%d" % len(outputs))
-        coll.write_manifest(str(path))
+        with open(path, "w", encoding="utf-8") as f:
+            coll.write_manifest(f)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -570,7 +591,8 @@ def test_manifest_roundtrip(three_hosts, tmp_path):
     spec = SubCollectionSpec(domain_scope=("a.de",))
     coll = extract(three_hosts.archive, three_hosts.index, spec)
     path = tmp_path / "manifest"
-    coll.write_manifest(str(path))
+    with open(path, "w", encoding="utf-8") as f:
+        coll.write_manifest(f)
     text = path.read_text()
     assert text.startswith("SUBCOLLECT-MANIFEST 1\nspec-digest %s\n" % spec.digest())
     loaded = SubCollection.read_manifest(str(path), index=three_hosts.index)

@@ -1,10 +1,13 @@
 """Every import in the package sits at module level, so a module's
 dependencies are visible at its top and no cycle is dodged by deferring
-one."""
+one. Each command runs as a fresh process, so what the CLI imports is
+paid on every call."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import subcollect
 
@@ -27,3 +30,15 @@ def test_no_import_inside_a_function():
     assert paths
     found = sorted({hit for path in paths for hit in _function_imports(path)})
     assert found == []
+
+
+def test_cli_imports_no_code_generator():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and its
+    # decorator compiles code for every class at import time.
+    src = os.path.dirname(os.path.dirname(subcollect.__file__))
+    code = "import sys, subcollect.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

@@ -318,16 +318,13 @@ def _specs(draw):
 
 @given(base=_specs(), e=_entries(), extra_domain=_hosts, extra_year=_years)
 def test_adding_scope_never_widens(base, e, extra_domain, extra_year):
-    from dataclasses import replace
-
     # Adding a scope the base spec lacks can only shrink the match set:
     # whatever passes the narrowed spec must already pass the base one.
     narrowed = base
     if base.domain_scope is None:
-        narrowed = replace(narrowed, domain_scope=(extra_domain,))
+        narrowed = narrowed._replace(domain_scope=(extra_domain,))
     if base.time_scope is None:
-        narrowed = replace(
-            narrowed,
+        narrowed = narrowed._replace(
             time_scope=("%s0101000000" % extra_year, "%s1231235959" % extra_year),
         )
     if in_scope_metadata(narrowed, e):

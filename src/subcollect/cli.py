@@ -93,7 +93,7 @@ def cmd_extract(args):
 def cmd_evaluate(args):
     index = ArchiveIndex.load(args.index)
     coll = extraction.SubCollection.read_manifest(args.manifest, index)
-    truth = evaluation.TruthSet.load(args.truth) if args.truth else None
+    truth = evaluation.load_truth(args.truth) if args.truth else None
     spec = parse_spec_file(args.spec) if args.spec else None
     with Archive(directory=args.archive_dir) as archive:
         report = evaluation.evaluate(coll, archive, index, truth=truth, spec=spec)

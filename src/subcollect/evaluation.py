@@ -14,11 +14,11 @@ import math
 
 from .htmldoc import analyze
 from .spec import in_scope_metadata
-from .store import atomic_open, timestamp14_to_epoch
-from .urls import CanonicalizationError, host_of
+from .store import timestamp14_to_epoch
+from .urls import CanonicalizationError, canonicalize_url, host_of
 
 __all__ = [
-    "TruthSet",
+    "load_truth",
     "EvaluationReport",
     "precision",
     "recall",
@@ -33,40 +33,29 @@ TRUTH_HEADER = "SUBCOLLECT-TRUTH 1"
 FACETS = ("host", "year", "mime")
 
 
-class TruthSet:
-    __slots__ = ("relevant_refs",)
-
-    def __init__(self, relevant_refs=None):
-        self.relevant_refs = set() if relevant_refs is None else relevant_refs  # {(url, ts14)}
-
-    def __len__(self):
-        return len(self.relevant_refs)
-
-    def __contains__(self, ref):
-        return ref in self.relevant_refs
-
-    def save(self, path):
-        with atomic_open(path, "w", encoding="utf-8") as f:
-            f.write(TRUTH_HEADER + "\n")
-            for url, ts in sorted(self.relevant_refs):
-                f.write("%s %s\n" % (url, ts))
-
-    @classmethod
-    def load(cls, path):
-        refs = set()
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != TRUTH_HEADER:
-                raise ValueError("not a %s file: %s" % (TRUTH_HEADER, path))
-            for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
+def load_truth(path):
+    """The labeled truth set in ``path``: a frozenset of (url, timestamp14)
+    pairs, from a ``SUBCOLLECT-TRUTH 1`` header line and one
+    ``url timestamp14`` pair per line; blank lines are skipped. URLs are
+    canonicalized as the index's are; a line with an invalid URL or
+    timestamp raises ValueError naming ``path:line``."""
+    refs = set()
+    with open(path, "r", encoding="utf-8") as f:
+        if f.readline().rstrip("\n") != TRUTH_HEADER:
+            raise ValueError("%s:1: not a %s file" % (path, TRUTH_HEADER))
+        for lineno, line in enumerate(f, start=2):
+            parts = line.rstrip("\n").split(" ")
+            try:
+                url, ts = parts
+                timestamp14_to_epoch(ts)
+                refs.add((canonicalize_url(url), ts))
+            except ValueError as exc:
+                if parts == [""]:
+                    continue  # a blank line
                 if len(parts) != 2:
-                    raise ValueError("%s:%d: expected 'url timestamp14'" % (path, lineno))
-                refs.add((parts[0], parts[1]))
-        return cls(relevant_refs=refs)
+                    exc = "expected 'url timestamp14'"
+                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+    return frozenset(refs)
 
 
 def _member_refs(collection):
@@ -87,7 +76,7 @@ def recall(collection, truth):
     if len(truth) == 0:
         return None
     refs = _member_refs(collection)
-    hits = sum(1 for r in truth.relevant_refs if r in refs)
+    hits = sum(1 for r in truth if r in refs)
     return hits / len(truth)
 
 
@@ -99,7 +88,7 @@ def stratified_recall(collection, truth):
     """
     refs = _member_refs(collection)
     per = {}
-    for url, ts in truth.relevant_refs:
+    for url, ts in truth:
         key = (host_of(url), ts[:4])
         hit, total = per.get(key, (0, 0))
         per[key] = (hit + (1 if (url, ts) in refs else 0), total + 1)
@@ -228,14 +217,11 @@ class EvaluationReport:
         "temporal_width_seconds", "representativeness", "facet_entropy", "fetches",
     )
 
-    def __init__(self, precision=None, recall=None, recall_by_stratum=None, lc_sum=None,
-                 lc_mean=None, temporal_width_seconds=None, representativeness=None,
-                 facet_entropy=None, fetches=0):
-        self.precision, self.recall, self.lc_sum, self.lc_mean = precision, recall, lc_sum, lc_mean
-        self.temporal_width_seconds, self.fetches = temporal_width_seconds, fetches
-        self.recall_by_stratum = {} if recall_by_stratum is None else recall_by_stratum
-        self.representativeness = {} if representativeness is None else representativeness
-        self.facet_entropy = {} if facet_entropy is None else facet_entropy
+    def __init__(self):
+        self.precision = self.recall = self.lc_sum = self.lc_mean = None
+        self.temporal_width_seconds = None
+        self.recall_by_stratum, self.representativeness, self.facet_entropy = {}, {}, {}
+        self.fetches = 0
 
     def items(self):
         """(metric, facet parts, value) for every defined metric, in

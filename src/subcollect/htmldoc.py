@@ -83,7 +83,7 @@ __all__ = [
     "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture", "tokenize",
 ]
 
-TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div", "anchor")
+TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div")
 
 # Maximal runs of Unicode letters/digits (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -251,7 +251,6 @@ def _scan(text, page, tokens):
                     link = _link(base, href.strip(), page_host)
                     if link is not None:
                         outlinks.append(link)
-                        counts["anchor"] += 1
             elif tag == "table" or tag == "div":
                 counts[tag] += 1
             elif tag == "script" or tag == "style":

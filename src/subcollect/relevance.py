@@ -23,8 +23,6 @@ from .htmldoc import tokenize
 
 __all__ = [
     "RelevanceVerdict",
-    "keyword_score",
-    "entity_match",
     "is_relevant",
 ]
 
@@ -68,6 +66,7 @@ def _score(tokens, present, terms):
 
 
 def _matches(tokens, present, names):
+    """True iff some name's tokens occur contiguously in the page's."""
     for needle in names:
         first = needle[0]
         if first not in present:
@@ -84,20 +83,6 @@ def _matches(tokens, present, names):
         except ValueError:
             pass
     return False
-
-
-def keyword_score(tokens, keywords):
-    """Cosine similarity of page TF vector vs. uniform keyword vector, in [0, 1]."""
-    return _score(tokens, set(tokens), _terms(keywords))
-
-
-def entity_match(tokens, entity):
-    """True iff any alias occurs as a contiguous token subsequence.
-
-    Aliases are tokenized by the same rules as page text, so "UN" never
-    matches inside "unprecedented" and matching is case-insensitive.
-    """
-    return _matches(tokens, set(tokens), _entity_names(entity))
 
 
 def is_relevant(analysis, spec):

@@ -14,7 +14,7 @@ import csv
 import random
 from collections import namedtuple
 
-from .htmldoc import analyze_capture
+from .htmldoc import TAG_CLASSES, analyze_capture
 from .store import atomic_open
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "outlink_stats",
     "build_report",
 ]
-
-TAG_FIELDS = ("script", "style_element", "linked_style", "table", "div")
 
 
 def snapshots_per_year(index):
@@ -110,14 +108,14 @@ def tag_stats(analyzed):
     for entry, analysis in analyzed:
         year = entry.year
         counts[year] = counts.get(year, 0) + 1
-        acc = sums.setdefault(year, {t: 0 for t in TAG_FIELDS})
-        for t in TAG_FIELDS:
+        acc = sums.setdefault(year, {t: 0 for t in TAG_CLASSES})
+        for t in TAG_CLASSES:
             acc[t] += analysis.tag_counts[t]
     averages = {
-        year: {t: sums[year][t] / counts[year] for t in TAG_FIELDS} for year in sums
+        year: {t: sums[year][t] / counts[year] for t in TAG_CLASSES} for year in sums
     }
     normalized = {}
-    for t in TAG_FIELDS:
+    for t in TAG_CLASSES:
         peak = max((averages[y][t] for y in averages), default=0.0)
         for y in averages:
             normalized.setdefault(y, {})[t] = (
@@ -148,7 +146,7 @@ def outlink_stats(analyzed):
 
 
 # One row of the wide CSV; the fields are its columns, in order, and the
-# tag averages follow TAG_FIELDS.
+# tag averages follow TAG_CLASSES.
 YearRow = namedtuple(
     "YearRow",
     "year snapshot_count sampled_pages"
@@ -159,13 +157,12 @@ YearRow = namedtuple(
 
 
 class StatsReport:
-    __slots__ = ("rows", "normalized_tags", "sample_size", "seed")
+    __slots__ = ("rows", "normalized_tags", "sample_size")
 
-    def __init__(self, rows=None, normalized_tags=None, sample_size=0, seed=0):
-        self.rows = [] if rows is None else rows  # YearRow, ascending year
-        # {year: {tag: [0,1]}}
-        self.normalized_tags = {} if normalized_tags is None else normalized_tags
-        self.sample_size, self.seed = sample_size, seed
+    def __init__(self, sample_size, normalized_tags):
+        self.rows = []  # YearRow, ascending year
+        self.normalized_tags = normalized_tags  # {year: {tag: [0,1]}}
+        self.sample_size = sample_size
 
     def write_wide_csv(self, path):
         """One row per year, plot-ready."""
@@ -184,7 +181,7 @@ class StatsReport:
                 for c, v in zip(YearRow._fields[1:], row[1:]):
                     if v is not None:
                         w.writerow([row.year, c, v])
-                for tag in TAG_FIELDS:
+                for tag in TAG_CLASSES:
                     norm = self.normalized_tags.get(row.year, {}).get(tag)
                     if norm is not None:
                         w.writerow([row.year, "normalized_%s" % tag, norm])
@@ -203,7 +200,7 @@ def build_report(index, archive, n, seed):
     for e in sample:
         sampled_per_year[e.year] = sampled_per_year.get(e.year, 0) + 1
 
-    report = StatsReport(sample_size=len(sample), seed=seed, normalized_tags=normalized)
+    report = StatsReport(len(sample), normalized)
     for year in sorted(set(histogram) | set(sampled_per_year)):
         tags = averages.get(year)
         report.rows.append(
@@ -212,7 +209,7 @@ def build_report(index, archive, n, seed):
                 histogram.get(year, 0),
                 sampled_per_year.get(year, 0),
                 *rates.get(year, (None, None)),
-                *(None if tags is None else tags[t] for t in TAG_FIELDS),
+                *(None if tags is None else tags[t] for t in TAG_CLASSES),
                 *outlinks.get(year, (None, None, None)),
             )
         )

@@ -173,12 +173,10 @@ PASSED_OVER = (
 class IngestStats:
     __slots__ = ("records", "responses", "skipped", "bytes", "passed_over")
 
-    def __init__(self, records=0, responses=0, skipped=0, bytes=0, passed_over=None):
-        self.records, self.responses, self.skipped, self.bytes = records, responses, skipped, bytes
+    def __init__(self):
+        self.records = self.responses = self.skipped = self.bytes = 0
         # non-response records by WARC-Type, in PASSED_OVER order, then "other"
-        if passed_over is None:
-            passed_over = dict.fromkeys(PASSED_OVER + ("other",), 0)
-        self.passed_over = passed_over
+        self.passed_over = dict.fromkeys(PASSED_OVER + ("other",), 0)
 
 
 def ingest_warc(path, stats=None):
@@ -200,7 +198,7 @@ def ingest_warc(path, stats=None):
     for offset, length, rec in warc.iter_records(path):
         stats.records += 1
         stats.bytes += length
-        # One scan; the first header of a name wins, as in WarcRecord.header.
+        # One scan; the first header of a name wins, as for Content-Length.
         fields = {name.lower(): value for name, value in reversed(rec.headers)}
         kind = fields.get("warc-type")
         if kind != "response":

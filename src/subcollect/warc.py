@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections import namedtuple
 
 __all__ = [
     "ArchiveIOError",
@@ -48,19 +49,8 @@ class WarcFormatError(ValueError):
         self.offset = offset
 
 
-class WarcRecord:
-    __slots__ = ("headers", "payload")
-
-    def __init__(self, headers=None, payload=b""):
-        self.headers = [] if headers is None else headers  # ordered (name, value) pairs
-        self.payload = payload
-
-    def header(self, name):
-        name = name.lower()
-        for k, v in self.headers:
-            if k.lower() == name:
-                return v
-        return None
+# headers: the ordered (name, value) pairs of the header block.
+WarcRecord = namedtuple("WarcRecord", "headers payload")
 
 
 def _parse_header(block, offset):

@@ -80,7 +80,6 @@ def _scan(text, page):
                 link = _link(base, href.strip(), page_host)
                 if link is not None:
                     outlinks.append(link)
-                    counts["anchor"] += 1
         elif tag == "table" or tag == "div":
             counts[tag] += 1
         elif tag == "script" or tag == "style":

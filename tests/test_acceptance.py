@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from subcollect.cli import main
 from subcollect.evaluation import (
-    TruthSet,
     facet_entropy,
     link_completeness,
     precision,
@@ -138,8 +137,8 @@ def test_acceptance_3_metric_exactness(tmp_path):
     assert abs(lc_sum - 1.5) < TOL
     assert abs(lc_mean - 0.75) < TOL
 
-    truth = TruthSet(
-        relevant_refs={
+    truth = frozenset(
+        {
             ("http://s1.de/", "20000101000000"),
             ("http://s2.de/", "20000101000100"),
             ("http://out.de/", "20000104000000"),

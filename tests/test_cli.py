@@ -268,6 +268,50 @@ def test_evaluate_without_truth_lacks_precision(workspace, capsys):
     assert "recall" not in keys
 
 
+def evaluate_with_truth(workspace, capsys, truth_text):
+    """(exit code, stdout keys, stderr, CSV path) of `evaluate --truth`
+    over the URL_TIME_SPEC manifest, whose one member is
+    http://a.de/ 20000101120000."""
+    manifest = _manifest(workspace)
+    capsys.readouterr()
+    truth = workspace["tmp"] / "truth"
+    truth.write_text(truth_text)
+    csv_out = workspace["tmp"] / "report.csv"
+    code = main([
+        "evaluate", manifest, "--index", workspace["index"],
+        "--archive-dir", workspace["archive_dir"], "--truth", str(truth),
+        "--output", str(csv_out),
+    ])
+    out, err = capsys.readouterr()
+    keys = dict(l.split("=", 1) for l in out.splitlines())
+    return code, keys, err, csv_out
+
+
+def test_evaluate_canonicalizes_truth_urls(workspace, capsys):
+    code, keys, _, _ = evaluate_with_truth(
+        workspace, capsys, "SUBCOLLECT-TRUTH 1\nhttp://A.DE:80/#frag 20000101120000\n"
+    )
+    assert code == 0
+    assert float(keys["precision"]) == float(keys["recall"]) == 1.0
+
+
+# tests/test_evaluation.py checks every kind of bad line; here, that one
+# ends `evaluate` with exit 2 even when it is a bad URL, whose own error
+# class gives exit 1.
+@pytest.mark.parametrize("line", [
+    "http://a.de/ 2000",  # a timestamp of 4 digits
+    "http://[::1/ 20000101120000",  # a URL that cannot be canonicalized
+])
+def test_evaluate_malformed_truth_line_code_2_and_no_csv(workspace, capsys, line):
+    code, keys, err, csv_out = evaluate_with_truth(
+        workspace, capsys, "SUBCOLLECT-TRUTH 1\nhttp://a.de/ 20000101120000\n%s\n" % line
+    )
+    assert code == 2
+    assert keys == {}
+    assert err.startswith("error: %s:3: " % (workspace["tmp"] / "truth")), err
+    assert not csv_out.exists()
+
+
 def test_evaluate_unresolvable_member_code_2(workspace):
     bogus = workspace["tmp"] / "bogus.manifest"
     bogus.write_text(

@@ -1,16 +1,15 @@
 import json
 import math
-import os
 
 import pytest
 
 from subcollect import evaluation
 from subcollect.evaluation import (
-    TruthSet,
     default_link_oracle,
     evaluate,
     facet_entropy,
     link_completeness,
+    load_truth,
     precision,
     recall,
     representativeness,
@@ -35,7 +34,7 @@ def coll_of(*pairs):
 
 
 def truth_of(*pairs):
-    return TruthSet(relevant_refs=set(pairs))
+    return frozenset(pairs)
 
 
 A1 = ("http://a.de/", "20000101000000")
@@ -75,7 +74,7 @@ def test_recall_two_of_eight():
 
 
 def test_recall_empty_truth_not_applicable():
-    assert recall(coll_of(A1), TruthSet()) is None
+    assert recall(coll_of(A1), frozenset()) is None
 
 
 def test_precision_recall_order_invariant():
@@ -88,18 +87,29 @@ def test_precision_recall_order_invariant():
 
 
 def test_truth_set_roundtrip(tmp_path):
-    t = truth_of(A1, B1)
     path = tmp_path / "truth"
-    t.save(str(path))
-    assert path.read_text().startswith("SUBCOLLECT-TRUTH 1\n")
-    assert TruthSet.load(str(path)).relevant_refs == t.relevant_refs
+    path.write_text("SUBCOLLECT-TRUTH 1\n%s %s\n\n%s %s\n" % (A1 + B1))
+    assert load_truth(str(path)) == truth_of(A1, B1)
 
 
-def test_failed_truth_set_save_leaves_no_file(tmp_path):
-    t = TruthSet(relevant_refs={("http://a.de/", "20000101000000"), (1, 2)})
-    with pytest.raises(TypeError):  # the refs do not sort
-        t.save(str(tmp_path / "truth"))
-    assert os.listdir(tmp_path) == []
+@pytest.mark.parametrize("text, lineno", [
+    ("SUBCOLLECT-TRUTH 2\n", 1),
+    ("http://a.de/ 20000101000000\n", 1),  # no header
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/\n", 2),
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/ 20000101000000 x\n", 2),
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/  20000101000000\n", 2),
+    ("SUBCOLLECT-TRUTH 1\n\nhttp://[::1/ 20000101000000\n", 3),
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/x 20000201000000\nhttp://a.de/x 2000\n", 3),
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/ 20000230000000\n", 2),
+    ("SUBCOLLECT-TRUTH 1\nhttp://a.de/ 2000010100000\u0660\n", 2),
+])
+def test_truth_file_errors_name_path_and_line(tmp_path, text, lineno):
+    path = tmp_path / "truth"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_truth(str(path))
+    assert str(info.value).startswith("%s:%d: " % (path, lineno))
+    assert type(info.value) is ValueError  # not a CanonicalizationError: exit 2
 
 
 # link completeness ---------------------------------------------------------

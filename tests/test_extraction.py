@@ -435,7 +435,7 @@ def forty_long_rejected_pages_and_one_topic_page(tmp_path):
     words = " ".join("cooking%d" % i for i in range(5000))
     captures = [("http://no.de/%d" % i, ts(i), page(text=words)) for i in range(40)]
     captures.append(
-        ("http://yes.de/", ts(40), page(text="web archive", links=["http://no.de/0"]))
+        ("http://yes.de/", ts(40), page(text="<div>web archive</div>", links=["http://no.de/0"]))
     )
     return build_archive(tmp_path, captures)
 
@@ -459,7 +459,7 @@ def test_scan_keeps_no_tokens_of_a_judged_capture(tmp_path):
     assert all(analyses[e].tokens == [] for e in verdicts)
     # The closure still reads the links of a judged page.
     assert analyses[kept[0]].outlink_targets() == ["http://no.de/0"]
-    assert analyses[kept[0]].tag_counts["anchor"] == 1
+    assert analyses[kept[0]].tag_counts["div"] == 1
 
 
 def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
@@ -467,7 +467,7 @@ def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
         tmp_path,
         [
             ("http://a.de/", ts(0), page(text="web archive", links=["http://b.de/"])),
-            ("http://b.de/", ts(60), page(text="long text", links=["http://c.de/"])),
+            ("http://b.de/", ts(60), page(text="<div>long text</div>", links=["http://c.de/"])),
             ("http://c.de/", ts(120), page(text="more text")),
         ],
     )
@@ -479,7 +479,7 @@ def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
     # The links and tag counts stay for a later read.
     b = member_of(fx.index, "http://b.de/", ts(60)).entry
     assert analyses[b].outlink_targets() == ["http://c.de/"]
-    assert analyses[b].tag_counts["anchor"] == 1
+    assert analyses[b].tag_counts["div"] == 1
 
 
 # enforce_size --------------------------------------------------------------

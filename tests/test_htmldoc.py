@@ -63,12 +63,6 @@ def test_link_with_non_ascii_port_dropped():
     assert a.outlink_targets() == ["http://b.de/y"]
 
 
-def test_anchor_count_equals_outlinks():
-    html = b'<a href="/x">x</a><a>no href</a><a href="mailto:z">z</a>'
-    a = parse_html(html, "http://a.de/")
-    assert a.tag_counts["anchor"] == len(a.outlinks) == 1
-
-
 def test_style_element_and_linked_style():
     html = (
         b"<style>body{}</style>"
@@ -411,7 +405,6 @@ class _Collector(HTMLParser):
         internal = strip_www(host_of(target)) == self.page_host
         kind = "internal" if internal else "external"
         self.analysis.outlinks.append(LinkRecord(target=target, kind=kind))
-        self.analysis.tag_counts["anchor"] += 1
 
 
 def reference_analysis(html, page_url):
@@ -634,7 +627,8 @@ MARKUP_BITS = [
 @given(st.lists(st.sampled_from(MARKUP_BITS), max_size=30).map("".join))
 def test_any_markup_yields_an_analysis(html):
     a = parse_html(html, "http://a.de/")
-    assert a.tag_counts["anchor"] == len(a.outlinks)
+    # Each outlink comes from its own <a start tag.
+    assert len(a.outlinks) <= html.lower().count("<a")
 
 
 def test_markup_inside_a_read_span_is_not_read():

@@ -1,7 +1,8 @@
 """Every import in the package sits at module level, so a module's
 dependencies are visible at its top and no cycle is dodged by deferring
 one. Each command runs as a fresh process, so what the CLI imports is
-paid on every call."""
+paid on every call. No linter is needed for the rest: every module-level
+import is used or exported, and every exported name is defined."""
 
 import ast
 import glob
@@ -42,3 +43,57 @@ def test_cli_imports_no_code_generator():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == []
+
+
+def _module_names(path):
+    """(imported, defined, used, exported) name sets of one module, read
+    by ``ast``: what its module-level imports bind, less any line marked
+    ``# noqa: F401``; everything bound at module level; every name read
+    anywhere; and the strings in ``__all__``."""
+    with open(path, encoding="utf-8") as f:
+        source = f.read()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=path)
+    imported, defined, exported = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                defined.add(name)
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add(name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported.update(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported, defined, used, exported
+
+
+def _package_modules():
+    package = os.path.dirname(subcollect.__file__)
+    paths = sorted(glob.glob(os.path.join(package, "*.py")))
+    assert paths
+    return paths
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for path in _package_modules():
+        imported, _, used, exported = _module_names(path)
+        unused += ["%s: %s" % (os.path.basename(path), n) for n in sorted(imported - used - exported)]
+    assert unused == []
+
+
+def test_every_exported_name_is_defined():
+    missing = []
+    for path in _package_modules():
+        _, defined, _, exported = _module_names(path)
+        missing += ["%s: %s" % (os.path.basename(path), n) for n in sorted(exported - defined)]
+    assert missing == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from subcollect.htmldoc import PageAnalysis, tokenize
-from subcollect.relevance import RelevanceVerdict, entity_match, is_relevant, keyword_score
+from subcollect.relevance import RelevanceVerdict, is_relevant
 from subcollect.spec import EntityRef, SubCollectionSpec
 
 
@@ -17,6 +17,18 @@ def brute_cosine(tokens, terms):
     na = math.sqrt(sum(a * a for a in tf))
     nb = math.sqrt(sum(b * b for b in kw))
     return dot / (na * nb) if na and nb else 0.0
+
+
+def keyword_score(tokens, keywords):
+    """The score is_relevant gives a page under a keyword-only spec."""
+    spec = SubCollectionSpec(keyword_scope=tuple(keywords), relevance_threshold=0.0)
+    return is_relevant(PageAnalysis(tokens=list(tokens)), spec).keyword_score
+
+
+def entity_match(tokens, entity):
+    """Whether is_relevant finds ``entity`` on a page under an entity-only spec."""
+    spec = SubCollectionSpec(entity_scope=(entity,))
+    return entity.id in is_relevant(PageAnalysis(tokens=list(tokens)), spec).matched_entities
 
 
 def test_keyword_score_hand_example():

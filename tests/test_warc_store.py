@@ -793,18 +793,17 @@ def decoding_parse_record(data, offset):
         if not sep:
             raise warc.WarcFormatError("malformed header line %r" % line, offset)
         headers.append((name.strip(), value.strip()))
-    rec = warc.WarcRecord(headers=headers)
-    length = rec.header("Content-Length")
+    # The first header named Content-Length in any case.
+    length = next((v for k, v in headers if k.lower() == "content-length"), None)
     if length is None or not length.isdigit():
         raise warc.WarcFormatError("missing or invalid Content-Length", offset)
     length = int(length)
     body_start = head_end + 4
     if len(data) < body_start + length + 4:
         raise warc.WarcFormatError("truncated record payload", offset)
-    rec.payload = data[body_start : body_start + length]
     if data[body_start + length : body_start + length + 4] != b"\r\n\r\n":
         raise warc.WarcFormatError("missing record terminator", offset)
-    return rec, body_start + length + 4
+    return warc.WarcRecord(headers, data[body_start : body_start + length]), body_start + length + 4
 
 
 def decoded_content_length(data):

@@ -8,14 +8,11 @@ window) -> link closure (connected mode) -> size enforcement
 archive, spec, and seed.
 
 The scan and the closure read captures through one memo per run
-(``htmldoc.analyze_capture``): each capture is fetched at most once, and
-one that cannot be read is stored as None, counted once in ``errors``
-and otherwise treated as a page without text or links. A second memo
-keeps each capture's relevance verdict, so each capture is judged at
-most once. Only judging reads a page's tokens, so once a capture is
-judged its memo analysis keeps just its outlinks and tag counts: the
+(:func:`_read`): each capture is fetched, parsed and judged at most
+once, and the memo keeps only its outlinks and relevance verdict, so the
 memory of a scan grows with the links of the pages it reads, not with
-their text.
+their text. A capture that cannot be read is stored as None, counted
+once in ``errors`` and otherwise treated as a page without text or links.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from .urls import host_of
 
 __all__ = [
     "Member",
+    "Page",
     "SubCollection",
     "index_prefilter",
     "scan_extract",
@@ -123,38 +121,36 @@ def index_prefilter(index, spec):
     return [e for e in index if in_scope_metadata(spec, e)]
 
 
-def _drop_tokens(entry, analysis, analyses):
-    """Keep only the links and tag counts of ``analysis`` in the run's
-    ``analyses`` memo: once a page is judged or its links are read,
-    nothing in a run reads its tokens again."""
-    if analysis is not None and analysis.tokens:
-        analyses[entry] = PageAnalysis(outlinks=analysis.outlinks, tag_counts=analysis.tag_counts)
+# outlinks is a PageAnalysis's list of LinkRecord; relevant is its verdict.
+Page = namedtuple("Page", "outlinks relevant")
 
 
-def _relevant(archive, entry, spec, analyses, verdicts):
-    """Whether the capture ``entry`` passes the content scopes; one that
-    cannot be read is judged as a page without text. The verdict goes
-    into the run's ``verdicts`` memo, so each capture is judged once, and
-    the capture's tokens leave the ``analyses`` memo."""
-    if entry not in verdicts:
-        analysis = analyze_capture(archive, entry, analyses)
-        verdicts[entry] = is_relevant(analysis or PageAnalysis(), spec).relevant
-        _drop_tokens(entry, analysis, analyses)
-    return verdicts[entry]
+def _read(archive, entry, spec, pages):
+    """The Page of the capture ``entry``, or None when it cannot be read.
+
+    ``pages`` is the memo of one run, keyed by the whole entry, since the
+    index keeps apart two captures of one URL in the same second. The
+    first call fetches, parses and judges the capture, stores either
+    outcome and drops the analysis with its tokens, so each capture is
+    fetched and judged at most once.
+    """
+    if entry not in pages:
+        analysis = analyze_capture(archive, entry)
+        pages[entry] = analysis and Page(analysis.outlinks, is_relevant(analysis, spec).relevant)
+    return pages[entry]
 
 
-def scan_extract(archive, candidates, spec, analyses, verdicts):
+def scan_extract(archive, candidates, spec, pages):
     """Fetch every candidate once and apply the content scopes.
 
     ``candidates`` is the result of :func:`index_prefilter`. Returns the
-    kept entries (candidate order). The analyses and verdicts go into the
-    run's ``analyses`` and ``verdicts`` memos; a candidate that cannot be
-    read is not kept.
+    kept entries (candidate order); each candidate is read through the
+    run's ``pages`` memo, and one that cannot be read is not kept.
     """
     kept = []
     for entry in candidates:
-        analysis = analyze_capture(archive, entry, analyses)
-        if analysis is not None and _relevant(archive, entry, spec, analyses, verdicts):
+        page = _read(archive, entry, spec, pages)
+        if page is not None and page.relevant:
             kept.append(entry)
     return kept
 
@@ -228,7 +224,7 @@ def select_versions(candidates, version_mode):
     return selected
 
 
-def connect_closure(members, archive, index, spec, analyses, verdicts):
+def connect_closure(members, archive, index, spec, pages):
     """Grow ``members`` until every in-archive link target is represented.
 
     For each member s and each outlink of s that has at least one
@@ -236,15 +232,16 @@ def connect_closure(members, archive, index, spec, analyses, verdicts):
     temporally nearest to s's crawl time is added (ties to the earlier
     capture). Runs to fixpoint, or stops after spec.closure_max_depth
     rounds. With policy "relevant_links" a candidate capture is only
-    added if it passes the content scopes. Pages are read through the
-    run's ``analyses`` memo, which then drops their tokens, and judged
-    through its ``verdicts`` memo; one unreadable has no links or text.
+    added if it passes the content scopes. Pages are read and judged
+    through the run's ``pages`` memo; one that cannot be read has no
+    links, and is judged as a page without text.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
     """
     members = list(members)
     present = {m.entry.canonical_url for m in members}
+    judge = spec.closure_policy == "relevant_links" and spec.has_content_scopes()
     added = 0
     depth = 0
     frontier = sorted(members, key=_member_order)
@@ -255,17 +252,18 @@ def connect_closure(members, archive, index, spec, analyses, verdicts):
         depth += 1
         new_members = []
         for m in frontier:
-            analysis = analyze_capture(archive, m.entry, analyses) or PageAnalysis()
-            _drop_tokens(m.entry, analysis, analyses)
-            for link in analysis.outlinks:
+            page = _read(archive, m.entry, spec, pages)
+            for link in page.outlinks if page is not None else ():
                 if link.target in present:
                     continue
                 try:
                     capture = index.lookup_nearest(link.target, m.entry.timestamp14)
                 except SnapshotNotFound:
                     continue  # not available in the archive
-                if spec.closure_policy == "relevant_links" and spec.has_content_scopes():
-                    if not _relevant(archive, capture, spec, analyses, verdicts):
+                if judge:
+                    # A target that cannot be read is judged as a page without text.
+                    target = _read(archive, capture, spec, pages)
+                    if not (target or is_relevant(PageAnalysis(), spec)).relevant:
                         continue
                 present.add(link.target)
                 new_members.append(Member(entry=capture, origin="closure"))
@@ -363,19 +361,16 @@ def enforce_size(members, size_scope, index, seed):
 def extract(archive, index, spec):
     """Run the full pipeline and return the resulting SubCollection."""
     fetches_before = archive.counter.fetches
-    analyses = {}
-    verdicts = {}
+    pages = {}
 
     candidates = index_prefilter(index, spec)
-    kept = scan_extract(archive, candidates, spec, analyses, verdicts)
+    kept = scan_extract(archive, candidates, spec, pages)
     selected = select_versions(kept, spec.version_mode)
     members = [Member(entry=e, origin="scan") for e in selected]
 
     closure_added = 0
     if spec.link_mode == "connected":
-        members, closure_added = connect_closure(
-            members, archive, index, spec, analyses, verdicts
-        )
+        members, closure_added = connect_closure(members, archive, index, spec, pages)
 
     members = enforce_size(members, spec.size_scope, index, spec.seed)
 
@@ -385,7 +380,7 @@ def extract(archive, index, spec):
         "candidates_scanned": len(candidates),
         "fetches": archive.counter.fetches - fetches_before,
         "closure_added": closure_added,
-        "errors": sum(1 for a in analyses.values() if a is None),
+        "errors": sum(1 for p in pages.values() if p is None),
         "members": len(coll.members),
     }
     return coll

@@ -283,7 +283,7 @@ def _decode(body, charset_hint):
             continue
         try:
             return body.decode(charset, "replace")
-        except LookupError:
+        except (LookupError, UnicodeError):  # unknown, or no "replace" decoder
             continue
     # Era-appropriate fallback: Latin-1 never fails to decode.
     return body.decode("latin-1", "replace")
@@ -326,17 +326,9 @@ def analyze(snapshot, tokens=True):
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
 
 
-def analyze_capture(archive, entry, analyses, tokens=True):
-    """Analysis of the capture ``entry``, or None when it cannot be read.
-
-    ``analyses`` is the memo of one run, keyed by the whole entry, since
-    the index keeps apart two captures of one URL in the same second:
-    either outcome is stored there, so each capture is fetched at most once.
-    All calls on one memo pass the same ``tokens``.
-    """
-    if entry not in analyses:
-        try:
-            analyses[entry] = analyze(archive.fetch(entry), tokens)
-        except (CorruptSnapshotError, OSError):
-            analyses[entry] = None
-    return analyses[entry]
+def analyze_capture(archive, entry, tokens=True):
+    """Fetch and analyze the capture ``entry``; None when it cannot be read."""
+    try:
+        return analyze(archive.fetch(entry), tokens)
+    except (CorruptSnapshotError, OSError):
+        return None

@@ -68,8 +68,7 @@ def analyze_sample(sample, archive):
     Exactly len(sample) fetches; captures that cannot be read are dropped.
     The analyses carry no tokens.
     """
-    analyses = {}
-    pairs = [(e, analyze_capture(archive, e, analyses, tokens=False)) for e in sample]
+    pairs = [(e, analyze_capture(archive, e, tokens=False)) for e in sample]
     return [(e, analysis) for e, analysis in pairs if analysis is not None]
 
 

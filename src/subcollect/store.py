@@ -110,7 +110,6 @@ class IndexEntry(
     namedtuple(
         "IndexEntry",
         "canonical_url timestamp14 mime http_status digest file_id offset length",
-        defaults=("application/octet-stream", 200, "", "", 0, 0),
     )
 ):
     """One archived capture: canonical URL + crawl time + byte range.
@@ -152,15 +151,10 @@ Snapshot = namedtuple("Snapshot", "ref http_headers body")
 
 
 class AccessCounter:
-    """Monotonic fetch/byte counters (the run-time metric)."""
+    """Monotonic fetch counter (the run-time metric)."""
 
     def __init__(self):
         self.fetches = 0
-        self.bytes_read = 0
-
-    def record(self, nbytes):
-        self.fetches += 1
-        self.bytes_read += nbytes
 
 
 # The record types of ISO 28500 that ingest passes over; any other
@@ -402,7 +396,7 @@ class Archive:
             payload = warc.read_record(self._file(ref), ref.offset, ref.length)
         except warc.WarcFormatError as exc:
             raise CorruptSnapshotError(str(exc)) from exc
-        self.counter.record(ref.length)
+        self.counter.fetches += 1
         parsed = warc.parse_http_response(payload)
         if parsed is None:
             raise CorruptSnapshotError("record at %d is not an HTTP response" % ref.offset)

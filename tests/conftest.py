@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from subcollect.htmldoc import parse_html
-from subcollect.store import Archive, ArchiveIndex, IngestStats, ingest_warc
+from subcollect.store import Archive, ArchiveIndex, IndexEntry, IngestStats, ingest_warc
 
 import warcwriter
 
@@ -44,6 +44,13 @@ def page(title="", links=(), text=""):
         "<html><head><title>%s</title></head><body><p>%s</p>%s</body></html>"
         % (title, text, anchors)
     ).encode("utf-8")
+
+
+def index_entry(canonical_url, timestamp14, mime="application/octet-stream", http_status=200,
+                digest="", file_id="", offset=0, length=0):
+    """An IndexEntry built by hand; the fields a test leaves out take these
+    values. An empty digest turns off ``Archive.fetch``'s digest check."""
+    return IndexEntry(canonical_url, timestamp14, mime, http_status, digest, file_id, offset, length)
 
 
 def traced_peak(fn, *args):

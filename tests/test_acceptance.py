@@ -27,10 +27,10 @@ from subcollect.extraction import (
 )
 from subcollect.spec import SubCollectionSpec
 from subcollect.stats import analyze_sample, link_in_archive_rate, sample_refs
-from subcollect.store import Archive, ArchiveIndex, IndexEntry, ingest_warc, timestamp14_to_epoch
+from subcollect.store import Archive, ArchiveIndex, ingest_warc, timestamp14_to_epoch
 from subcollect.urls import host_of
 
-from conftest import build_archive, iso_of, page
+from conftest import build_archive, index_entry, iso_of, page
 import warcwriter
 
 
@@ -175,10 +175,10 @@ def test_acceptance_3_metric_exactness(tmp_path):
         members=[
             Member(entry=e, origin="scan")
             for e in [
-                IndexEntry("http://a.de/1", "20000101000000"),
-                IndexEntry("http://a.de/2", "20000101000001"),
-                IndexEntry("http://b.de/", "20000101000002"),
-                IndexEntry("http://c.de/", "20000101000003"),
+                index_entry("http://a.de/1", "20000101000000"),
+                index_entry("http://a.de/2", "20000101000001"),
+                index_entry("http://b.de/", "20000101000002"),
+                index_entry("http://c.de/", "20000101000003"),
             ]
         ]
     )
@@ -332,7 +332,7 @@ def _index_entries(draw):
     for i, (host, p, year) in enumerate(rows):
         url = "http://%s/p%d" % (host, p)
         entries.append(
-            IndexEntry(
+            index_entry(
                 canonical_url=url,
                 timestamp14="%s0601%06d" % (year, i),
                 digest="%064x" % i,

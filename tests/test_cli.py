@@ -193,6 +193,33 @@ def test_extract_counts_non_ascii_content_length_as_one_error(workspace, capsys)
     assert (code, counters["errors"], counters["members"]) == (0, "1", "3")
 
 
+@pytest.mark.parametrize("command", ["extract", "stats"])
+@pytest.mark.parametrize("charset", ["undefined", "idna", "punycode"])
+def test_undecodable_meta_charset_is_an_unknown_charset(workspace, capsys, command, charset):
+    # Python knows these codecs, yet each raises UnicodeError on this body
+    # even with errors="replace".
+    body = ('<meta charset="%s"><p>web archive école</p>' % charset).encode("latin-1")
+    extra = pathlib.Path(workspace["archive_dir"]) / "g.warc"
+    warcwriter.write_warc(
+        str(extra), [warcwriter.make_response_record("http://c.de/", iso_of("20000701120000"), body)]
+    )
+    assert main(["index", workspace["warc"], str(extra), "--output", workspace["index"]]) == 0
+    capsys.readouterr()
+    if command == "extract":
+        code, _ = run_extract(workspace, {"name": "all", "scopes": {"domains": ["de"]}})
+        printed = capsys.readouterr().out
+    else:
+        code = main(["stats", "--index", workspace["index"], "--archive-dir",
+                     workspace["archive_dir"], "--output", str(workspace["tmp"] / "s.csv")])
+        printed = capsys.readouterr().err
+    assert code == 0
+    counters = dict(l.split("=") for l in printed.split())
+    if command == "extract":
+        assert (counters["errors"], counters["members"]) == ("0", "5")
+    else:
+        assert counters["sampled_pages"] == "5"
+
+
 def test_extract_deterministic_bytes(workspace):
     spec = {
         "name": "d",

@@ -17,14 +17,14 @@ from subcollect.evaluation import (
 )
 from subcollect.extraction import Member, SubCollection
 from subcollect.spec import SubCollectionSpec, in_scope_metadata, parse_spec
-from subcollect.store import ArchiveIndex, IndexEntry, timestamp14_to_epoch
+from subcollect.store import ArchiveIndex, timestamp14_to_epoch
 from subcollect.urls import host_of
 
-from conftest import build_archive, page
+from conftest import build_archive, index_entry, page
 
 
 def entry(url, ts14, mime="text/html"):
-    return IndexEntry(canonical_url=url, timestamp14=ts14, mime=mime)
+    return index_entry(canonical_url=url, timestamp14=ts14, mime=mime)
 
 
 def coll_of(*pairs):
@@ -335,8 +335,8 @@ def test_default_link_oracle_judges_each_url_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "in_scope_metadata", counting)
     index = ArchiveIndex(
-        [IndexEntry("http://a.de/x", "2001010100000%d" % i) for i in range(3)]
-        + [IndexEntry("http://b.de/y", "20050101000000")]
+        [index_entry("http://a.de/x", "2001010100000%d" % i) for i in range(3)]
+        + [index_entry("http://b.de/y", "20050101000000")]
     )
     spec = SubCollectionSpec(time_scope=("20050101000000", "20051231235959"))
     oracle = default_link_oracle(index, spec)

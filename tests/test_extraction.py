@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcollect import extraction
 from subcollect.extraction import (
     Member,
+    Page,
     SubCollection,
     _largest_remainder_quotas,
     connect_closure,
@@ -18,12 +19,13 @@ from subcollect.extraction import (
     scan_extract,
     select_versions,
 )
+from subcollect.htmldoc import LinkRecord
 from subcollect.relevance import is_relevant
 from subcollect.spec import SubCollectionSpec
-from subcollect.store import IndexEntry, timestamp14_to_epoch
+from subcollect.store import timestamp14_to_epoch
 from subcollect.urls import host_of
 
-from conftest import build_archive, damage_warc, page, traced_peak
+from conftest import build_archive, damage_warc, index_entry, page, traced_peak
 
 
 def ts(sec):
@@ -123,7 +125,7 @@ def test_prefilter_domain_scope(three_hosts):
 def test_scan_without_content_scopes_equals_prefilter(three_hosts):
     spec = SubCollectionSpec(domain_scope=("a.de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
     assert kept == candidates
     assert three_hosts.archive.counter.fetches == 3
 
@@ -148,7 +150,7 @@ def test_scan_keyword_filter(tmp_path):
         keyword_scope=("web", "archive"),
         relevance_threshold=0.5,
     )
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
     assert {e.canonical_url for e in kept} == {"http://h0.de/", "http://h2.de/"}
     assert fx.archive.counter.fetches == 6
 
@@ -156,7 +158,7 @@ def test_scan_keyword_filter(tmp_path):
 def test_scan_empty_archive(tmp_path):
     fx = build_archive(tmp_path, [])
     spec = SubCollectionSpec(domain_scope=("de",))
-    assert scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {}) == []
+    assert scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}) == []
     assert fx.archive.counter.fetches == 0
 
 
@@ -172,11 +174,11 @@ def test_scan_corrupt_candidate_skipped(tmp_path):
     data = bytearray(fx.path.read_bytes())
     data[victim.offset + victim.length - 10] ^= 0xFF
     fx.path.write_bytes(bytes(data))
-    analyses = {}
+    pages = {}
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, analyses, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, pages)
     assert [e.canonical_url for e in kept] == ["http://a.de/"]
-    assert [e.canonical_url for e, a in analyses.items() if a is None] == ["http://b.de/"]
+    assert [e.canonical_url for e, p in pages.items() if p is None] == ["http://b.de/"]
 
 
 def test_scan_reads_each_capture_of_the_same_second(tmp_path):
@@ -191,7 +193,7 @@ def test_scan_reads_each_capture_of_the_same_second(tmp_path):
     spec = SubCollectionSpec(
         domain_scope=("de",), keyword_scope=("web", "archive"), relevance_threshold=0.5
     )
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
     assert len(kept) == 1
     assert fx.archive.counter.fetches == 2
 
@@ -202,14 +204,14 @@ def test_scan_reads_each_capture_of_the_same_second(tmp_path):
 def test_timeline_keeps_all(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
     assert len(select_versions(kept, "timeline")) == 6
 
 
 def test_snapshot_one_per_url(three_hosts):
     spec = SubCollectionSpec(domain_scope=("de",))
     candidates = index_prefilter(three_hosts.index, spec)
-    kept = scan_extract(three_hosts.archive, candidates, spec, {}, {})
+    kept = scan_extract(three_hosts.archive, candidates, spec, {})
     selected = select_versions(kept, "snapshot")
     urls = [e.canonical_url for e in selected]
     assert len(urls) == len(set(urls)) == 4
@@ -226,7 +228,7 @@ def test_snapshot_follows_window_example(tmp_path):
             captures.append((url, ts(t), page("%s%d" % (url, t))))
     fx = build_archive(tmp_path, captures)
     spec = SubCollectionSpec(domain_scope=("de",))
-    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {}, {})
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, {})
     selected = select_versions(kept, "snapshot")
     got = {e.canonical_url: e.timestamp14 for e in selected}
     assert got == {"http://a.de/": ts(5), "http://b.de/": ts(4), "http://c.de/": ts(6)}
@@ -253,7 +255,7 @@ def test_closure_ignores_unindexed_targets(tmp_path):
         tmp_path, [("http://a.de/", ts(0), page(links=["http://gone.de/"]))]
     )
     members = [member_of(fx.index, "http://a.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 0
     assert len(grown) == 1
 
@@ -268,7 +270,7 @@ def test_closure_picks_nearest_capture(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", "20050601000000")]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 1
     added_member = [m for m in grown if m.origin == "closure"][0]
     assert added_member.entry.timestamp14 == "20060601000000"  # |1yr| < |2yr|
@@ -284,7 +286,7 @@ def test_closure_chain_reaches_fixpoint(tmp_path):
         ],
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {}, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), {})
     assert added == 2
     assert {m.entry.canonical_url for m in grown} == {
         "http://s.de/",
@@ -304,7 +306,7 @@ def test_closure_depth_limit(tmp_path):
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
     grown, added = connect_closure(
-        members, fx.archive, fx.index, closure_spec(closure_max_depth=1), {}, {}
+        members, fx.archive, fx.index, closure_spec(closure_max_depth=1), {}
     )
     assert added == 1
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://u.de/"}
@@ -329,7 +331,7 @@ def test_closure_relevant_links_policy(tmp_path):
         relevance_threshold=0.3,
     )
     members = [member_of(fx.index, "http://s.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, spec, {}, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, spec, {})
     assert {m.entry.canonical_url for m in grown} == {"http://s.de/", "http://yes.de/"}
     assert added == 1
 
@@ -392,17 +394,23 @@ def test_closure_judges_a_rejected_capture_once(tmp_path, monkeypatch):
         member_of(fx.index, "http://a.de/", ts(0)),
         member_of(fx.index, "http://b.de/", ts(60)),
     ]
-    grown, added = connect_closure(members, fx.archive, fx.index, relevant_links_spec(), {}, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, relevant_links_spec(), {})
     assert added == 0
-    assert judged == [("cooking", "only")]
+    # Each page is judged when it is first read: a.de, then the target it
+    # links to, then b.de, whose link reuses the verdict on no.de.
+    member_tokens = ("web", "archive", "link")
+    assert judged == [member_tokens, ("cooking", "only"), member_tokens]
 
 
-def test_extract_judges_each_capture_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("policy", ["all_links", "relevant_links"])
+def test_extract_judges_each_capture_once(tmp_path, monkeypatch, policy):
     fx = two_members_link_to_one_rejected_page(tmp_path)
     judged = counting_is_relevant(monkeypatch)
-    coll = extract(fx.archive, fx.index, relevant_links_spec())
-    assert coll.member_urls() == {"http://a.de/", "http://b.de/"}
-    # The scan judges all three pages; the closure reuses the verdict on no.de.
+    coll = extract(fx.archive, fx.index, relevant_links_spec()._replace(closure_policy=policy))
+    # Only "relevant_links" holds the rejected page out of the closure.
+    want = {"http://a.de/", "http://b.de/"} | ({"http://no.de/"} if policy == "all_links" else set())
+    assert coll.member_urls() == want
+    # The scan judges all three pages; the closure reuses each verdict.
     assert len(judged) == 3
     assert judged.count(("cooking", "only")) == 1
     assert coll.counters["fetches"] == 3
@@ -452,14 +460,15 @@ def test_extract_memory_does_not_grow_with_the_text_it_rejects(tmp_path):
 def test_scan_keeps_no_tokens_of_a_judged_capture(tmp_path):
     fx = forty_long_rejected_pages_and_one_topic_page(tmp_path)
     spec = SubCollectionSpec(keyword_scope=("web", "archive"), relevance_threshold=0.3)
-    analyses, verdicts = {}, {}
-    kept = scan_extract(fx.archive, list(fx.index), spec, analyses, verdicts)
+    pages = {}
+    kept = scan_extract(fx.archive, list(fx.index), spec, pages)
     assert [e.canonical_url for e in kept] == ["http://yes.de/"]
-    assert set(verdicts) == set(fx.index)
-    assert all(analyses[e].tokens == [] for e in verdicts)
-    # The closure still reads the links of a judged page.
-    assert analyses[kept[0]].outlink_targets() == ["http://no.de/0"]
-    assert analyses[kept[0]].tag_counts["div"] == 1
+    assert set(pages) == set(fx.index)
+    # Each memo entry holds only the page's outlinks and its verdict; the
+    # closure still reads the links of a judged page.
+    assert all(type(p) is Page and len(p) == 2 for p in pages.values())
+    assert pages[kept[0]] == ([LinkRecord("http://no.de/0", "external")], True)
+    assert sum(p.relevant for p in pages.values()) == 1
 
 
 def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
@@ -471,15 +480,14 @@ def test_closure_keeps_no_tokens_of_a_page_it_reads_for_links(tmp_path):
             ("http://c.de/", ts(120), page(text="more text")),
         ],
     )
-    analyses = {}
+    pages = {}
     members = [member_of(fx.index, "http://a.de/", ts(0))]
-    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), analyses, {})
+    grown, added = connect_closure(members, fx.archive, fx.index, closure_spec(), pages)
     assert added == 2 and fx.archive.counter.fetches == 3
-    assert all(a.tokens == [] for a in analyses.values())
-    # The links and tag counts stay for a later read.
+    assert all(type(p) is Page and len(p) == 2 for p in pages.values())
+    # The links and the verdict stay for a later read.
     b = member_of(fx.index, "http://b.de/", ts(60)).entry
-    assert analyses[b].outlink_targets() == ["http://c.de/"]
-    assert analyses[b].tag_counts["div"] == 1
+    assert pages[b] == ([LinkRecord("http://c.de/", "external")], True)
 
 
 # enforce_size --------------------------------------------------------------
@@ -704,7 +712,7 @@ def enforce_size_before(members, size_scope, index, seed):
 
 
 capture = st.builds(
-    lambda host, path, year, sec, digest: IndexEntry(
+    lambda host, path, year, sec, digest: index_entry(
         "http://%s/%s" % (host, path), "%d0101%s" % (year, ts(sec)[8:]), digest=digest
     ),
     st.sampled_from(["a.de", "www.b.de"]),
@@ -738,13 +746,13 @@ def test_enforce_size_equals_quadratic_refill(pool, picks, archive_extra, cut, s
 
 
 def test_enforce_size_refill_skips_members_equal_to_a_pick():
-    late = IndexEntry("http://www.b.de/p", "20020101000000")
-    early = IndexEntry("http://www.b.de/", "20010101000000")
+    late = index_entry("http://www.b.de/p", "20020101000000")
+    early = index_entry("http://www.b.de/", "20010101000000")
     members = [
         Member(late, "closure"), Member(late, "scan"), Member(early, "closure"),
         Member(late, "scan"), Member(late, "closure"), Member(late, "scan"),
     ]
-    other = IndexEntry("http://a.de/", early.timestamp14)
+    other = index_entry("http://a.de/", early.timestamp14)
     index = [m.entry for m in members] + [early] * 4 + [other] * 2
     out = enforce_size(members, 5, index, seed=2)
     assert out == enforce_size_before(members, 5, index, seed=2)

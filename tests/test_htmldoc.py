@@ -118,6 +118,17 @@ def test_latin1_default():
     assert a.tokens == ["école"]
 
 
+@pytest.mark.parametrize("charset", ["undefined", "idna", "punycode"])
+def test_charset_python_cannot_decode_is_unknown(charset):
+    # Each of these codecs raises UnicodeError on some body, even with
+    # errors="replace"; the next charset is tried, then Latin-1.
+    body = ('<meta charset="%s"><p>école</p>' % charset).encode("latin-1")
+    assert parse_html(body, "http://a.de/").tokens[-1] == "école"
+    assert parse_html(body, "http://a.de/", charset_hint=charset).tokens[-1] == "école"
+    utf8 = '<meta charset="utf-8"><p>école</p>'.encode("utf-8")
+    assert parse_html(utf8, "http://a.de/", charset_hint=charset).tokens[-1] == "école"
+
+
 def test_analysis_deterministic():
     body = b'<a href="/x">Go</a><div>Some Text</div>'
     a1 = parse_html(body, "http://a.de/")

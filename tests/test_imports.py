@@ -2,9 +2,11 @@
 dependencies are visible at its top and no cycle is dodged by deferring
 one. Each command runs as a fresh process, so what the CLI imports is
 paid on every call. No linter is needed for the rest: every module-level
-import is used or exported, and every exported name is defined."""
+import is used or exported, every exported name is defined, and every
+function, class and method is referenced somewhere else in the package."""
 
 import ast
+import collections
 import glob
 import os
 import subprocess
@@ -97,3 +99,33 @@ def test_every_exported_name_is_defined():
         _, defined, _, exported = _module_names(path)
         missing += ["%s: %s" % (os.path.basename(path), n) for n in sorted(exported - defined)]
     assert missing == []
+
+
+def _references(tree):
+    """How often each name is read, or named as an attribute, in ``tree``."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_definition_is_referenced_elsewhere():
+    # A function or class that only its own body or the tests name is code
+    # that no command runs; dunders are called by Python itself.
+    trees = {}
+    for path in _package_modules():
+        with open(path, encoding="utf-8") as f:
+            trees[path] = ast.parse(f.read(), filename=path)
+    everywhere = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    unreferenced = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if everywhere[name] == _references(node)[name]:
+                unreferenced.append("%s:%d: %s" % (os.path.basename(path), node.lineno, name))
+    assert unreferenced == []

@@ -13,7 +13,8 @@ from subcollect.spec import (
     parse_spec,
     serialize_spec,
 )
-from subcollect.store import IndexEntry
+
+from conftest import index_entry
 
 
 def spec_doc(**scopes):
@@ -21,7 +22,7 @@ def spec_doc(**scopes):
 
 
 def entry(url="http://a.de/", ts="20000601000000"):
-    return IndexEntry(canonical_url=url, timestamp14=ts)
+    return index_entry(canonical_url=url, timestamp14=ts)
 
 
 def test_url_plus_time_spec_parses():

@@ -19,7 +19,7 @@ from subcollect.store import (
     timestamp14_to_epoch,
 )
 
-from conftest import build_archive, page
+from conftest import build_archive, index_entry, page
 
 # --- oracles: the strptime versions, as they were -------------------------
 
@@ -195,7 +195,7 @@ def _dataclass_index_lines(rows):
 
 
 def test_entry_is_a_tuple_with_defaults(tmp_path):
-    e = IndexEntry("http://a.de/", "20000101000000")
+    e = index_entry("http://a.de/", "20000101000000")
     assert e == ("http://a.de/", "20000101000000", "application/octet-stream", 200, "", "", 0, 0)
     e = e._replace(file_id="f.warc")  # load rejects the default, an empty file id
     no_mime = e._replace(mime="", digest="d")

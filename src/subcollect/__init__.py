@@ -1,21 +1,5 @@
 """subcollect: extract and evaluate topic/event focused sub-collections
-from WARC web archives."""
-
-from .extraction import SubCollection, extract
-from .spec import SubCollectionSpec, parse_spec, parse_spec_file
-from .store import Archive, ArchiveIndex, IndexEntry, Snapshot, ingest_warc
+from WARC web archives. The package re-exports nothing, so importing it
+loads no module and a command loads only its own: import from the modules."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Archive",
-    "ArchiveIndex",
-    "IndexEntry",
-    "Snapshot",
-    "SubCollection",
-    "SubCollectionSpec",
-    "extract",
-    "ingest_warc",
-    "parse_spec",
-    "parse_spec_file",
-]

@@ -6,17 +6,18 @@ write error, 3 valid-but-empty result. Payload goes to stdout,
 diagnostics to stderr, so scripted refinement loops can branch on the
 code and parse the output without filtering. Output files are written
 through ``store.atomic_open``, so a failed write leaves no partial file.
+
+Each command runs as a fresh process, so only what ``index`` and ``get``
+run is imported at the top: ``store``, and ``urls``, where ``SpecError``
+lives. ``extract``, ``evaluate`` and ``stats`` import their own modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
-from . import evaluation, extraction, stats
-from .spec import SpecError, parse_spec_file
 from .store import (
     Archive,
     ArchiveIndex,
@@ -27,7 +28,7 @@ from .store import (
     ingest_warc,
     is_valid_timestamp14,
 )
-from .urls import CanonicalizationError
+from .urls import CanonicalizationError, SpecError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -35,8 +36,9 @@ EXIT_IO = 2
 EXIT_EMPTY = 3
 
 # Exit code of an error that ends a command, by the nearest class in the
-# exception's MRO: SpecError and CanonicalizationError are ValueErrors, and
-# WarcFormatError (ValueError) and ArchiveIOError (OSError) give EXIT_IO.
+# exception's MRO: SpecError and CanonicalizationError (both defined in
+# ``urls``) are ValueErrors, and WarcFormatError (ValueError) and
+# ArchiveIOError (OSError) give EXIT_IO.
 EXIT_CODES = {
     SpecError: EXIT_VALIDATION,
     CanonicalizationError: EXIT_VALIDATION,
@@ -75,7 +77,11 @@ def cmd_index(args):
     return EXIT_OK
 
 
+# This command, evaluate and stats import in their bodies for start-up time
+# only, so that index and get never compile those modules; no cycle is dodged.
 def cmd_extract(args):
+    from . import extraction
+    from .spec import parse_spec_file
     spec = parse_spec_file(args.spec)
     index = ArchiveIndex.load(args.index)
     with Archive(directory=args.archive_dir) as archive:
@@ -91,6 +97,9 @@ def cmd_extract(args):
 
 
 def cmd_evaluate(args):
+    import csv
+    from . import evaluation, extraction
+    from .spec import parse_spec_file
     index = ArchiveIndex.load(args.index)
     coll = extraction.SubCollection.read_manifest(args.manifest, index)
     truth = evaluation.load_truth(args.truth) if args.truth else None
@@ -108,6 +117,7 @@ def cmd_evaluate(args):
 
 
 def cmd_stats(args):
+    from . import stats
     if args.sample_n <= 0:
         _log("error: --sample-n must be positive")
         return EXIT_VALIDATION

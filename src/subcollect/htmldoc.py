@@ -72,6 +72,7 @@ dropped. A link is internal when its host equals the page's, one leading
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections import namedtuple
 from html import unescape
@@ -92,7 +93,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_TOKEN_TABLE = str.maketrans(
     {i: chr(i).lower() if chr(i).isalnum() else " " for i in range(128)}
 )
-_CHARSET_RE = re.compile(rb"charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.IGNORECASE)
+# A charset declared in a <meta> tag, by its charset attribute or its content;
+# the tag ends at the next "<" or ">", so each byte is read by one match.
+_CHARSET_RE = re.compile(rb"<meta[\t\n\r\f /][^<>]*?charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.I)
+# ``codecs.lookup`` names of codecs no browser decodes a page with; they
+# turn ASCII text into garbage or nothing.
+_NOT_PAGE_ENCODINGS = frozenset("punycode idna undefined unicode-escape raw-unicode-escape".split())
 
 # Markup at a "<". Groups: the "/" of an end tag, the tag name, and the
 # rest of the tag up to its ">" when that holds no quote. No match runs
@@ -279,11 +285,10 @@ def _scan(text, page, tokens):
 
 def _decode(body, charset_hint):
     for charset in (charset_hint, _meta_charset(body)):
-        if not charset:
-            continue
         try:
-            return body.decode(charset, "replace")
-        except (LookupError, UnicodeError):  # unknown, or no "replace" decoder
+            if charset and codecs.lookup(charset).name not in _NOT_PAGE_ENCODINGS:
+                return body.decode(charset, "replace")
+        except (LookupError, ValueError):  # unknown, has a NUL, or no "replace" decoder
             continue
     # Era-appropriate fallback: Latin-1 never fails to decode.
     return body.decode("latin-1", "replace")

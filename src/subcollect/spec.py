@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .htmldoc import tokenize
 from .store import is_valid_timestamp14
-from .urls import CanonicalizationError, canonicalize_url, host_of
+from .urls import CanonicalizationError, SpecError, canonicalize_url, host_of
 
 __all__ = [
     "SpecError",
@@ -26,10 +26,6 @@ __all__ = [
     "serialize_spec",
     "in_scope_metadata",
 ]
-
-
-class SpecError(ValueError):
-    """Invalid specification; message carries the offending field path."""
 
 
 class EntityRef(namedtuple("EntityRef", "id label aliases", defaults=((),))):

@@ -26,6 +26,7 @@ from collections import namedtuple
 __all__ = [
     "Base",
     "CanonicalizationError",
+    "SpecError",
     "canonicalize_url",
     "host_of",
     "page_base",
@@ -59,6 +60,10 @@ class CanonicalizationError(ValueError):
         super().__init__("%r: %s (at position %d)" % (url, message, position))
         self.url = url
         self.position = position
+
+
+class SpecError(ValueError):
+    """Invalid specification; message carries the offending field path."""
 
 
 def _netloc_error(netloc):

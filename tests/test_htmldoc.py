@@ -118,15 +118,53 @@ def test_latin1_default():
     assert a.tokens == ["école"]
 
 
-@pytest.mark.parametrize("charset", ["undefined", "idna", "punycode"])
+@pytest.mark.parametrize(
+    "charset", ["undefined", "idna", "punycode", "unicode_escape", "raw_unicode_escape"]
+)
 def test_charset_python_cannot_decode_is_unknown(charset):
-    # Each of these codecs raises UnicodeError on some body, even with
-    # errors="replace"; the next charset is tried, then Latin-1.
+    # Python knows these codecs, but no browser decodes a page with them:
+    # some raise UnicodeError on a body even with errors="replace", and most
+    # turn an ASCII page into garbage without an error (punycode drops the
+    # text, the escape codecs read backslashes). The next charset is
+    # tried, then Latin-1.
     body = ('<meta charset="%s"><p>école</p>' % charset).encode("latin-1")
     assert parse_html(body, "http://a.de/").tokens[-1] == "école"
     assert parse_html(body, "http://a.de/", charset_hint=charset).tokens[-1] == "école"
     utf8 = '<meta charset="utf-8"><p>école</p>'.encode("utf-8")
     assert parse_html(utf8, "http://a.de/", charset_hint=charset).tokens[-1] == "école"
+    ascii_page = ('<meta charset="%s"><a href="/x">web archive</a><p>C:\\new \\u00e9t\\u00e9</p>'
+                  % charset).encode("ascii")
+    for hint in (None, charset):
+        a = parse_html(ascii_page, "http://a.de/", charset_hint=hint)
+        assert a.outlink_targets() == ["http://a.de/x"]
+        assert a.tokens == ["web", "archive", "c", "new", "u00e9t", "u00e9"]
+
+
+def test_charset_in_body_text_is_not_a_declaration():
+    body = b'<p>Set charset=utf-16 in your editor.</p><a href="/x">web archive</a>'
+    a = parse_html(body, "http://a.de/")
+    assert a.outlink_targets() == ["http://a.de/x"]
+    assert a.tokens[-2:] == ["web", "archive"]
+
+
+@pytest.mark.parametrize("meta", [
+    b'<meta http-equiv="Content-Type" content="text/html; charset=utf-8">',
+    b'<META CONTENT="text/html; Charset=\'utf-8\'" HTTP-EQUIV="content-type">',
+    b"<meta\ncharset=utf-8/>",
+])
+def test_meta_declares_charset(meta):
+    a = parse_html(meta + "<p>über</p>".encode("utf-8"), "http://a.de/")
+    assert a.tokens[-1] == "über"
+
+
+def test_charset_only_in_an_attribute_of_another_tag_is_not_a_declaration():
+    body = '<p title="charset=utf-8">école</p>'.encode("latin-1")
+    assert parse_html(body, "http://a.de/").tokens[-1] == "école"
+
+
+def test_charset_hint_with_a_null_character_is_unknown():
+    a = parse_html(b'<a href="/x">web</a>', "http://a.de/", charset_hint="utf-8\x00")
+    assert (a.outlink_targets(), a.tokens) == (["http://a.de/x"], ["web"])
 
 
 def test_analysis_deterministic():

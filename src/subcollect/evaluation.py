@@ -5,6 +5,9 @@ width, facet entropy and representativeness are computed directly from
 the collection, the index, and the archive. Metrics that are undefined
 on a given input (empty result, empty truth, no outlinks) report None
 rather than a misleading 0 or 1.
+
+``evaluate`` names each metric of the report once, in output order;
+``EvaluationReport`` only formats that list.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
 ]
 
 TRUTH_HEADER = "SUBCOLLECT-TRUTH 1"
-FACETS = ("host", "year", "mime")
+FACETS = ("host", "mime", "year")  # in output order
 
 
 def load_truth(path):
@@ -212,48 +215,27 @@ def facet_entropy(collection, facet):
 
 
 class EvaluationReport:
-    __slots__ = (
-        "precision", "recall", "recall_by_stratum", "lc_sum", "lc_mean",
-        "temporal_width_seconds", "representativeness", "facet_entropy", "fetches",
-    )
+    """``items``: (metric, facet parts, value) of each defined metric, in
+    output order, then ``("fetches", (), fetches)``."""
 
-    def __init__(self):
-        self.precision = self.recall = self.lc_sum = self.lc_mean = None
-        self.temporal_width_seconds = None
-        self.recall_by_stratum, self.representativeness, self.facet_entropy = {}, {}, {}
-        self.fetches = 0
+    __slots__ = ("items", "fetches")
 
-    def items(self):
-        """(metric, facet parts, value) for every defined metric, in
-        output order; undefined metrics are omitted."""
-        items = [
-            ("precision", (), self.precision),
-            ("recall", (), self.recall),
-            ("lc_sum", (), self.lc_sum),
-            ("lc_mean", (), self.lc_mean),
-            ("temporal_width_seconds", (), self.temporal_width_seconds),
-        ]
-        for metric, values in (
-            ("representativeness", self.representativeness),
-            ("facet_entropy", self.facet_entropy),
-        ):
-            items += [(metric, (facet,), v) for facet, v in sorted(values.items())]
-        items += [("recall_stratum", hy, v) for hy, v in sorted(self.recall_by_stratum.items())]
-        items.append(("fetches", (), self.fetches))
-        return [item for item in items if item[2] is not None]
+    def __init__(self, items, fetches):
+        self.items = [item for item in items if item[2] is not None] + [("fetches", (), fetches)]
+        self.fetches = fetches
 
     def as_key_values(self):
         """Flat key=value lines: metric.facet..., where a stratum's recall
         is keyed recall.<host>.<year>."""
         lines = []
-        for metric, facet, value in self.items():
+        for metric, facet, value in self.items:
             key = ".".join((metric.removesuffix("_stratum"),) + facet)
             lines.append(("%s=%.10g" if isinstance(value, float) else "%s=%s") % (key, value))
         return lines
 
     def as_csv_rows(self):
         """(metric, facet, value) rows, the facet parts joined by ':'."""
-        return [(metric, ":".join(facet), value) for metric, facet, value in self.items()]
+        return [(metric, ":".join(facet), value) for metric, facet, value in self.items]
 
 
 def evaluate(collection, archive, index, truth=None, spec=None):
@@ -264,19 +246,16 @@ def evaluate(collection, archive, index, truth=None, spec=None):
     i.e. the disk-access cost of the evaluation itself.
     """
     fetches_before = archive.counter.fetches
-    report = EvaluationReport()
+    items = []
     if truth is not None:
-        report.precision = precision(collection, truth)
-        report.recall = recall(collection, truth)
-        report.recall_by_stratum = stratified_recall(collection, truth)
-    report.lc_sum, report.lc_mean = link_completeness(collection, archive, index, spec=spec)
-    report.temporal_width_seconds = temporal_width(collection)
-    for facet in FACETS:
-        rep = representativeness(collection, index, facet)
-        if rep is not None:
-            report.representativeness[facet] = rep
-        ent = facet_entropy(collection, facet)
-        if ent is not None:
-            report.facet_entropy[facet] = ent
-    report.fetches = archive.counter.fetches - fetches_before
-    return report
+        items += [("precision", (), precision(collection, truth)),
+                  ("recall", (), recall(collection, truth))]
+    lc_sum, lc_mean = link_completeness(collection, archive, index, spec=spec)
+    items += [("lc_sum", (), lc_sum), ("lc_mean", (), lc_mean),
+              ("temporal_width_seconds", (), temporal_width(collection))]
+    items += [("representativeness", (f,), representativeness(collection, index, f)) for f in FACETS]
+    items += [("facet_entropy", (f,), facet_entropy(collection, f)) for f in FACETS]
+    if truth is not None:
+        items += [("recall_stratum", hy, v)
+                  for hy, v in sorted(stratified_recall(collection, truth).items())]
+    return EvaluationReport(items, archive.counter.fetches - fetches_before)

@@ -100,10 +100,13 @@ class SubCollection:
                 if not line:
                     continue
                 parts = line.split(" ")
-                if len(parts) != 4:
-                    raise ValueError("%s:%d: bad manifest line" % (path, lineno))
-                url, ts, digest, origin = parts
-                for entry in index.entries_for(url):
+                try:
+                    url, ts, digest, origin = parts
+                    entries = index.entries_for(url)  # CanonicalizationError: a ValueError
+                except ValueError as exc:
+                    exc = "bad manifest line" if len(parts) != 4 else exc
+                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+                for entry in entries:
                     if entry.timestamp14 == ts and entry.digest == digest:
                         break
                 else:

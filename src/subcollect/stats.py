@@ -5,7 +5,9 @@ Everything except the per-year snapshot histogram runs over a seeded
 uniform sample of the archive's HTML captures, so the cost is bounded
 on arbitrarily large archives and every run is reproducible from
 (index, n, seed). Only links and tag counts are measured, so sampled
-pages are parsed without tokens.
+pages are parsed without tokens. ``_by_year`` groups the sample for
+every per-year mean, and ``build_report`` puts each year's numbers into
+one ``YearRow``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _macro_mean(values):
     return sum(values) / len(values) if values else None
 
 
+def _by_year(analyzed):
+    """{year: [PageAnalysis]} in ascending year order, pages in sample order."""
+    pages = {}
+    for entry, analysis in analyzed:
+        pages.setdefault(entry.year, []).append(analysis)
+    return dict(sorted(pages.items()))
+
+
 def link_in_archive_rate(analyzed, index):
     """Per-year (internal_rate, external_rate): the mean over pages of
     the per-page fraction of outlinks whose target has a capture in
@@ -83,17 +93,17 @@ def link_in_archive_rate(analyzed, index):
 
     Pages without links of a kind are excluded from that kind's mean.
     """
-    per_year = {}
-    for entry, analysis in analyzed:
-        fracs = per_year.setdefault(entry.year, ([], []))
-        for slot, links in ((0, analysis.internal_outlinks()), (1, analysis.external_outlinks())):
-            if not links:
-                continue
-            hit = sum(1 for l in links if index.entries_for(l.target))
-            fracs[slot].append(hit / len(links))
+
+    def mean_rate(link_lists):
+        return _macro_mean([
+            sum(1 for l in links if index.entries_for(l.target)) / len(links)
+            for links in link_lists if links
+        ])
+
     return {
-        year: (_macro_mean(internal), _macro_mean(external))
-        for year, (internal, external) in sorted(per_year.items())
+        year: (mean_rate([a.internal_outlinks() for a in pages]),
+               mean_rate([a.external_outlinks() for a in pages]))
+        for year, pages in _by_year(analyzed).items()
     }
 
 
@@ -103,41 +113,24 @@ def tag_stats(analyzed):
 
     Returns (averages, normalized): {year: {tag: value}} both.
     """
-    sums, counts = {}, {}
-    for entry, analysis in analyzed:
-        year = entry.year
-        counts[year] = counts.get(year, 0) + 1
-        acc = sums.setdefault(year, {t: 0 for t in TAG_CLASSES})
-        for t in TAG_CLASSES:
-            acc[t] += analysis.tag_counts[t]
     averages = {
-        year: {t: sums[year][t] / counts[year] for t in TAG_CLASSES} for year in sums
+        year: {t: sum(a.tag_counts[t] for a in pages) / len(pages) for t in TAG_CLASSES}
+        for year, pages in _by_year(analyzed).items()
     }
-    normalized = {}
-    for t in TAG_CLASSES:
-        peak = max((averages[y][t] for y in averages), default=0.0)
-        for y in averages:
-            normalized.setdefault(y, {})[t] = (
-                averages[y][t] / peak if peak > 0 else 0.0
-            )
+    peaks = {t: max((avg[t] for avg in averages.values()), default=0.0) for t in TAG_CLASSES}
+    normalized = {
+        y: {t: avg[t] / peaks[t] if peaks[t] > 0 else 0.0 for t in TAG_CLASSES}
+        for y, avg in averages.items()
+    }
     return averages, normalized
 
 
 def outlink_stats(analyzed):
     """Per-year mean outlinks per page: {year: (total, internal, external)}."""
-    sums, counts = {}, {}
-    for entry, analysis in analyzed:
-        year = entry.year
-        counts[year] = counts.get(year, 0) + 1
-        internal, ext = sums.get(year, (0, 0))
-        internal += len(analysis.internal_outlinks())
-        ext += len(analysis.external_outlinks())
-        sums[year] = (internal, ext)
     out = {}
-    for year in sorted(sums):
-        internal, ext = sums[year]
-        avg_int = internal / counts[year]
-        avg_ext = ext / counts[year]
+    for year, pages in _by_year(analyzed).items():
+        avg_int = sum(len(a.internal_outlinks()) for a in pages) / len(pages)
+        avg_ext = sum(len(a.external_outlinks()) for a in pages) / len(pages)
         # Total is the sum of the two averages so the partition identity
         # avg_total == avg_internal + avg_external holds bit-exactly.
         out[year] = (avg_int + avg_ext, avg_int, avg_ext)
@@ -195,9 +188,7 @@ def build_report(index, archive, n, seed):
     rates = link_in_archive_rate(analyzed, index)
     averages, normalized = tag_stats(analyzed)
     outlinks = outlink_stats(analyzed)
-    sampled_per_year = {}
-    for e in sample:
-        sampled_per_year[e.year] = sampled_per_year.get(e.year, 0) + 1
+    sampled_per_year = snapshots_per_year(sample)
 
     report = StatsReport(len(sample), normalized)
     for year in sorted(set(histogram) | set(sampled_per_year)):

@@ -402,7 +402,7 @@ class Archive:
             raise CorruptSnapshotError("record at %d is not an HTTP response" % ref.offset)
         status, headers, body = parsed
         digest = hashlib.sha256(body).hexdigest()
-        if ref.digest and digest != ref.digest:
+        if digest != ref.digest:  # an entry without a digest cannot be verified
             raise CorruptSnapshotError(
                 "digest mismatch for %s@%s" % (ref.canonical_url, ref.timestamp14)
             )

@@ -49,7 +49,8 @@ def page(title="", links=(), text=""):
 def index_entry(canonical_url, timestamp14, mime="application/octet-stream", http_status=200,
                 digest="", file_id="", offset=0, length=0):
     """An IndexEntry built by hand; the fields a test leaves out take these
-    values. An empty digest turns off ``Archive.fetch``'s digest check."""
+    values. ``Archive.fetch`` fails on an entry whose digest is empty,
+    since such an entry cannot be verified."""
     return IndexEntry(canonical_url, timestamp14, mime, http_status, digest, file_id, offset, length)
 
 

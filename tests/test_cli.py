@@ -538,11 +538,9 @@ def _manifest(ws):
     return path
 
 
-def _bogus_manifest(ws):
+def _bogus_manifest(ws, url):
     path = ws["tmp"] / "bogus.manifest"
-    path.write_text(
-        "SUBCOLLECT-MANIFEST 1\nspec-digest 00\nhttp://zzz.de/ 20000101120000 ab scan\n"
-    )
+    path.write_text("SUBCOLLECT-MANIFEST 1\nspec-digest 00\n%s 20000101120000 ab scan\n" % url)
     return str(path)
 
 
@@ -594,6 +592,13 @@ def _get_with_edited_entry(ws, **fields):
             "--url", "http://b.de/", "--at", "20000601120000"]
 
 
+def _get_blank_digest(ws):
+    """A get of http://b.de/, damaged after indexing, through an index
+    whose entry for it has a blank digest."""
+    _damaged_get(ws, "digest")
+    return _get_with_edited_entry(ws, digest="")
+
+
 def _get_from_outside(ws):
     """A get of http://b.de/ through an index whose file id leads out of
     the archive directory, to a copy of its WARC."""
@@ -618,9 +623,12 @@ EXIT_ROWS = [
         ws, str(ws["tmp"] / "nospec.json"), str(ws["tmp"] / "m")), 2, "nospec.json"),
     ("corrupt-index", lambda ws: ["evaluate", _manifest(ws), "--index", _corrupt_index(ws),
                                   "--archive-dir", ws["archive_dir"]], 2, "corrupt.cdx:2"),
-    ("member-not-in-index", lambda ws: ["evaluate", _bogus_manifest(ws), "--index",
+    ("member-not-in-index", lambda ws: ["evaluate", _bogus_manifest(ws, "http://zzz.de/"), "--index",
                                         ws["index"], "--archive-dir", ws["archive_dir"]], 2,
      "bogus.manifest:3: manifest member not in index: http://zzz.de/ 20000101120000"),
+    ("manifest-bad-url", lambda ws: ["evaluate", _bogus_manifest(ws, "http://[bad/"), "--index",
+                                     ws["index"], "--archive-dir", ws["archive_dir"]], 2,
+     "bogus.manifest:3: 'http://[bad/': Invalid IPv6 URL"),
     ("evaluate-damaged-member", lambda ws: ["evaluate", _damaged_member_manifest(ws), "--index",
                                             ws["index"], "--archive-dir", ws["archive_dir"]], 2,
      "digest mismatch for http://b.de/@20000601120000"),
@@ -638,6 +646,8 @@ EXIT_ROWS = [
      "offset and length must not be negative"),
     ("get-damaged-header", lambda ws: _damaged_get(ws, "header"), 2, "malformed header line"),
     ("get-digest-mismatch", lambda ws: _damaged_get(ws, "digest"), 2,
+     "digest mismatch for http://b.de/@20000601120000"),
+    ("get-blank-digest", _get_blank_digest, 2,
      "digest mismatch for http://b.de/@20000601120000"),
     ("index-output", lambda ws: ["index", ws["warc"], "--output", _directory(ws, "idx")], 2,
      "idx"),

@@ -37,6 +37,11 @@ def truth_of(*pairs):
     return frozenset(pairs)
 
 
+def values_of(report):
+    """{metric: value} of the report's metrics that have no facet."""
+    return {metric: value for metric, facet, value in report.items if not facet}
+
+
 A1 = ("http://a.de/", "20000101000000")
 A2 = ("http://a.de/x", "20000201000000")
 B1 = ("http://b.de/", "20010101000000")
@@ -288,15 +293,50 @@ def test_evaluate_full_report(tmp_path):
     )
     before = fx.archive.counter.fetches
     report = evaluate(c, fx.archive, fx.index, truth=truth)
-    assert report.precision == pytest.approx(2 / 3)
-    assert report.recall == pytest.approx(1.0)
-    assert report.lc_sum == pytest.approx(1.5)
-    assert report.lc_mean == pytest.approx(0.75)
+    values = values_of(report)
+    assert values["precision"] == pytest.approx(2 / 3)
+    assert values["recall"] == pytest.approx(1.0)
+    assert values["lc_sum"] == pytest.approx(1.5)
+    assert values["lc_mean"] == pytest.approx(0.75)
     assert report.fetches == fx.archive.counter.fetches - before
     keys = dict(line.split("=", 1) for line in report.as_key_values())
     assert "precision" in keys and "lc_mean" in keys
     rows = report.as_csv_rows()
-    assert ("lc_sum", "", report.lc_sum) in rows
+    assert ("lc_sum", "", values["lc_sum"]) in rows
+
+
+def test_evaluate_writes_every_metric_in_output_order(tmp_path):
+    fx = build_archive(tmp_path, [
+        ("http://a.de/", "20000101120000", page("a", links=["/x", "http://b.de/"])),
+        ("http://a.de/x", "20010101120000", b"plain text", "text/plain"),
+        ("http://b.de/", "20000601120000", page("b", links=["http://a.de/"])),
+        ("http://b.de/y", "20010601120000", page("by", links=["http://a.de/x"])),
+    ])
+    c = members_from(fx, ["http://a.de/", "http://a.de/x", "http://b.de/y"])
+    truth = truth_of(("http://a.de/", "20000101120000"), ("http://b.de/", "20000601120000"),
+                     ("http://b.de/y", "20010601120000"))
+    spec = parse_spec(json.dumps({"name": "de", "scopes": {"domains": ["de"]}}))
+    report = evaluate(c, fx.archive, fx.index, truth=truth, spec=spec)
+    lines = report.as_key_values()
+    assert [line.split("=", 1)[0] for line in lines] == [
+        "precision", "recall", "lc_sum", "lc_mean", "temporal_width_seconds",
+        "representativeness.host", "representativeness.mime", "representativeness.year",
+        "facet_entropy.host", "facet_entropy.mime", "facet_entropy.year",
+        "recall.a.de.2000", "recall.b.de.2000", "recall.b.de.2001", "fetches",
+    ]
+    rows = report.as_csv_rows()
+    assert [(metric, facet) for metric, facet, _ in rows] == [
+        ("precision", ""), ("recall", ""), ("lc_sum", ""), ("lc_mean", ""),
+        ("temporal_width_seconds", ""),
+        ("representativeness", "host"), ("representativeness", "mime"),
+        ("representativeness", "year"),
+        ("facet_entropy", "host"), ("facet_entropy", "mime"), ("facet_entropy", "year"),
+        ("recall_stratum", "a.de:2000"), ("recall_stratum", "b.de:2000"),
+        ("recall_stratum", "b.de:2001"), ("fetches", ""),
+    ]
+    for line, (_, _, value) in zip(lines, rows):
+        assert float(line.split("=", 1)[1]) == pytest.approx(value, rel=1e-9)
+    assert rows[-1] == ("fetches", "", 3)
 
 
 def test_evaluate_without_truth_omits_precision_recall(tmp_path):
@@ -312,8 +352,9 @@ def test_evaluate_whole_archive_fully_representative(tmp_path):
     fx = two_host_index(tmp_path)
     c = SubCollection(members=[Member(entry=e, origin="scan") for e in fx.index])
     report = evaluate(c, fx.archive, fx.index)
-    for facet, value in report.representativeness.items():
-        assert value == pytest.approx(1.0, abs=1e-12), facet
+    for metric, facet, value in report.items:
+        if metric == "representativeness":
+            assert value == pytest.approx(1.0, abs=1e-12), facet
 
 
 def test_stratified_recall(tmp_path):
@@ -359,5 +400,5 @@ def test_link_completeness_scoped_by_spec(tmp_path):
     spec = parse_spec(json.dumps({"name": "a", "scopes": {"domains": ["a.de"]}}))
     assert link_completeness(c, fx.archive, fx.index) == (0.5, 0.5)
     assert link_completeness(c, fx.archive, fx.index, spec=spec) == (1.0, 1.0)
-    assert evaluate(c, fx.archive, fx.index).lc_mean == 0.5
-    assert evaluate(c, fx.archive, fx.index, spec=spec).lc_mean == 1.0
+    assert values_of(evaluate(c, fx.archive, fx.index))["lc_mean"] == 0.5
+    assert values_of(evaluate(c, fx.archive, fx.index, spec=spec))["lc_mean"] == 1.0

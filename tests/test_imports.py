@@ -4,8 +4,9 @@ one. The one exception is start-up: each command runs as a fresh
 process, so what the CLI imports is paid on every call, and a ``cmd_*``
 function of ``cli`` imports in its body the modules that only it runs.
 No linter is needed for the rest: every import is used or exported,
-every exported name is defined, and every function, class and method is
-referenced somewhere else in the package."""
+every exported name is defined, every function, class and method is
+referenced somewhere else in the package, and every name that a
+module-level assignment binds is read by some module of it."""
 
 import ast
 import collections
@@ -212,19 +213,40 @@ def _references(tree):
     )
 
 
-def test_every_definition_is_referenced_elsewhere():
-    # A function or class that only its own body or the tests name is code
-    # that no command runs; dunders are called by Python itself.
-    trees = {path: _tree(path) for path in _package_modules()}
+def _unreferenced(trees):
+    """Each definition in ``trees`` that no module reads: a function or
+    class that only its own body names, and a name that a module-level
+    assignment binds and no module reads. Dunders, ``__all__`` among
+    them, are exempt: Python itself reads them."""
     everywhere = sum((_references(tree) for tree in trees.values()), collections.Counter())
     unreferenced = []
     for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        named = [(node, node.name, _references(node)[node.name]) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        named += [(node, n.id, 0) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        for node, name, own in named:
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if everywhere[name] == _references(node)[name]:
+            if everywhere[name] == own:
                 unreferenced.append("%s:%d: %s" % (os.path.basename(path), node.lineno, name))
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_definition_is_referenced_elsewhere():
+    # A function or class that only its own body or the tests name, or a
+    # module-level name that no module reads, is code that no command runs.
+    assert _unreferenced({path: _tree(path) for path in _package_modules()}) == []
+
+
+def test_unreferenced_catches_what_it_names():
+    source = (
+        "__all__ = ['f']\nUSED = 1\nUNUSED = 2\nA, (B, C) = 1, (2, 3)\nN: int = 0\n"
+        "OWNER = type('O', (), {})\nOWNER.attr = USED + B\n\n\n"
+        "def f():\n    return f\n\n\nclass K:\n    LIMIT = 3\n"
+    )
+    other = "import m\nx = m.C + m.K.LIMIT\n"
+    trees = {"m.py": ast.parse(source), "other.py": ast.parse(other)}
+    assert _unreferenced(trees) == [
+        "m.py:10: f", "m.py:3: UNUSED", "m.py:4: A", "m.py:5: N", "other.py:2: x",
+    ]

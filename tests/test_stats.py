@@ -177,6 +177,55 @@ def test_planted_rate_recovery(tmp_path):
     assert internal == pytest.approx(0.7, abs=0.05)
 
 
+def test_per_year_means_over_interleaved_years(tmp_path):
+    # Seven pages from three years, sampled in interleaved year order; each
+    # mean is computed here the way the module is meant to: rates averaged
+    # over pages in sample order, tag and outlink counts summed per year
+    # and then divided once.
+    rng = random.Random(7)
+    years = [2001, 1999, 2000, 2001, 1999, 2000, 2001]
+    captures = []
+    for i, year in enumerate(years):
+        links = ["/p%d" % rng.randrange(10) for _ in range(rng.randrange(1, 5))]
+        links += ["http://ext%d.de/" % rng.randrange(3) for _ in range(rng.randrange(0, 4))]
+        anchors = "".join('<a href="%s">l</a>' % href for href in links)
+        body = "<div>%s</div>%s%s" % ("<div></div>" * i, "<script>s</script>" * (i % 3), anchors)
+        captures.append(("http://a.de/p%d" % i, ts(year, i), body.encode("utf-8")))
+    captures.append(("http://ext1.de/", ts(1990), page("ext")))
+    fx = build_archive(tmp_path, captures)
+    by_url = {e.canonical_url: e for e in fx.index}
+    sample = [by_url["http://a.de/p%d" % i] for i in range(len(years))]
+    analyzed = analyze_sample(sample, fx.archive)
+    assert [e.year for e, _ in analyzed] == years
+
+    def pages(year):
+        return [a for e, a in analyzed if e.year == year]
+
+    def mean_rate(link_lists):
+        fracs = [sum(1 for l in links if fx.index.entries_for(l.target)) / len(links)
+                 for links in link_lists if links]
+        return sum(fracs) / len(fracs) if fracs else None
+
+    rates = {y: (mean_rate([a.internal_outlinks() for a in pages(y)]),
+                 mean_rate([a.external_outlinks() for a in pages(y)])) for y in (1999, 2000, 2001)}
+    assert link_in_archive_rate(analyzed, fx.index) == rates
+    assert list(link_in_archive_rate(analyzed, fx.index)) == [1999, 2000, 2001]
+
+    averages, normalized = tag_stats(analyzed)
+    for y in (1999, 2000, 2001):
+        for t in ("script", "div"):
+            assert averages[y][t] == sum(a.tag_counts[t] for a in pages(y)) / len(pages(y))
+            peak = max(averages[z][t] for z in (1999, 2000, 2001))
+            assert normalized[y][t] == averages[y][t] / peak
+
+    outlinks = outlink_stats(analyzed)
+    assert list(outlinks) == [1999, 2000, 2001]
+    for y in (1999, 2000, 2001):
+        internal = sum(len(a.internal_outlinks()) for a in pages(y)) / len(pages(y))
+        external = sum(len(a.external_outlinks()) for a in pages(y)) / len(pages(y))
+        assert outlinks[y] == (internal + external, internal, external)
+
+
 # tag_stats -----------------------------------------------------------------
 
 

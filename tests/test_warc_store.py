@@ -161,6 +161,15 @@ def test_fetch_tampered_file_raises_corruption(tmp_path):
         fx.archive.fetch(entry)
 
 
+def test_fetch_entry_without_digest_is_a_mismatch(tmp_path):
+    # An entry whose digest is blank cannot be verified, so it fails as a
+    # mismatch even when its body is intact.
+    fx = build_archive(tmp_path, [("http://a.de/", "20000101120000", page(text="orig"))])
+    blank = fx.index.entries[0]._replace(digest="")
+    with pytest.raises(CorruptSnapshotError, match="digest mismatch for http://a.de/@20000101120000"):
+        fx.archive.fetch(blank)
+
+
 def test_fetch_offset_out_of_range(tmp_path):
     fx = build_archive(tmp_path, [("http://a.de/", "20000101120000", page())])
     bad = fx.index.entries[0]._replace(offset=10**6)

@@ -42,7 +42,6 @@ EXIT_EMPTY = 3
 EXIT_CODES = {
     SpecError: EXIT_VALIDATION,
     CanonicalizationError: EXIT_VALIDATION,
-    SnapshotNotFound: EXIT_IO,
     CorruptSnapshotError: EXIT_IO,
     OSError: EXIT_IO,
     ValueError: EXIT_IO,

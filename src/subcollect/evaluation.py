@@ -17,7 +17,7 @@ import math
 
 from .htmldoc import analyze
 from .spec import in_scope_metadata
-from .store import timestamp14_to_epoch
+from .store import read_rows, timestamp14_to_epoch
 from .urls import CanonicalizationError, canonicalize_url, host_of
 
 __all__ = [
@@ -42,23 +42,12 @@ def load_truth(path):
     ``url timestamp14`` pair per line; blank lines are skipped. URLs are
     canonicalized as the index's are; a line with an invalid URL or
     timestamp raises ValueError naming ``path:line``."""
-    refs = set()
-    with open(path, "r", encoding="utf-8") as f:
-        if f.readline().rstrip("\n") != TRUTH_HEADER:
-            raise ValueError("%s:1: not a %s file" % (path, TRUTH_HEADER))
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(" ")
-            try:
-                url, ts = parts
-                timestamp14_to_epoch(ts)
-                refs.add((canonicalize_url(url), ts))
-            except ValueError as exc:
-                if parts == [""]:
-                    continue  # a blank line
-                if len(parts) != 2:
-                    exc = "expected 'url timestamp14'"
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-    return frozenset(refs)
+
+    def row(url, ts):
+        timestamp14_to_epoch(ts)
+        return canonicalize_url(url), ts
+
+    return frozenset(read_rows(path, TRUTH_HEADER, row))
 
 
 def _member_refs(collection):
@@ -199,7 +188,7 @@ def representativeness(collection, index, facet):
     if not collection.members:
         return None
     p = _distribution(collection.entries(), facet)
-    q = _distribution(list(index), facet)
+    q = _distribution(index, facet)
     return 1.0 - _jsd(p, q)
 
 

@@ -11,8 +11,9 @@ The scan and the closure read captures through one memo per run
 (:func:`_read`): each capture is fetched, parsed and judged at most
 once, and the memo keeps only its outlinks and relevance verdict, so the
 memory of a scan grows with the links of the pages it reads, not with
-their text. A capture that cannot be read is stored as None, counted
-once in ``errors`` and otherwise treated as a page without text or links.
+their text. A capture that cannot be read is stored as None and counted
+once in ``errors``; it never becomes a member, so every member of an
+extracted collection can be read.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from collections import namedtuple
 
 # parse_html is not called here; perfbench's tracer test checks that the
 # tracer wraps this binding as well as htmldoc's.
-from .htmldoc import PageAnalysis, analyze_capture, parse_html  # noqa: F401
+from .htmldoc import analyze_capture, parse_html  # noqa: F401
 from .relevance import is_relevant
 from .spec import in_scope_metadata
-from .store import SnapshotNotFound, atomic_open, timestamp14_to_epoch
+from .store import SnapshotNotFound, atomic_open, read_rows, timestamp14_to_epoch
 from .urls import host_of
 
 __all__ = [
@@ -87,34 +88,19 @@ class SubCollection:
     def read_manifest(cls, path, index):
         """Load a manifest; members resolve to their entries in ``index``."""
         coll = cls()
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != MANIFEST_HEADER:
-                raise ValueError("not a %s file: %s" % (MANIFEST_HEADER, path))
-            digest_line = f.readline().rstrip("\n")
-            if not digest_line.startswith("spec-digest "):
-                raise ValueError("%s: missing spec-digest line" % path)
-            coll.spec_digest = digest_line.split(" ", 1)[1]
-            for lineno, line in enumerate(f, start=3):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                try:
-                    url, ts, digest, origin = parts
-                    entries = index.entries_for(url)  # CanonicalizationError: a ValueError
-                except ValueError as exc:
-                    exc = "bad manifest line" if len(parts) != 4 else exc
-                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-                for entry in entries:
-                    if entry.timestamp14 == ts and entry.digest == digest:
-                        break
-                else:
-                    raise SnapshotNotFound(
-                        "%s:%d: manifest member not in index: %s %s"
-                        % (path, lineno, url, ts)
-                    )
-                coll.members.append(Member(entry=entry, origin=origin))
+
+        def spec_digest(line):
+            if not line.startswith("spec-digest "):
+                raise ValueError("missing spec-digest line")
+            coll.spec_digest = line.split(" ", 1)[1]
+
+        def member(url, ts, digest, origin):
+            for entry in index.entries_for(url):
+                if entry.timestamp14 == ts and entry.digest == digest:
+                    return Member(entry=entry, origin=origin)
+            raise ValueError("manifest member not in index: %s %s" % (url, ts))
+
+        coll.members = read_rows(path, MANIFEST_HEADER, member, first=spec_digest)
         return coll
 
 
@@ -234,17 +220,17 @@ def connect_closure(members, archive, index, spec, pages):
     capture in the index but none in the collection, the capture
     temporally nearest to s's crawl time is added (ties to the earlier
     capture). Runs to fixpoint, or stops after spec.closure_max_depth
-    rounds. With policy "relevant_links" a candidate capture is only
-    added if it passes the content scopes. Pages are read and judged
-    through the run's ``pages`` memo; one that cannot be read has no
-    links, and is judged as a page without text.
+    rounds. A candidate capture is read through the run's ``pages`` memo
+    before it is added, and skipped when it cannot be read; with policy
+    "relevant_links" it is also skipped unless it passes the content
+    scopes.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
     """
     members = list(members)
     present = {m.entry.canonical_url for m in members}
-    judge = spec.closure_policy == "relevant_links" and spec.has_content_scopes()
+    judge = spec.closure_policy == "relevant_links"
     added = 0
     depth = 0
     frontier = sorted(members, key=_member_order)
@@ -255,19 +241,16 @@ def connect_closure(members, archive, index, spec, pages):
         depth += 1
         new_members = []
         for m in frontier:
-            page = _read(archive, m.entry, spec, pages)
-            for link in page.outlinks if page is not None else ():
+            for link in _read(archive, m.entry, spec, pages).outlinks:
                 if link.target in present:
                     continue
                 try:
                     capture = index.lookup_nearest(link.target, m.entry.timestamp14)
                 except SnapshotNotFound:
                     continue  # not available in the archive
-                if judge:
-                    # A target that cannot be read is judged as a page without text.
-                    target = _read(archive, capture, spec, pages)
-                    if not (target or is_relevant(PageAnalysis(), spec)).relevant:
-                        continue
+                target = _read(archive, capture, spec, pages)
+                if target is None or (judge and not target.relevant):
+                    continue
                 present.add(link.target)
                 new_members.append(Member(entry=capture, origin="closure"))
                 added += 1

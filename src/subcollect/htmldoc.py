@@ -320,14 +320,12 @@ def parse_html(body, page_url, charset_hint=None, tokens=True):
 
 
 def analyze(snapshot, tokens=True):
-    """Page analysis for a fetched snapshot; non-HTML yields an empty one."""
+    """Page analysis for a fetched snapshot; non-HTML yields an empty one.
+    The charset hint is the ``charset=`` of the snapshot's content_type."""
     if not snapshot.ref.is_html:
         return PageAnalysis()
-    charset = None
-    for name, value in snapshot.http_headers:
-        if name.lower() == "content-type" and "charset=" in value.lower():
-            charset = value.lower().split("charset=")[-1].split(";")[0].strip()
-            break
+    value = snapshot.content_type.lower()
+    charset = value.split("charset=")[-1].split(";")[0].strip() if "charset=" in value else None
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
 
 

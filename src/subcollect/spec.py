@@ -59,9 +59,6 @@ class SubCollectionSpec(
 ):
     __slots__ = ()
 
-    def has_content_scopes(self):
-        return self.keyword_scope is not None or self.entity_scope is not None
-
     def digest(self):
         """Stable hex digest of the spec, for manifest provenance."""
         blob = json.dumps(serialize_spec(self), sort_keys=True).encode("utf-8")

@@ -8,6 +8,10 @@ URL, mime type and file id, which the captures of one URL and the
 entries of one WARC share. An :class:`Archive` keeps up to
 :data:`MAX_OPEN_FILES` WARC files open from their first fetch until
 :meth:`Archive.close`.
+
+The index, the manifest and the truth set are line files, all read by
+:func:`read_rows`: a header line, then a row of space-separated fields
+per line, blank lines skipped, and every error named ``path:line``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "ArchiveIOError",
     "IngestStats",
     "ingest_warc",
+    "read_rows",
     "atomic_open",
     "timestamp14_from_iso",
     "timestamp14_to_epoch",
@@ -146,8 +151,8 @@ class IndexEntry(
         )
 
 
-# A fetched capture: the indexed IndexEntry plus HTTP headers and body.
-Snapshot = namedtuple("Snapshot", "ref http_headers body")
+# A fetched capture: its IndexEntry, first Content-Type ("" if none) and body.
+Snapshot = namedtuple("Snapshot", "ref content_type body")
 
 
 class AccessCounter:
@@ -181,7 +186,8 @@ def ingest_warc(path, stats=None):
     response records missing WARC-Target-URI or WARC-Date (or carrying
     a non-HTTP payload) are skipped and tallied in ``stats.skipped``.
     Each distinct Target-URI is canonicalized once per file, so the
-    entries of one URL share one string.
+    entries of one URL share one string. The mime type is the first
+    Content-Type of the response up to any ";", lowercased.
     """
     file_id = os.path.basename(path)
     if stats is None:
@@ -209,7 +215,7 @@ def ingest_warc(path, stats=None):
         if parsed is None:
             stats.skipped += 1
             continue
-        status, http_headers, body = parsed
+        status, content_type, body = parsed
         try:
             if uri not in canonical:
                 canonical[uri] = canonicalize_url(uri)
@@ -217,23 +223,9 @@ def ingest_warc(path, stats=None):
         except (CanonicalizationError, ValueError):
             stats.skipped += 1
             continue
-        mime = ""
-        for name, value in http_headers:
-            if name.lower() == "content-type":
-                mime = value.split(";")[0].strip().lower()
-                break
-        entries.append(
-            IndexEntry(
-                canonical_url=canonical[uri],
-                timestamp14=ts14,
-                mime=mime,
-                http_status=status,
-                digest=hashlib.sha256(body).hexdigest(),
-                file_id=file_id,
-                offset=offset,
-                length=length,
-            )
-        )
+        mime = content_type.split(";")[0].strip().lower()
+        entries.append(IndexEntry(canonical[uri], ts14, mime, status,
+                                  hashlib.sha256(body).hexdigest(), file_id, offset, length))
         stats.responses += 1
     return entries
 
@@ -309,33 +301,55 @@ class ArchiveIndex:
 
     @classmethod
     def load(cls, path):
-        entries = []
         make = IndexEntry._make
         # One object per distinct string, shared by every entry that has it.
         urls, mimes, file_ids = {}, {}, {}
-        with open(path, "r", encoding="utf-8") as f:
-            if f.readline().rstrip("\n") != INDEX_HEADER:
-                raise ValueError("not a %s file: %s" % (INDEX_HEADER, path))
-            for lineno, line in enumerate(f, start=2):
-                parts = line.rstrip("\n").split(" ")
-                try:
-                    url, ts, mime, status, digest, file_id, offset, length = parts
-                    status, offset, length = int(status), int(offset), int(length)
-                    if offset < 0 or length < 0:
-                        raise ValueError("offset and length must not be negative")
-                    _check_file_id(file_id)
-                    entries.append(make((
-                        urls.setdefault(url, url), ts,
-                        mimes.setdefault(mime, "" if mime == "-" else mime), status,
-                        digest, file_ids.setdefault(file_id, file_id), offset, length,
-                    )))
-                except ValueError as exc:
-                    if parts == [""]:
-                        continue  # a blank line
-                    if len(parts) != 8:
-                        exc = "index line must have 8 fields, got %d" % len(parts)
-                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-        return cls(entries)
+
+        def row(url, ts, mime, status, digest, file_id, offset, length):
+            status, offset, length = int(status), int(offset), int(length)
+            if offset < 0 or length < 0:
+                raise ValueError("offset and length must not be negative")
+            if file_id not in file_ids:
+                _check_file_id(file_id)
+                file_ids[file_id] = file_id
+            return make((
+                urls.setdefault(url, url), ts, mimes.setdefault(mime, "" if mime == "-" else mime),
+                status, digest, file_ids[file_id], offset, length,
+            ))
+
+        return cls(read_rows(path, INDEX_HEADER, row))
+
+
+def read_rows(path, header, row, first=None):
+    """``row(*fields)`` of each line of the UTF-8 text file ``path``.
+
+    Line 1 must be ``header``; ``first``, when given, is called with line 2.
+    A later line is blank, and skipped, or has one space-separated field per
+    parameter of ``row``. Any ValueError, such as a CanonicalizationError,
+    is raised again as a plain ValueError that starts with ``path:line:``.
+    """
+    width = row.__code__.co_argcount
+    rows = []
+    lineno = 1
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            if f.readline().rstrip("\n") != header:
+                raise ValueError("not a %s file" % header)
+            if first is not None:
+                lineno = 2
+                first(f.readline().rstrip("\n"))
+            for lineno, line in enumerate(f, start=lineno + 1):
+                fields = line.rstrip("\n").split(" ")
+                if fields == [""]:
+                    continue  # a blank line
+                if len(fields) != width:
+                    raise ValueError("expected %d fields, got %d" % (width, len(fields)))
+                rows.append(row(*fields))
+        except UnicodeDecodeError:
+            raise  # of a block read ahead, so the line number would mislead
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+    return rows
 
 
 # WARCs are commonly cut at 1 GB, so an archive may hold thousands, more
@@ -400,13 +414,12 @@ class Archive:
         parsed = warc.parse_http_response(payload)
         if parsed is None:
             raise CorruptSnapshotError("record at %d is not an HTTP response" % ref.offset)
-        status, headers, body = parsed
-        digest = hashlib.sha256(body).hexdigest()
-        if digest != ref.digest:  # an entry without a digest cannot be verified
+        _, content_type, body = parsed
+        if hashlib.sha256(body).hexdigest() != ref.digest:  # a blank digest never matches
             raise CorruptSnapshotError(
                 "digest mismatch for %s@%s" % (ref.canonical_url, ref.timestamp14)
             )
-        return Snapshot(ref=ref, http_headers=headers, body=body)
+        return Snapshot(ref=ref, content_type=content_type, body=body)
 
     def raw_record(self, ref):
         """On-disk record bytes, for verbatim WARC export."""

@@ -12,7 +12,9 @@ and decompresses each gzip member from the same buffer. One rule,
 (name, value) pairs and its Content-Length, for :func:`iter_records`
 and :func:`read_record` alike. Only the header fields needed for
 indexing are interpreted; everything else is kept verbatim so records
-can be copied out byte-for-byte.
+can be copied out byte-for-byte. Of an HTTP response's head,
+:func:`parse_http_response` gives only the status and the first
+Content-Type, the one header that ingest and the page parser read.
 """
 
 from __future__ import annotations
@@ -197,27 +199,21 @@ def read_record(f, offset, length):
 
 
 def parse_http_response(payload):
-    """Split an HTTP response payload into (status, headers, body).
+    """Split an HTTP response payload into (status, content_type, body).
 
-    Returns None if the payload is not an HTTP response.
+    ``content_type`` is the stripped value of the first header named
+    Content-Type in any case, or "" when there is none. Returns None if
+    the payload is not an HTTP response.
     """
     if not payload.startswith(b"HTTP/"):
         return None
-    head_end = payload.find(b"\r\n\r\n")
-    if head_end < 0:
-        head_end = len(payload)
-        body = b""
-    else:
-        body = payload[head_end + 4 :]
-    head = payload[:head_end].decode("latin-1")
-    lines = head.split("\r\n")
+    head, _, body = payload.partition(b"\r\n\r\n")  # no blank line: all head, no body
+    lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(None, 2)
     if len(parts) < 2 or not (parts[1].isascii() and parts[1].isdigit()):
         return None
-    status = int(parts[1])
-    headers = []
     for line in lines[1:]:
         name, sep, value = line.partition(":")
-        if sep:
-            headers.append((name.strip(), value.strip()))
-    return status, headers, body
+        if sep and name.strip().lower() == "content-type":
+            return int(parts[1]), value.strip(), body
+    return int(parts[1]), "", body

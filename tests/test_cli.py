@@ -9,6 +9,8 @@ import pytest
 
 import subcollect
 from subcollect.cli import main
+from subcollect.evaluation import load_truth
+from subcollect.extraction import SubCollection
 from subcollect.store import ArchiveIndex
 
 from conftest import damage_warc, iso_of, page
@@ -731,3 +733,108 @@ def test_failed_long_csv_leaves_no_partial_file(workspace, capsys):
     assert "s_long.csv" in capsys.readouterr().err
     assert (workspace["tmp"] / "s_long.csv").is_dir()
     assert not [p for p in os.listdir(workspace["tmp"]) if p.endswith(".tmp")]
+
+
+# line files ----------------------------------------------------------------
+
+# (id, file, its text, line number, message): for each line file a wrong
+# header, a wrong field count and a value that fails; every row after the
+# header comes after a blank line, which is skipped.
+LINE_FILE_ROWS = [
+    ("index-header", "index", "SUBCOLLECT-CDX 2\n", 1, "not a SUBCOLLECT-CDX 1 file"),
+    ("index-fields", "index", "SUBCOLLECT-CDX 1\n\nhttp://a.de/ 2000 only-three-fields\n", 3,
+     "expected 8 fields, got 3"),
+    ("index-offset", "index",
+     "SUBCOLLECT-CDX 1\n\nhttp://a.de/ 20000101120000 text/html 200 d f.warc -5 1\n", 3,
+     "offset and length must not be negative"),
+    ("manifest-header", "manifest", "SUBCOLLECT-MANIFEST 2\nspec-digest 00\n", 1,
+     "not a SUBCOLLECT-MANIFEST 1 file"),
+    ("manifest-spec-digest", "manifest", "SUBCOLLECT-MANIFEST 1\n\n", 2, "missing spec-digest line"),
+    ("manifest-fields", "manifest",
+     "SUBCOLLECT-MANIFEST 1\nspec-digest 00\n\nhttp://a.de/ 20000101120000 ab\n", 4,
+     "expected 4 fields, got 3"),
+    ("manifest-url", "manifest",
+     "SUBCOLLECT-MANIFEST 1\nspec-digest 00\n\nhttp://[bad/ 20000101120000 ab scan\n", 4,
+     "'http://[bad/': Invalid IPv6 URL"),
+    ("truth-header", "truth", "SUBCOLLECT-TRUTH 2\n", 1, "not a SUBCOLLECT-TRUTH 1 file"),
+    ("truth-fields", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/\n", 3, "expected 2 fields, got 1"),
+    ("truth-timestamp", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/ 2000\n", 3,
+     "bad timestamp14: '2000'"),
+]
+
+LOADERS = {
+    "index": ArchiveIndex.load,
+    "manifest": lambda path: SubCollection.read_manifest(path, ArchiveIndex([])),
+    "truth": load_truth,
+}
+
+
+def _evaluate_args(ws, index, manifest, truth=None):
+    args = ["evaluate", manifest, "--index", index, "--archive-dir", ws["archive_dir"]]
+    return args + ["--truth", truth] if truth else args
+
+
+@pytest.mark.parametrize(
+    "kind, text, lineno, message", [row[1:] for row in LINE_FILE_ROWS],
+    ids=[row[0] for row in LINE_FILE_ROWS],
+)
+def test_line_file_errors_name_path_line_and_exit_2(workspace, capsys, kind, text, lineno, message):
+    path = workspace["tmp"] / ("bad." + kind)
+    path.write_text(text, encoding="utf-8")
+    expected = "%s:%d: %s" % (path, lineno, message)
+    with pytest.raises(ValueError) as info:
+        LOADERS[kind](str(path))
+    assert type(info.value) is ValueError  # not a CanonicalizationError: exit 2
+    assert str(info.value).startswith(expected)
+
+    files = {"index": workspace["index"], "manifest": _manifest(workspace), "truth": None}
+    files[kind] = str(path)
+    capsys.readouterr()
+    assert main(_evaluate_args(workspace, **files)) == 2
+    assert capsys.readouterr().err.startswith("error: " + expected)
+
+
+def test_line_files_skip_blank_lines(workspace, capsys):
+    tmp = workspace["tmp"]
+    truth = tmp / "truth"
+    truth.write_text("SUBCOLLECT-TRUTH 1\nhttp://a.de/ 20000101120000\n")
+    files = {"index": workspace["index"], "manifest": _manifest(workspace), "truth": str(truth)}
+    capsys.readouterr()
+    assert main(_evaluate_args(workspace, **files)) == 0
+    report = capsys.readouterr().out
+    for kind, path in list(files.items()):
+        lines = pathlib.Path(path).read_text().splitlines()
+        head = 2 if kind == "manifest" else 1  # the manifest's spec-digest line is line 2
+        blank = tmp / ("blank." + kind)
+        # A blank line after the head, one after the first row and two at the end.
+        rows = [""] + lines[head : head + 1] + [""] + lines[head + 1 :] + ["", ""]
+        blank.write_text("\n".join(lines[:head] + rows))
+        files[kind] = str(blank)
+    assert main(_evaluate_args(workspace, **files)) == 0
+    assert capsys.readouterr().out == report
+
+
+def test_evaluate_reads_every_member_of_a_closure_over_a_damaged_capture(tmp_path, capsys):
+    # a.de links to b.de, whose body is altered after indexing.
+    archive_dir = tmp_path / "archive"
+    archive_dir.mkdir()
+    warc_path = archive_dir / "f.warc"
+    warcwriter.write_warc(str(warc_path), [
+        warcwriter.make_response_record(url, iso_of(ts14), body) for url, ts14, body in [
+            ("http://a.de/", "20000101120000", page("a", links=["http://b.de/"])),
+            ("http://b.de/", "20000601120000", page("b")),
+        ]
+    ])
+    index = str(tmp_path / "index.cdx")
+    assert main(["index", str(warc_path), "--output", index]) == 0
+    damage_warc(warc_path, ArchiveIndex.load(index).entries_for("http://b.de/")[0], "digest")
+    ws = {"tmp": tmp_path, "index": index, "archive_dir": str(archive_dir)}
+    spec = write_spec(tmp_path, {"name": "a", "scopes": {"domains": ["a.de"]},
+                                 "link_mode": "connected"})
+    manifest = str(tmp_path / "m")
+    capsys.readouterr()
+    assert main(_extract_args(ws, spec, manifest, "--export-warc", str(tmp_path / "m.warc"))) == 0
+    assert capsys.readouterr().out.split() == [
+        "candidates_scanned=1", "fetches=2", "closure_added=0", "errors=1", "members=1",
+    ]
+    assert main(_evaluate_args(ws, index, manifest)) == 0

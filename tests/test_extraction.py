@@ -416,9 +416,8 @@ def test_extract_judges_each_capture_once(tmp_path, monkeypatch, policy):
     assert coll.counters["fetches"] == 3
 
 
-def test_closure_judges_an_unreadable_capture_as_a_page_without_text(tmp_path):
-    # Threshold 0 accepts a page without text. The scan keeps no capture
-    # it cannot read; the closure judges one as a page without text.
+def a_links_to_damaged_b(tmp_path):
+    """a.de links to b.de, whose body is altered after indexing."""
     fx = build_archive(
         tmp_path,
         [
@@ -427,14 +426,44 @@ def test_closure_judges_an_unreadable_capture_as_a_page_without_text(tmp_path):
         ],
     )
     damage_warc(fx.path, fx.index.lookup_nearest("http://b.de/", ts(60)), "digest")
+    return fx
+
+
+def test_closure_skips_a_capture_it_cannot_read(tmp_path):
+    # Threshold 0 accepts a page without text. The scan keeps no capture
+    # it cannot read, and the closure adds none.
+    fx = a_links_to_damaged_b(tmp_path)
     spec = closure_spec(
         closure_policy="relevant_links", keyword_scope=("web", "archive"), relevance_threshold=0.0
     )
     coll = extract(fx.archive, fx.index, spec)
-    assert [(m.entry.canonical_url, m.origin) for m in coll.members] == [
-        ("http://a.de/", "scan"), ("http://b.de/", "closure"),
-    ]
+    assert [(m.entry.canonical_url, m.origin) for m in coll.members] == [("http://a.de/", "scan")]
     assert (coll.counters["fetches"], coll.counters["errors"]) == (2, 1)
+
+
+def test_closure_of_all_links_adds_no_capture_it_cannot_read(tmp_path):
+    fx = a_links_to_damaged_b(tmp_path)
+    coll = extract(fx.archive, fx.index, closure_spec(domain_scope=("a.de",)))
+    assert coll.member_urls() == {"http://a.de/"}
+    assert coll.counters == {
+        "candidates_scanned": 1, "fetches": 2, "closure_added": 0, "errors": 1, "members": 1,
+    }
+
+
+def test_closure_reads_the_targets_of_its_last_round(tmp_path):
+    # With a depth limit, a target is read before it is added, so the
+    # last round's targets are fetched although their links are not followed.
+    fx = build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(links=["http://b.de/"])),
+            ("http://b.de/", ts(60), page(links=["http://c.de/"])),
+            ("http://c.de/", ts(120), page()),
+        ],
+    )
+    coll = extract(fx.archive, fx.index, closure_spec(domain_scope=("a.de",), closure_max_depth=1))
+    assert coll.member_urls() == {"http://a.de/", "http://b.de/"}
+    assert coll.counters["fetches"] == 2
 
 
 def forty_long_rejected_pages_and_one_topic_page(tmp_path):

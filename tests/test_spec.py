@@ -14,7 +14,7 @@ from subcollect.spec import (
     serialize_spec,
 )
 
-from conftest import index_entry
+from conftest import build_archive, index_entry, page
 
 
 def spec_doc(**scopes):
@@ -330,6 +330,32 @@ def test_adding_scope_never_widens(base, e, extra_domain, extra_year):
         )
     if in_scope_metadata(narrowed, e):
         assert in_scope_metadata(base, e)
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    # The block reads archive.cdx, spec.json (the quick tour's) and archive/.
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    (tmp_path / "spec.json").write_text(
+        text.split("cat > spec.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    )
+    (tmp_path / "archive").mkdir()
+    topic = "bundestagswahl wahlkampf"
+    fx = build_archive(tmp_path / "archive", [
+        ("http://a.de/", "20090915120000", page(text=topic, links=["http://b.de/"])),
+        ("http://b.de/", "20090920120000", page(text="cooking")),
+        ("http://c.de/", "20091015120000", page(text=topic)),  # outside the narrowed window
+    ])
+    fx.index.save(str(tmp_path / "archive.cdx"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    counters = {"candidates_scanned": 2, "fetches": 2, "closure_added": 1, "errors": 0,
+                "members": 2}
+    assert capsys.readouterr().out == "%r 2 text/html\n" % counters
+    manifest = (tmp_path / "narrowed.manifest").read_text().splitlines()
+    assert [line.split()[::3] for line in manifest[2:]] == [
+        ["http://a.de/", "scan"], ["http://b.de/", "closure"],
+    ]
 
 
 def test_readme_quick_tour_spec_parses():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcollect import store, warc
+from subcollect.htmldoc import analyze
 from subcollect.urls import canonicalize_url
 from subcollect.store import (
     Archive,
@@ -139,7 +140,41 @@ def test_fetch_roundtrip_and_digest(tmp_path):
     assert entry.digest == hashlib.sha256(body).hexdigest()
     snap = fx.archive.fetch(entry)
     assert snap.body == body
-    assert ("Content-Type", "text/html") in snap.http_headers
+    assert snap.content_type == "text/html"
+
+
+def ingest_http(tmp_path, head, body):
+    """The WARC of one response record of ``head`` and ``body``, indexed:
+    (its only entry, an Archive over it)."""
+    payload = head.encode("latin-1") + b"\r\n\r\n" + body
+    path = tmp_path / FILE_ID
+    record = warcwriter.make_record("response", "http://a.de/", iso_of("20000101120000"), payload)
+    warcwriter.write_warc(str(path), [record])
+    [entry] = ingest_warc(str(path))
+    return entry, Archive(str(tmp_path))
+
+
+def test_mime_and_charset_come_from_the_first_content_type(tmp_path):
+    # An ASCII page: decoded as UTF-16, as a charset from the second
+    # header would have it, it would give no links and no such tokens.
+    head = "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Type: text/html; charset=utf-16"
+    entry, archive = ingest_http(tmp_path, head, page(text="web archive", links=["http://c.de/"]))
+    with archive:
+        snap = archive.fetch(entry)
+        analysis = analyze(snap)
+    assert analysis.outlink_targets() == ["http://c.de/"]
+    assert {"web", "archive"} <= set(analysis.tokens)
+    assert entry.mime == snap.content_type == "text/html"
+
+
+def test_a_response_without_content_type_has_no_mime_and_no_charset(tmp_path):
+    head = "HTTP/1.1 200 OK\r\nServer: x"
+    assert warc.parse_http_response(head.encode() + b"\r\n\r\nbody") == (200, "", b"body")
+    entry, archive = ingest_http(tmp_path, head, page(text="web archive"))
+    with archive:
+        snap = archive.fetch(entry)
+    assert (entry.mime, snap.content_type) == ("", "")
+    assert analyze(snap).tokens == []  # not HTML, so not parsed
 
 
 def test_fetch_increments_counter(tmp_path):
@@ -558,8 +593,8 @@ def test_index_load_keeps_one_string_per_url_mime_and_file(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("http://a.de/ 2000 only-three-fields", "index line must have 8 fields, got 3"),
-        ("http://a.de/ 20000101000000 - 200 d f 0 1 x", "index line must have 8 fields, got 9"),
+        ("http://a.de/ 2000 only-three-fields", "expected 8 fields, got 3"),
+        ("http://a.de/ 20000101000000 - 200 d f 0 1 x", "expected 8 fields, got 9"),
         ("http://a.de/ 20000101000000 - 2x0 d f 0 1", "invalid literal for int() with base 10: '2x0'"),
         ("http://a.de/ 20000101000000 - 200 d f 0 ", "invalid literal for int() with base 10: ''"),
         ("http://a.de/ 20000101000000 - 200 d f -5 1", "offset and length must not be negative"),

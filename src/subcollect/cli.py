@@ -23,12 +23,13 @@ from .store import (
     ArchiveIndex,
     CorruptSnapshotError,
     IngestStats,
-    SnapshotNotFound,
     atomic_open,
     ingest_warc,
     is_valid_timestamp14,
+    nearest,
+    read_url_rows,
 )
-from .urls import CanonicalizationError, SpecError
+from .urls import CanonicalizationError, SpecError, canonicalize_url
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,12 +136,12 @@ def cmd_get(args):
     if not is_valid_timestamp14(args.at):
         _log("error: --at must be a valid 14-digit UTC timestamp")
         return EXIT_VALIDATION
-    index = ArchiveIndex.load(args.index)
-    try:
-        ref = index.lookup_nearest(args.url, args.at)
-    except SnapshotNotFound:
+    # Only the URL's own lines of the index are read.
+    captures = read_url_rows(args.index, canonicalize_url(args.url))
+    if not captures:
         _log("not found: %s" % args.url)
         return EXIT_EMPTY
+    ref = nearest(captures, args.at)
     with Archive(directory=args.archive_dir) as archive:
         snap = archive.fetch(ref)
     _log("%s %s %s" % (ref.canonical_url, ref.timestamp14, ref.digest))

@@ -145,9 +145,9 @@ def temporal_width(collection):
     return max(epochs) - min(epochs)
 
 
-def _facet_value(entry, facet):
+def _facet_value(entry, facet, host):
     if facet == "host":
-        return host_of(entry.canonical_url)
+        return host(entry.canonical_url)
     if facet == "year":
         return entry.timestamp14[:4]
     if facet == "mime":
@@ -157,8 +157,9 @@ def _facet_value(entry, facet):
 
 def _distribution(entries, facet):
     counts = {}
+    host = functools.cache(host_of)  # once per URL, not per capture
     for e in entries:
-        v = _facet_value(e, facet)
+        v = _facet_value(e, facet, host)
         counts[v] = counts.get(v, 0) + 1
     total = sum(counts.values())
     return {v: c / total for v, c in counts.items()}

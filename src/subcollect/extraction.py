@@ -18,6 +18,7 @@ extracted collection can be read.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from bisect import bisect_left, bisect_right
@@ -286,8 +287,10 @@ def enforce_size(members, size_scope, index, seed):
     if size_scope is None or size_scope >= len(members):
         return list(members)
 
+    host = functools.cache(host_of)  # once per URL, not per capture
+
     def stratum(entry):
-        return (host_of(entry.canonical_url), entry.timestamp14[:4])
+        return (host(entry.canonical_url), entry.timestamp14[:4])
 
     by_stratum = {}
     for m in sorted(members, key=_member_order):

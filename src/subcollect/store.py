@@ -12,6 +12,13 @@ entries of one WARC share. An :class:`Archive` keeps up to
 The index, the manifest and the truth set are line files, all read by
 :func:`read_rows`: a header line, then a row of space-separated fields
 per line, blank lines skipped, and every error named ``path:line``.
+
+The index is sorted: each entry sorts strictly after the one before it,
+as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
+rejects a line that does not. So the lines of one URL are adjacent, and
+:func:`read_url_rows` finds them by a binary search over the file, reading
+only the header, about log2(file size) probed lines and the URL's own
+lines. It trusts the order of the lines it does not read.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ __all__ = [
     "IngestStats",
     "ingest_warc",
     "read_rows",
+    "read_url_rows",
+    "nearest",
     "atomic_open",
     "timestamp14_from_iso",
     "timestamp14_to_epoch",
@@ -224,6 +233,8 @@ def ingest_warc(path, stats=None):
             stats.skipped += 1
             continue
         mime = content_type.split(";")[0].strip().lower()
+        if mime == "-":  # the index writes no mime as "-"
+            mime = ""
         entries.append(IndexEntry(canonical[uri], ts14, mime, status,
                                   hashlib.sha256(body).hexdigest(), file_id, offset, length))
         stats.responses += 1
@@ -237,6 +248,51 @@ def _check_file_id(file_id):
         raise ValueError("file id must be a bare file name, got %r" % file_id)
 
 
+def _index_row():
+    """``row(*fields)``, the IndexEntry of an index line, for one reading
+    of the file: integer status, offset and length, the last two not
+    negative, a bare file name as file id, and each entry sorting strictly
+    after the one before. Entries share each distinct URL, mime and file id."""
+    make = IndexEntry._make
+    urls, mimes, file_ids = {}, {}, {}
+    last = ()  # sorts before every entry
+
+    def row(url, ts, mime, status, digest, file_id, offset, length):
+        nonlocal last
+        status, offset, length = int(status), int(offset), int(length)
+        if offset < 0 or length < 0:
+            raise ValueError("offset and length must not be negative")
+        if file_id not in file_ids:
+            _check_file_id(file_id)
+            file_ids[file_id] = file_id
+        entry = make((
+            urls.setdefault(url, url), ts, mimes.setdefault(mime, "" if mime == "-" else mime),
+            status, digest, file_ids[file_id], offset, length,
+        ))
+        if entry <= last:
+            raise ValueError("entry out of order")
+        last = entry
+        return entry
+
+    return row
+
+
+def nearest(captures, target_ts14):
+    """The capture of ``captures``, one URL's in ascending order and not
+    empty, closest in time to ``target_ts14``; equidistant ties go to the
+    earlier capture."""
+    target = timestamp14_to_epoch(target_ts14)
+    # Zero-padded 14-digit UTC timestamps sort in time order, so only
+    # the two neighbours of the insertion point need epochs.
+    i = bisect.bisect_left(captures, target_ts14, key=_TIMESTAMP14)
+    best = None
+    for c in captures[max(i - 1, 0) : i + 1]:
+        dist = abs(c.epoch - target)
+        if best is None or dist < best[0]:
+            best = (dist, c)
+    return best[1]
+
+
 class ArchiveIndex:
     """Sorted in-memory index over IndexEntry rows with per-URL lookup."""
 
@@ -244,9 +300,13 @@ class ArchiveIndex:
         uniq = {}
         for e in entries:
             uniq[(e.canonical_url, e.timestamp14, e.digest)] = e
-        self.entries = sorted(uniq.values())
+        self._set(sorted(uniq.values()))
+
+    def _set(self, entries):
+        """Index ``entries``, which are sorted."""
+        self.entries = entries
         self._by_url = {}
-        for e in self.entries:
+        for e in entries:
             self._by_url.setdefault(e.canonical_url, []).append(e)
 
     def __len__(self):
@@ -275,16 +335,7 @@ class ArchiveIndex:
         candidates = self.entries_for(url)
         if not candidates:
             raise SnapshotNotFound(url)
-        target = timestamp14_to_epoch(target_ts14)
-        # Zero-padded 14-digit UTC timestamps sort in time order, so only
-        # the two neighbours of the insertion point need epochs.
-        i = bisect.bisect_left(candidates, target_ts14, key=_TIMESTAMP14)
-        best = None
-        for c in candidates[max(i - 1, 0) : i + 1]:
-            dist = abs(c.epoch - target)
-            if best is None or dist < best[0]:
-                best = (dist, c)
-        return best[1]
+        return nearest(candidates, target_ts14)
 
     def save(self, path):
         """Write the index. An entry whose file id :meth:`load` would
@@ -301,23 +352,37 @@ class ArchiveIndex:
 
     @classmethod
     def load(cls, path):
-        make = IndexEntry._make
-        # One object per distinct string, shared by every entry that has it.
-        urls, mimes, file_ids = {}, {}, {}
+        """The index file ``path``, an entry per line. A line that breaks
+        the row rule of :func:`_index_row`, its order included, fails the
+        load with ``path:line``."""
+        index = cls.__new__(cls)
+        index._set(read_rows(path, INDEX_HEADER, _index_row()))
+        return index
 
-        def row(url, ts, mime, status, digest, file_id, offset, length):
-            status, offset, length = int(status), int(offset), int(length)
-            if offset < 0 or length < 0:
-                raise ValueError("offset and length must not be negative")
-            if file_id not in file_ids:
-                _check_file_id(file_id)
-                file_ids[file_id] = file_id
-            return make((
-                urls.setdefault(url, url), ts, mimes.setdefault(mime, "" if mime == "-" else mime),
-                status, digest, file_ids[file_id], offset, length,
-            ))
 
-        return cls(read_rows(path, INDEX_HEADER, row))
+def _parse(row, width, line):
+    """``row(*fields)`` of one line of a line file, without its line end."""
+    fields = line.split(" ")
+    if len(fields) != width:
+        raise ValueError("expected %d fields, got %d" % (width, len(fields)))
+    return row(*fields)
+
+
+def _strip(raw):
+    """A line read in binary without its line end, "\\n" or "\\r\\n", as
+    text mode reads it."""
+    return raw.removesuffix(b"\n").removesuffix(b"\r")
+
+
+def _undecodable_line(path):
+    """(line number, UnicodeDecodeError) of the first line of ``path``
+    that is not UTF-8."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                _strip(raw).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno, exc
 
 
 def read_rows(path, header, row, first=None):
@@ -325,8 +390,9 @@ def read_rows(path, header, row, first=None):
 
     Line 1 must be ``header``; ``first``, when given, is called with line 2.
     A later line is blank, and skipped, or has one space-separated field per
-    parameter of ``row``. Any ValueError, such as a CanonicalizationError,
-    is raised again as a plain ValueError that starts with ``path:line:``.
+    parameter of ``row``. Any ValueError, such as a CanonicalizationError or
+    a byte that is not UTF-8, is raised again as a plain ValueError that
+    starts with ``path:line:``.
     """
     width = row.__code__.co_argcount
     rows = []
@@ -339,17 +405,76 @@ def read_rows(path, header, row, first=None):
                 lineno = 2
                 first(f.readline().rstrip("\n"))
             for lineno, line in enumerate(f, start=lineno + 1):
-                fields = line.rstrip("\n").split(" ")
-                if fields == [""]:
-                    continue  # a blank line
-                if len(fields) != width:
-                    raise ValueError("expected %d fields, got %d" % (width, len(fields)))
-                rows.append(row(*fields))
+                line = line.rstrip("\n")
+                if line:  # a blank line is skipped
+                    rows.append(_parse(row, width, line))
         except UnicodeDecodeError:
-            raise  # of a block read ahead, so the line number would mislead
+            # Text mode decodes a block read ahead, so the line is found again.
+            lineno, exc = _undecodable_line(path)
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
         except ValueError as exc:
             raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return rows
+
+
+def _first_field_from(f, pos):
+    """The first field, in bytes, of the first non-blank line that starts
+    at or after ``pos``, which is past the header; None past the last."""
+    f.seek(pos - 1)
+    f.readline()  # the rest of the line that holds byte pos - 1
+    for raw in f:
+        line = _strip(raw)
+        if line:
+            return line.partition(b" ")[0]
+    return None
+
+
+def read_url_rows(path, url):
+    """The entries of the canonical ``url`` in the index file ``path``,
+    ascending: what ``ArchiveIndex.load(path).entries_for(url)`` gives.
+
+    A binary search over byte offsets finds the first line whose first
+    field is at least ``url``. Fields compare as UTF-8 bytes, in the code
+    point order that ``save`` sorts by; whole lines are never compared,
+    since a URL may hold a character that sorts below the space. Each of
+    the URL's lines passes the row rule of ``load``, order included, and
+    an error names ``path:line``. Blank lines and "\\r\\n" line ends are
+    read as ``load`` reads them.
+    """
+    # A lone surrogate, from a command line that is not UTF-8, encodes to
+    # bytes that no UTF-8 line holds.
+    key = url.encode("utf-8", "surrogatepass")
+    row = _index_row()
+    width = row.__code__.co_argcount
+    entries = []
+    pos = 0  # where the line being read starts
+    with open(path, "rb") as f:
+        try:
+            head = f.readline()
+            if _strip(head).decode("utf-8") != INDEX_HEADER:
+                raise ValueError("not a %s file" % INDEX_HEADER)
+            lo, hi = len(head), os.fstat(f.fileno()).st_size
+            while lo < hi:
+                mid = (lo + hi) // 2
+                field = _first_field_from(f, mid)
+                if field is None or field >= key:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            f.seek(lo - 1)
+            pos = lo - 1 + len(f.readline())
+            for raw in f:
+                line = _strip(raw)
+                if line:
+                    if line.partition(b" ")[0] != key:
+                        break
+                    entries.append(_parse(row, width, line.decode("utf-8")))
+                pos += len(raw)
+        except ValueError as exc:
+            f.seek(0)
+            lineno = f.read(pos).count(b"\n") + 1
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+    return entries
 
 
 # WARCs are commonly cut at 1 GB, so an archive may hold thousands, more

@@ -481,6 +481,104 @@ def test_get_rejects_non_ascii_digits_and_impossible_dates(workspace, capsys, at
     assert "--at must be a valid 14-digit UTC timestamp" in capsys.readouterr().err
 
 
+# get reads only its URL's lines ------------------------------------------------
+
+
+@pytest.fixture
+def five_urls(tmp_path):
+    """An archive of 5 URLs x 3 captures, indexed, and a manifest of all of it."""
+    archive_dir = tmp_path / "archive"
+    archive_dir.mkdir()
+    warc_path = archive_dir / "f.warc"
+    warcwriter.write_warc(str(warc_path), [
+        warcwriter.make_response_record("http://h%d.de/p" % h, iso_of("200%d0101120000" % y),
+                                        page("h%d-%d" % (h, y), links=["http://h0.de/p"]))
+        for h in range(5) for y in range(3)
+    ])
+    ws = {"tmp": tmp_path, "archive_dir": str(archive_dir), "index": str(tmp_path / "index.cdx")}
+    assert main(["index", str(warc_path), "--output", ws["index"]]) == 0
+    ws["spec"] = write_spec(tmp_path, {"name": "all", "scopes": {"domains": ["de"]}})
+    ws["manifest"] = str(tmp_path / "all.manifest")
+    assert main(["extract", "--spec", ws["spec"], "--index", ws["index"],
+                 "--archive-dir", ws["archive_dir"], "--output", ws["manifest"]]) == 0
+    return ws
+
+
+def _garbage(kind, run):
+    """One URL's run of index lines made garbage of ``kind``."""
+    if kind == "fields":
+        return [line.split(" ")[0] + " 2000 only-three" for line in run]
+    if kind == "utf8":  # "\\udcff" is written as the byte 0xff
+        return [line.replace(" text/html ", " text/\udcffhtml ") for line in run]
+    return run[::-1]  # "order": latest capture first
+
+
+def _index_damaged_but(ws, kind, url):
+    """A copy of the index in which every line of a URL other than ``url``
+    is garbage of ``kind``."""
+    lines = pathlib.Path(ws["index"]).read_text().splitlines()
+    runs = {}
+    for line in lines[1:]:
+        runs.setdefault(line.split(" ")[0], []).append(line)
+    out = lines[:1]
+    for key, run in runs.items():
+        out += run if key == url else _garbage(kind, run)
+    path = ws["tmp"] / "damaged.cdx"
+    path.write_bytes("\n".join(out + [""]).encode("utf-8", "surrogateescape"))
+    return str(path)
+
+
+def _run(capsysbinary, args):
+    capsysbinary.readouterr()
+    code = main(args)
+    out, err = capsysbinary.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("kind", ["fields", "utf8", "order"])
+def test_get_reads_only_its_urls_lines(five_urls, capsysbinary, kind):
+    ws = five_urls
+    for url in ("http://h0.de/p", "http://h2.de/p", "http://h4.de/p", "http://h9.de/p"):
+        damaged = _index_damaged_but(ws, kind, url)
+        for at in ("19990101000000", "20010601000000", "20300101000000"):
+            query = ["--archive-dir", ws["archive_dir"], "--url", url, "--at", at]
+            want = _run(capsysbinary, ["get", "--index", ws["index"]] + query)
+            assert want[0] == (3 if url == "http://h9.de/p" else 0)
+            assert _run(capsysbinary, ["get", "--index", damaged] + query) == want
+
+    # The commands that iterate the whole index fail on the first garbage
+    # line, the first of http://h0.de/p (line 2), or, out of order, the next.
+    damaged = _index_damaged_but(ws, kind, "http://h2.de/p")
+    expected = {
+        "fields": "%s:2: expected 8 fields, got 3" % damaged,
+        "utf8": "%s:2: 'utf-8' codec can't decode byte 0xff" % damaged,
+        "order": "%s:3: entry out of order" % damaged,
+    }[kind]
+    common = ["--index", damaged, "--archive-dir", ws["archive_dir"]]
+    for args in (
+        ["extract", "--spec", ws["spec"], "--output", str(ws["tmp"] / "m")] + common,
+        ["evaluate", ws["manifest"]] + common,
+        ["stats", "--sample-n", "2", "--output", str(ws["tmp"] / "s.csv")] + common,
+    ):
+        code, out, err = _run(capsysbinary, args)
+        assert (code, out) == (2, b"")
+        assert err.decode().startswith("error: " + expected), err
+
+
+def test_get_names_a_damaged_line_of_its_url(five_urls, capsys):
+    ws = five_urls
+    lines = pathlib.Path(ws["index"]).read_text().splitlines()
+    lines[5] = "http://h1.de/p 2000 only-three"  # the second capture of h1
+    path = ws["tmp"] / "edited.cdx"
+    path.write_text("\n".join(lines) + "\n")
+    args = ["get", "--index", str(path), "--archive-dir", ws["archive_dir"],
+            "--url", "http://h1.de/p", "--at", "20000101120000"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: %s:6: expected 8 fields, got 3\n" % path
+    args[6] = "http://h0.de/p"
+    assert main(args) == 0
+
+
 def test_evaluate_csv_independent_of_hash_seed(tmp_path):
     # Many hosts with uneven shares, so a hash-ordered float sum would
     # differ in its last digits between interpreter processes.
@@ -638,6 +736,11 @@ EXIT_ROWS = [
     ("bad-url", lambda ws: _get(ws, "http://[::1/", "20000101000000"), 1,
      "'http://[::1/': Invalid IPv6 URL"),
     ("absent-url", lambda ws: _get(ws, "http://nope.de/", "20000101000000"), 3, None),
+    # --url is canonicalized before the index is opened (this was exit 2).
+    ("bad-url-missing-index", lambda ws: ["get", "--index", str(ws["tmp"] / "none.cdx"),
+                                          "--archive-dir", ws["archive_dir"], "--url",
+                                          "http://[::1/", "--at", "20000101000000"], 1,
+     "'http://[::1/': Invalid IPv6 URL"),
     ("get-missing-warc", lambda ws: _damaged_get(ws, "missing"), 2, "f.warc"),
     ("get-truncated-warc", lambda ws: _damaged_get(ws, "truncated"), 2, "exceeds size of"),
     ("get-oversized-length", lambda ws: _get_with_edited_entry(ws, length=10**12), 2,
@@ -760,6 +863,20 @@ LINE_FILE_ROWS = [
     ("truth-fields", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/\n", 3, "expected 2 fields, got 1"),
     ("truth-timestamp", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/ 2000\n", 3,
      "bad timestamp14: '2000'"),
+    # A byte that is not UTF-8 ("\\udcff" is written as 0xff); it used to
+    # give the decoder's message, with a position in the block read ahead.
+    ("index-utf8", "index",
+     "SUBCOLLECT-CDX 1\n\nhttp://a.de/ 20000101120000 text/\udcffhtml 200 d f.warc 0 1\n", 3,
+     "'utf-8' codec can't decode byte 0xff in position 33: invalid start byte"),
+    ("manifest-utf8", "manifest",
+     "SUBCOLLECT-MANIFEST 1\nspec-digest 00\n\nhttp://a.de/ 2000\udcff0101120000 ab scan\n", 4,
+     "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+    ("truth-utf8", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/\udcff 20000101120000\n", 3,
+     "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    # An index out of order used to be sorted silently.
+    ("index-order", "index",
+     "SUBCOLLECT-CDX 1\nhttp://b.de/ 20000101120000 text/html 200 d f.warc 0 1\n\n"
+     "http://a.de/ 20000101120000 text/html 200 d f.warc 0 1\n", 4, "entry out of order"),
 ]
 
 LOADERS = {
@@ -780,7 +897,7 @@ def _evaluate_args(ws, index, manifest, truth=None):
 )
 def test_line_file_errors_name_path_line_and_exit_2(workspace, capsys, kind, text, lineno, message):
     path = workspace["tmp"] / ("bad." + kind)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     expected = "%s:%d: %s" % (path, lineno, message)
     with pytest.raises(ValueError) as info:
         LOADERS[kind](str(path))

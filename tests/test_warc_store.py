@@ -616,6 +616,82 @@ def test_index_load_error_names_path_line_and_fault(tmp_path, line, message):
     assert str(excinfo.value) == "%s:3: %s" % (path, message)
 
 
+def _cdx_lines(n):
+    return ["http://a.de/ 2000010100000%d text/html 200 d%d f.warc %d 10" % (i, i, 10 * i)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        # The first entry moved to the end used to be sorted back in silently.
+        (_cdx_lines(4)[1:] + _cdx_lines(4)[:1], 5),
+        (_cdx_lines(2) + _cdx_lines(2)[1:] + ["http://b.de/ 20000101000000 - 200 d f.warc 0 1"], 4),
+        (["http://b.de/ 20000101000000 - 200 d f.warc 0 1", ""] + _cdx_lines(1), 4),
+    ],
+    ids=["moved", "repeated", "after-a-blank-line"],
+)
+def test_index_load_rejects_an_entry_out_of_order(tmp_path, lines, lineno):
+    path = tmp_path / "idx"
+    path.write_text("SUBCOLLECT-CDX 1\n%s\n" % "\n".join(lines))
+    with pytest.raises(ValueError) as excinfo:
+        ArchiveIndex.load(str(path))
+    assert str(excinfo.value) == "%s:%d: entry out of order" % (path, lineno)
+
+
+def test_index_load_keeps_every_line_it_accepts(tmp_path):
+    # Two entries of one capture in two WARCs: ArchiveIndex() keeps one,
+    # and load, which used to go through it, now keeps both lines.
+    a = index_entry("http://a.de/", "20000101000000", digest="d", file_id="f.warc")
+    b = a._replace(file_id="g.warc")
+    path = tmp_path / "idx"
+    path.write_text("SUBCOLLECT-CDX 1\n%s\n%s\n" % (a.to_line(), b.to_line()))
+    assert ArchiveIndex.load(str(path)).entries == [a, b]
+    assert ArchiveIndex([a, b]).entries == [b]
+
+
+def test_a_mime_of_a_dash_is_indexed_as_none(tmp_path):
+    # The index writes no mime as "-", so a "-" mime came back as none
+    # and sorted apart from where the index had written it.
+    fx = build_archive(tmp_path, [
+        ("http://a.de/", "20000101000000", page("1"), "-"),
+        ("http://a.de/", "20000101000000", page("2"), "+x"),
+    ])
+    assert sorted(e.mime for e in fx.index) == ["", "+x"]
+    fx.index.save(str(tmp_path / "idx"))
+    assert ArchiveIndex.load(str(tmp_path / "idx")).entries == fx.index.entries
+
+
+@pytest.mark.parametrize("kind", ["index", "manifest", "truth"])
+def test_invalid_utf8_names_its_line(tmp_path, kind):
+    from subcollect.evaluation import load_truth
+    from subcollect.extraction import SubCollection
+
+    text = {
+        "index": "SUBCOLLECT-CDX 1\n\n%s\n" % _cdx_lines(1)[0],
+        "manifest": "SUBCOLLECT-MANIFEST 1\nspec-digest x\nhttp://a.de/ 20000101000000 d0 scan\n",
+        "truth": "SUBCOLLECT-TRUTH 1\nhttp://b.de/ 20000101000000\nhttp://a.de/ 20000101000000\n",
+    }[kind]
+    data = text.encode()
+    at = data.index(b"2000", data.index(b"http://a.de/"))  # on line 3
+    path = tmp_path / kind
+    # A bad byte, then more lines, so a reader's read-ahead passes line 3.
+    path.write_bytes(data[:at] + b"\xff" + data[at:] + b"\n" * 10000)
+    read = {
+        "index": ArchiveIndex.load,
+        "manifest": lambda p: SubCollection.read_manifest(p, ArchiveIndex()),
+        "truth": load_truth,
+    }[kind]
+    with pytest.raises(ValueError) as excinfo:
+        read(str(path))
+    position = at - data.rindex(b"\n", 0, at) - 1
+    assert str(excinfo.value) == (
+        "%s:3: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte"
+        % (path, position)
+    )
+    assert type(excinfo.value) is ValueError
+
+
 @pytest.mark.parametrize("file_id", ["", ".", "..", "a/b.warc", "/tmp/o.warc"])
 def test_index_save_refuses_a_file_id_load_rejects(tmp_path, file_id):
     good = index_entry("http://a.de/", "20000101000000", file_id="f.warc")

@@ -23,6 +23,7 @@ from .store import (
     ArchiveIndex,
     CorruptSnapshotError,
     IngestStats,
+    SnapshotNotFound,
     atomic_open,
     ingest_warc,
     is_valid_timestamp14,
@@ -38,11 +39,12 @@ EXIT_EMPTY = 3
 
 # Exit code of an error that ends a command, by the nearest class in the
 # exception's MRO: SpecError and CanonicalizationError (both defined in
-# ``urls``) are ValueErrors, and WarcFormatError (ValueError) and
-# ArchiveIOError (OSError) give EXIT_IO.
+# ``urls``) are ValueErrors, SnapshotNotFound is a LookupError, and
+# WarcFormatError (ValueError) and ArchiveIOError (OSError) give EXIT_IO.
 EXIT_CODES = {
     SpecError: EXIT_VALIDATION,
     CanonicalizationError: EXIT_VALIDATION,
+    SnapshotNotFound: EXIT_EMPTY,
     CorruptSnapshotError: EXIT_IO,
     OSError: EXIT_IO,
     ValueError: EXIT_IO,
@@ -124,10 +126,13 @@ def cmd_stats(args):
     index = ArchiveIndex.load(args.index)
     with Archive(directory=args.archive_dir) as archive:
         report = stats.build_report(index, archive, args.sample_n, args.seed)
-    report.write_wide_csv(args.output)
     base, ext = os.path.splitext(args.output)
     long_path = base + "_long" + (ext or ".csv")
-    report.write_long_csv(long_path)
+    # The wide CSV is renamed after the long one, so a failed write leaves neither.
+    with atomic_open(args.output, "w", encoding="utf-8", newline="") as wide:
+        with atomic_open(long_path, "w", encoding="utf-8", newline="") as long:
+            report.write_wide_csv(wide)
+            report.write_long_csv(long)
     _log("sampled_pages=%d wide=%s long=%s" % (report.sample_size, args.output, long_path))
     return EXIT_OK
 

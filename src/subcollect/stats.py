@@ -17,7 +17,6 @@ import random
 from collections import namedtuple
 
 from .htmldoc import TAG_CLASSES, analyze_capture
-from .store import atomic_open
 
 __all__ = [
     "StatsReport",
@@ -156,27 +155,26 @@ class StatsReport:
         self.normalized_tags = normalized_tags  # {year: {tag: [0,1]}}
         self.sample_size = sample_size
 
-    def write_wide_csv(self, path):
-        """One row per year, plot-ready."""
-        with atomic_open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(YearRow._fields)
-            for row in self.rows:
-                w.writerow(["" if v is None else v for v in row])
+    def write_wide_csv(self, f):
+        """One row per year, plot-ready, to the open text file ``f``."""
+        w = csv.writer(f)
+        w.writerow(YearRow._fields)
+        for row in self.rows:
+            w.writerow(["" if v is None else v for v in row])
 
-    def write_long_csv(self, path):
-        """year,metric,value rows, including the normalized tag series."""
-        with atomic_open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["year", "metric", "value"])
-            for row in self.rows:
-                for c, v in zip(YearRow._fields[1:], row[1:]):
-                    if v is not None:
-                        w.writerow([row.year, c, v])
-                for tag in TAG_CLASSES:
-                    norm = self.normalized_tags.get(row.year, {}).get(tag)
-                    if norm is not None:
-                        w.writerow([row.year, "normalized_%s" % tag, norm])
+    def write_long_csv(self, f):
+        """year,metric,value rows, including the normalized tag series, to
+        the open text file ``f``."""
+        w = csv.writer(f)
+        w.writerow(["year", "metric", "value"])
+        for row in self.rows:
+            for c, v in zip(YearRow._fields[1:], row[1:]):
+                if v is not None:
+                    w.writerow([row.year, c, v])
+            for tag in TAG_CLASSES:
+                norm = self.normalized_tags.get(row.year, {}).get(tag)
+                if norm is not None:
+                    w.writerow([row.year, "normalized_%s" % tag, norm])
 
 
 def build_report(index, archive, n, seed):

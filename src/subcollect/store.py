@@ -10,15 +10,21 @@ entries of one WARC share. An :class:`Archive` keeps up to
 :meth:`Archive.close`.
 
 The index, the manifest and the truth set are line files, all read by
-:func:`read_rows`: a header line, then a row of space-separated fields
-per line, blank lines skipped, and every error named ``path:line``.
+:func:`read_rows`, in binary: a header line, then a row of space-separated
+fields per line. A line ends at LF, one CR before it is dropped (a lone CR
+ends no line), each line is decoded as UTF-8 by itself, blank lines are
+skipped, and every error is named ``path:line``. :meth:`ArchiveIndex.save`
+reads each line it writes back through the row rule of
+:meth:`ArchiveIndex.load`, timestamp included, so the index holds only
+lines that both its readers accept.
 
 The index is sorted: each entry sorts strictly after the one before it,
 as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
 rejects a line that does not. So the lines of one URL are adjacent, and
 :func:`read_url_rows` finds them by a binary search over the file, reading
 only the header, about log2(file size) probed lines and the URL's own
-lines. It trusts the order of the lines it does not read.
+lines, which :func:`read_rows` then reads. It trusts the order of the
+lines it does not read.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ _ISO_DATE_RE = re.compile(
     r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
     r"[Tt](2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)(?:\.[0-9]+)?[Zz]\Z"
 )
+
+# A media type without parameters (RFC 9110): a type and a subtype token.
+_MEDIA_TYPE_RE = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+/[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 
 
 class SnapshotNotFound(LookupError):
@@ -145,19 +154,18 @@ class IndexEntry(
     def is_html(self):
         return "html" in self.mime
 
-    def to_line(self):
-        return " ".join(
-            [
-                self.canonical_url,
-                self.timestamp14,
-                self.mime or "-",
-                str(self.http_status),
-                self.digest,
-                self.file_id,
-                str(self.offset),
-                str(self.length),
-            ]
-        )
+    def fields(self):
+        """The fields of the entry's index line, which joins them with spaces."""
+        return [
+            self.canonical_url,
+            self.timestamp14,
+            self.mime or "-",
+            str(self.http_status),
+            self.digest,
+            self.file_id,
+            str(self.offset),
+            str(self.length),
+        ]
 
 
 # A fetched capture: its IndexEntry, first Content-Type ("" if none) and body.
@@ -194,15 +202,18 @@ def ingest_warc(path, stats=None):
     type are passed over and counted by type in ``stats.passed_over``;
     response records missing WARC-Target-URI or WARC-Date (or carrying
     a non-HTTP payload) are skipped and tallied in ``stats.skipped``.
-    Each distinct Target-URI is canonicalized once per file, so the
-    entries of one URL share one string. The mime type is the first
-    Content-Type of the response up to any ";", lowercased.
+    Each distinct Target-URI is canonicalized, and each distinct
+    Content-Type read, once per file, so the entries of one URL share one
+    string, as do those of one mime type. The mime type is the first
+    Content-Type of the response up to any ";", lowercased, when that is a
+    media type, and none otherwise.
     """
     file_id = os.path.basename(path)
     if stats is None:
         stats = IngestStats()
     passed_over = stats.passed_over
     canonical = {}  # Target-URI -> canonical URL
+    mimes = {}  # Content-Type -> mime type
     entries = []
     for offset, length, rec in warc.iter_records(path):
         stats.records += 1
@@ -232,41 +243,37 @@ def ingest_warc(path, stats=None):
         except (CanonicalizationError, ValueError):
             stats.skipped += 1
             continue
-        mime = content_type.split(";")[0].strip().lower()
-        if mime == "-":  # the index writes no mime as "-"
-            mime = ""
-        entries.append(IndexEntry(canonical[uri], ts14, mime, status,
+        if content_type not in mimes:
+            mime = content_type.split(";")[0].strip()
+            mimes[content_type] = mime.lower() if _MEDIA_TYPE_RE.fullmatch(mime) else ""
+        entries.append(IndexEntry(canonical[uri], ts14, mimes[content_type], status,
                                   hashlib.sha256(body).hexdigest(), file_id, offset, length))
         stats.responses += 1
     return entries
 
 
-def _check_file_id(file_id):
-    """Raise ValueError unless ``file_id`` names a file inside the archive
-    directory."""
-    if "/" in file_id or file_id in ("", ".", ".."):
-        raise ValueError("file id must be a bare file name, got %r" % file_id)
-
-
 def _index_row():
     """``row(*fields)``, the IndexEntry of an index line, for one reading
-    of the file: integer status, offset and length, the last two not
-    negative, a bare file name as file id, and each entry sorting strictly
-    after the one before. Entries share each distinct URL, mime and file id."""
+    of the file: a timestamp that :func:`timestamp14_to_epoch` accepts,
+    integer status, offset and length, the last two not negative, a bare
+    file name as file id, and each entry sorting strictly after the one
+    before. Entries share each distinct URL, mime and file id."""
     make = IndexEntry._make
-    urls, mimes, file_ids = {}, {}, {}
+    urls, mimes, file_ids = {}, {"-": ""}, {}  # "-" is no mime
     last = ()  # sorts before every entry
 
     def row(url, ts, mime, status, digest, file_id, offset, length):
         nonlocal last
+        timestamp14_to_epoch(ts)
         status, offset, length = int(status), int(offset), int(length)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must not be negative")
         if file_id not in file_ids:
-            _check_file_id(file_id)
+            if "/" in file_id or file_id in ("", ".", ".."):  # not inside the archive directory
+                raise ValueError("file id must be a bare file name, got %r" % file_id)
             file_ids[file_id] = file_id
         entry = make((
-            urls.setdefault(url, url), ts, mimes.setdefault(mime, "" if mime == "-" else mime),
+            urls.setdefault(url, url), ts, mimes.setdefault(mime, mime),
             status, digest, file_ids[file_id], offset, length,
         ))
         if entry <= last:
@@ -338,17 +345,23 @@ class ArchiveIndex:
         return nearest(candidates, target_ts14)
 
     def save(self, path):
-        """Write the index. An entry whose file id :meth:`load` would
-        reject fails the save, with the message load gives, and leaves no
-        file."""
-        with atomic_open(path, "w", encoding="utf-8") as f:
-            f.write(INDEX_HEADER + "\n")
+        """Write the index. Each line must hold no LF and read back, by the
+        row rule of :meth:`load`, as the entry it was written from; one
+        that does not fails the save with ``path:line`` and leaves no file."""
+        row = _index_row()
+        spaces = row.__code__.co_argcount - 1
+        with atomic_open(path, "wb") as f:
+            f.write(INDEX_HEADER.encode() + b"\n")
             for lineno, e in enumerate(self.entries, start=2):
+                fields = e.fields()
+                line = " ".join(fields)
                 try:
-                    _check_file_id(e.file_id)
+                    # With no space inside a field, load splits the line into these fields.
+                    if line.count(" ") != spaces or "\n" in line or row(*fields) != e:
+                        raise ValueError("%r does not read back as written" % line)
+                    f.write(line.encode("utf-8") + b"\n")
                 except ValueError as exc:
                     raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-                f.write(e.to_line() + "\n")
 
     @classmethod
     def load(cls, path):
@@ -360,59 +373,48 @@ class ArchiveIndex:
         return index
 
 
-def _parse(row, width, line):
-    """``row(*fields)`` of one line of a line file, without its line end."""
-    fields = line.split(" ")
-    if len(fields) != width:
-        raise ValueError("expected %d fields, got %d" % (width, len(fields)))
-    return row(*fields)
-
-
 def _strip(raw):
-    """A line read in binary without its line end, "\\n" or "\\r\\n", as
-    text mode reads it."""
+    """A line read in binary without its line end, "\\n" or "\\r\\n"."""
     return raw.removesuffix(b"\n").removesuffix(b"\r")
 
 
-def _undecodable_line(path):
-    """(line number, UnicodeDecodeError) of the first line of ``path``
-    that is not UTF-8."""
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                _strip(raw).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return lineno, exc
-
-
-def read_rows(path, header, row, first=None):
-    """``row(*fields)`` of each line of the UTF-8 text file ``path``.
+def read_rows(path, header, row, first=None, seek=None, stop=None):
+    """``row(*fields)`` of each line of the line file ``path``.
 
     Line 1 must be ``header``; ``first``, when given, is called with line 2.
-    A later line is blank, and skipped, or has one space-separated field per
-    parameter of ``row``. Any ValueError, such as a CanonicalizationError or
-    a byte that is not UTF-8, is raised again as a plain ValueError that
-    starts with ``path:line:``.
+    ``seek(f)``, when given, then moves the open file to the start of the
+    next line to read. A later line is blank, and skipped, or has one
+    space-separated field per parameter of ``row``; ``stop(line)``, when
+    given, is called with each such line in bytes and ends the reading at
+    the first it is true of. Any ValueError, such as a CanonicalizationError
+    or a byte that is not UTF-8, is raised again as a plain ValueError that
+    starts with ``path:line:``, counting the LFs before the line.
     """
     width = row.__code__.co_argcount
     rows = []
-    lineno = 1
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         try:
-            if f.readline().rstrip("\n") != header:
+            raw = f.readline()
+            if _strip(raw).decode("utf-8") != header:
                 raise ValueError("not a %s file" % header)
             if first is not None:
-                lineno = 2
-                first(f.readline().rstrip("\n"))
-            for lineno, line in enumerate(f, start=lineno + 1):
-                line = line.rstrip("\n")
+                raw = f.readline()
+                first(_strip(raw).decode("utf-8"))
+            if seek is not None:
+                seek(f)
+            for raw in f:
+                line = _strip(raw)
                 if line:  # a blank line is skipped
-                    rows.append(_parse(row, width, line))
-        except UnicodeDecodeError:
-            # Text mode decodes a block read ahead, so the line is found again.
-            lineno, exc = _undecodable_line(path)
-            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+                    if stop is not None and stop(line):
+                        break
+                    fields = line.decode("utf-8").split(" ")
+                    if len(fields) != width:
+                        raise ValueError("expected %d fields, got %d" % (width, len(fields)))
+                    rows.append(row(*fields))
         except ValueError as exc:
+            start = f.tell() - len(raw)  # of the line that failed
+            f.seek(0)
+            lineno = f.read(start).count(b"\n") + 1
             raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return rows
 
@@ -434,47 +436,30 @@ def read_url_rows(path, url):
     ascending: what ``ArchiveIndex.load(path).entries_for(url)`` gives.
 
     A binary search over byte offsets finds the first line whose first
-    field is at least ``url``. Fields compare as UTF-8 bytes, in the code
-    point order that ``save`` sorts by; whole lines are never compared,
-    since a URL may hold a character that sorts below the space. Each of
-    the URL's lines passes the row rule of ``load``, order included, and
-    an error names ``path:line``. Blank lines and "\\r\\n" line ends are
-    read as ``load`` reads them.
+    field is at least ``url``; :func:`read_rows` reads on from there, by
+    the row rule of ``load``, order included, up to the first line of
+    another URL. Fields compare as UTF-8 bytes, in the code point order
+    that ``save`` sorts by; whole lines are never compared, since a URL
+    may hold a character that sorts below the space.
     """
     # A lone surrogate, from a command line that is not UTF-8, encodes to
     # bytes that no UTF-8 line holds.
     key = url.encode("utf-8", "surrogatepass")
-    row = _index_row()
-    width = row.__code__.co_argcount
-    entries = []
-    pos = 0  # where the line being read starts
-    with open(path, "rb") as f:
-        try:
-            head = f.readline()
-            if _strip(head).decode("utf-8") != INDEX_HEADER:
-                raise ValueError("not a %s file" % INDEX_HEADER)
-            lo, hi = len(head), os.fstat(f.fileno()).st_size
-            while lo < hi:
-                mid = (lo + hi) // 2
-                field = _first_field_from(f, mid)
-                if field is None or field >= key:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            f.seek(lo - 1)
-            pos = lo - 1 + len(f.readline())
-            for raw in f:
-                line = _strip(raw)
-                if line:
-                    if line.partition(b" ")[0] != key:
-                        break
-                    entries.append(_parse(row, width, line.decode("utf-8")))
-                pos += len(raw)
-        except ValueError as exc:
-            f.seek(0)
-            lineno = f.read(pos).count(b"\n") + 1
-            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
-    return entries
+
+    def seek(f):
+        lo, hi = f.tell(), os.fstat(f.fileno()).st_size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            field = _first_field_from(f, mid)
+            if field is None or field >= key:
+                hi = mid
+            else:
+                lo = mid + 1
+        f.seek(lo - 1)
+        f.readline()  # to the end of the line that holds byte lo - 1
+
+    return read_rows(path, INDEX_HEADER, _index_row(), seek=seek,
+                     stop=lambda line: line.partition(b" ")[0] != key)
 
 
 # WARCs are commonly cut at 1 GB, so an archive may hold thousands, more

@@ -1,4 +1,8 @@
+import ast
+import builtins
+import glob
 import gzip
+import importlib
 import json
 import os
 import pathlib
@@ -8,10 +12,12 @@ import sys
 import pytest
 
 import subcollect
-from subcollect.cli import main
+from subcollect.cli import EXIT_CODES, main
 from subcollect.evaluation import load_truth
 from subcollect.extraction import SubCollection
-from subcollect.store import ArchiveIndex
+from subcollect.spec import SpecError
+from subcollect.store import ArchiveIndex, CorruptSnapshotError
+from subcollect.urls import CanonicalizationError
 
 from conftest import damage_warc, iso_of, page
 import warcwriter
@@ -680,16 +686,26 @@ def _damaged_get(ws, kind):
     return _get(ws, "http://b.de/", "20000601120000")
 
 
-def _get_with_edited_entry(ws, **fields):
-    """A get of http://b.de/ through an index whose entry has ``fields``."""
+def _edited_index(ws, **fields):
+    """An index whose entry of http://b.de/, on line 5, has ``fields``."""
     index = ArchiveIndex.load(ws["index"])
     entry = index.lookup_nearest("http://b.de/", "20000601120000")
-    lines = [e.to_line() for e in index]
-    lines[index.entries.index(entry)] = entry._replace(**fields).to_line()
+    lines = [" ".join(e.fields()) for e in index]
+    lines[index.entries.index(entry)] = " ".join(entry._replace(**fields).fields())
     path = ws["tmp"] / "edited.cdx"
     path.write_text("SUBCOLLECT-CDX 1\n%s\n" % "\n".join(lines))
-    return ["get", "--index", str(path), "--archive-dir", ws["archive_dir"],
+    return str(path)
+
+
+def _get_with_edited_entry(ws, **fields):
+    """A get of http://b.de/ through an index whose entry has ``fields``."""
+    return ["get", "--index", _edited_index(ws, **fields), "--archive-dir", ws["archive_dir"],
             "--url", "http://b.de/", "--at", "20000601120000"]
+
+
+def _stats_args(ws, output, index=None):
+    return ["stats", "--index", index or ws["index"], "--archive-dir", ws["archive_dir"],
+            "--sample-n", "2", "--output", output]
 
 
 def _get_blank_digest(ws):
@@ -768,9 +784,19 @@ EXIT_ROWS = [
     ("evaluate-output", lambda ws: ["evaluate", _manifest(ws), "--index", ws["index"],
                                     "--archive-dir", ws["archive_dir"],
                                     "--output", _directory(ws, "rep.csv")], 2, "rep.csv"),
-    ("stats-output", lambda ws: ["stats", "--index", ws["index"], "--archive-dir",
-                                 ws["archive_dir"], "--sample-n", "2",
-                                 "--output", _directory(ws, "st.csv")], 2, "st.csv"),
+    ("stats-output", lambda ws: _stats_args(ws, _directory(ws, "st.csv")), 2, "st.csv"),
+    # An index timestamp was not checked: get ended without PATH:N, and
+    # stats exited 0 and counted the capture under the year 2000.
+    ("get-short-timestamp", lambda ws: _get_with_edited_entry(ws, timestamp14="2000"), 2,
+     "edited.cdx:5: bad timestamp14: '2000'"),
+    ("get-month-13", lambda ws: _get_with_edited_entry(ws, timestamp14="20001301000000"), 2,
+     "edited.cdx:5: bad timestamp14: '20001301000000'"),
+    ("stats-short-timestamp", lambda ws: _stats_args(
+        ws, str(ws["tmp"] / "st.csv"), _edited_index(ws, timestamp14="2000")), 2,
+     "edited.cdx:5: bad timestamp14: '2000'"),
+    ("stats-month-13", lambda ws: _stats_args(
+        ws, str(ws["tmp"] / "st.csv"), _edited_index(ws, timestamp14="20001301000000")), 2,
+     "edited.cdx:5: bad timestamp14: '20001301000000'"),
 ]
 
 
@@ -790,6 +816,91 @@ def test_exit_code_table(workspace, build, code, names):
         assert names in errors[0]
     # A failed write leaves no temporary file beside its target.
     assert not [p for p in os.listdir(workspace["tmp"]) if p.endswith(".tmp")]
+
+
+def test_stats_writes_both_csvs_or_neither(workspace):
+    # The wide CSV was renamed into place before the long one was written.
+    wide = workspace["tmp"] / "s.csv"
+    _directory(workspace, "s_long.csv")
+    got, err = run_cli(_stats_args(workspace, str(wide)))
+    assert got == 2 and "s_long.csv" in err
+    assert sorted(os.listdir(workspace["tmp"])) == ["archive", "index.cdx", "s_long.csv"]
+
+
+def test_a_content_type_that_is_no_media_type_is_indexed_as_no_mime(tmp_path, capsys):
+    # index kept the mime "text/html charset=utf-8" and wrote a line of 9
+    # fields, which every later command rejected with exit 2.
+    archive_dir = tmp_path / "archive"
+    archive_dir.mkdir()
+    warc_path = archive_dir / "f.warc"
+    warcwriter.write_warc(str(warc_path), [
+        warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), page("a"),
+                                        content_type="text/html charset=utf-8"),
+    ])
+    index = str(tmp_path / "index.cdx")
+    assert main(["index", str(warc_path), "--output", index]) == 0
+    assert " - 200 " in pathlib.Path(index).read_text().splitlines()[1]
+    ws = {"tmp": tmp_path, "index": index, "archive_dir": str(archive_dir)}
+    manifest = str(tmp_path / "m")
+    spec = write_spec(tmp_path, {"name": "a", "scopes": {"domains": ["a.de"]}})
+    assert main(_extract_args(ws, spec, manifest)) == 0
+    assert main(_evaluate_args(ws, index, manifest)) == 0
+    assert main(_stats_args(ws, str(tmp_path / "s.csv"))) == 0
+    assert main(_get(ws, "http://a.de/", "20000101120000")) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+# The exit code that README gives each error class that src raises: 1 for a
+# validation error, 3 for an empty result, 2 for any other I/O or data error.
+README_EXIT_CODES = {"SpecError": 1, "CanonicalizationError": 1, "SnapshotNotFound": 3}
+
+
+def _raised_classes(paths):
+    """The class of each ``raise X(...)`` in the modules ``paths``, as
+    ``X`` resolves in its module: {class: "file:line"}."""
+    found = {}
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        module = "subcollect" if name == "__init__" else "subcollect." + name
+        namespace = vars(importlib.import_module(module))
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                cls = namespace.get(node.exc.func.id) or getattr(builtins, node.exc.func.id)
+                found.setdefault(cls, "%s:%d" % (os.path.basename(path), node.lineno))
+    return found
+
+
+def _exit_code_faults(classes):
+    """Each class whose exit code, by the nearest class of its MRO in
+    ``EXIT_CODES``, is missing or not the one README gives."""
+    faults = []
+    for cls in classes:
+        code = next((EXIT_CODES[c] for c in cls.__mro__ if c in EXIT_CODES), None)
+        if code != README_EXIT_CODES.get(cls.__name__, 2):
+            faults.append("%s gives exit %s" % (cls.__name__, code))
+    return faults
+
+
+def test_every_raised_class_has_its_readme_exit_code():
+    src = os.path.dirname(subcollect.__file__)
+    raised = _raised_classes(sorted(glob.glob(os.path.join(src, "*.py"))))
+    assert {SpecError, CanonicalizationError, CorruptSnapshotError, ValueError} <= set(raised)
+    assert _exit_code_faults(raised) == [], raised
+
+
+def test_exit_code_faults_catch_what_they_name():
+    class Unmapped(LookupError):
+        pass
+
+    class SnapshotNotFound(ValueError):  # README gives 3, the MRO gives 2
+        pass
+
+    assert _exit_code_faults([Unmapped, SnapshotNotFound, KeyError, SpecError]) == [
+        "Unmapped gives exit None", "SnapshotNotFound gives exit 2", "KeyError gives exit None",
+    ]
 
 
 def test_failed_export_leaves_no_partial_warc(workspace, monkeypatch):
@@ -873,6 +984,21 @@ LINE_FILE_ROWS = [
      "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
     ("truth-utf8", "truth", "SUBCOLLECT-TRUTH 1\n\nhttp://a.de/\udcff 20000101120000\n", 3,
      "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    # An index timestamp was not checked; the truth file's was.
+    ("index-timestamp", "index",
+     "SUBCOLLECT-CDX 1\n\nhttp://a.de/ 2000 text/html 200 d f.warc 0 1\n", 3,
+     "bad timestamp14: '2000'"),
+    # A lone CR ended a line, so each of these read as two good lines.
+    ("index-lone-cr", "index",
+     "SUBCOLLECT-CDX 1\nhttp://a.de/ 20000101120000 text/html 200 d f.warc 0 1"
+     "\rhttp://b.de/ 20000101120000 text/html 200 d f.warc 0 1\n", 2,
+     "expected 8 fields, got 15"),
+    ("manifest-lone-cr", "manifest",
+     "SUBCOLLECT-MANIFEST 1\nspec-digest 00\nhttp://a.de/ 20000101120000 ab scan"
+     "\rhttp://a.de/ 20010101120000 ab scan\n", 3, "expected 4 fields, got 7"),
+    ("truth-lone-cr", "truth",
+     "SUBCOLLECT-TRUTH 1\nhttp://a.de/ 20000101120000\rhttp://b.de/ 20000101120000\n", 2,
+     "expected 2 fields, got 3"),
     # An index out of order used to be sorted silently.
     ("index-order", "index",
      "SUBCOLLECT-CDX 1\nhttp://b.de/ 20000101120000 text/html 200 d f.warc 0 1\n\n"

@@ -93,7 +93,7 @@ def test_an_error_in_the_urls_lines_names_path_and_line(tmp_path, damage, messag
                for i, u in enumerate(["http://a.de/", "http://b.de/", "http://c.de/"])]
     entries.append(_entry("http://b.de/", "20010101000000", 9))
     path = tmp_path / "idx"
-    lines = [e.to_line() for e in ArchiveIndex(entries)]
+    lines = [" ".join(e.fields()) for e in ArchiveIndex(entries)]
     lines[2] = damage(lines[2])  # the second line of http://b.de/, on line 4
     path.write_text(HEADER + "\n".join(lines) + "\n")
     with pytest.raises(ValueError) as excinfo:
@@ -105,7 +105,7 @@ def test_an_error_in_the_urls_lines_names_path_and_line(tmp_path, damage, messag
 
 def test_a_run_out_of_order_is_rejected(tmp_path):
     entries = [_entry("http://a.de/", "2000010%d000000" % k, k) for k in range(1, 4)]
-    lines = [e.to_line() for e in entries]
+    lines = [" ".join(e.fields()) for e in entries]
     path = tmp_path / "idx"
     path.write_text(HEADER + "\n".join([lines[0], lines[2], "", lines[1]]) + "\n")
     with pytest.raises(ValueError) as excinfo:
@@ -184,7 +184,7 @@ def test_point_read_equals_load(tmp_path_factory, entries, query, pick, at, newl
     urls = sorted({e.canonical_url for e in entries})
     if urls and pick % 3:
         query = urls[pick % len(urls)] if pick % 3 == 1 else urls[-1]
-    lines = [e.to_line() for e in entries]
+    lines = [" ".join(e.fields()) for e in entries]
     run = [i for i, e in enumerate(entries) if e.canonical_url == query]
     if damage and run:
         # Damage one line of the queried URL's run: load and the point read

@@ -305,8 +305,9 @@ def test_build_report_and_csv(tmp_path):
 
     wide = tmp_path / "stats.csv"
     long = tmp_path / "stats_long.csv"
-    report.write_wide_csv(str(wide))
-    report.write_long_csv(str(long))
+    with open(wide, "w", newline="") as w, open(long, "w", newline="") as l:
+        report.write_wide_csv(w)
+        report.write_long_csv(l)
     with open(wide) as f:
         rows = list(csv.DictReader(f))
     assert [r["year"] for r in rows] == ["2000", "2001"]
@@ -324,6 +325,7 @@ def test_report_deterministic(tmp_path):
     r1 = build_report(fx.index, fx.archive, n=8, seed=3)
     r2 = build_report(fx.index, fx.archive, n=8, seed=3)
     w1, w2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    r1.write_wide_csv(str(w1))
-    r2.write_wide_csv(str(w2))
+    for r, path in ((r1, w1), (r2, w2)):
+        with open(path, "w", newline="") as f:
+            r.write_wide_csv(f)
     assert w1.read_bytes() == w2.read_bytes()

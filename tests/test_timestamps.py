@@ -191,7 +191,7 @@ def _dataclass_index_lines(rows):
     for row in rows:
         e = DataclassEntry(*row)
         uniq[(e.canonical_url, e.timestamp14, e.digest)] = e
-    return [IndexEntry(*vars(e).values()).to_line() for e in sorted(uniq.values())]
+    return [" ".join(IndexEntry(*vars(e).values()).fields()) for e in sorted(uniq.values())]
 
 
 def test_entry_is_a_tuple_with_defaults(tmp_path):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 
 from .htmldoc import analyze
 from .spec import in_scope_metadata
 from .store import read_rows, timestamp14_to_epoch
-from .urls import CanonicalizationError, canonicalize_url, host_of
+from .urls import canonicalize_url, host_of
 
 __all__ = [
     "load_truth",
@@ -91,18 +92,18 @@ def default_link_oracle(index, spec):
     """Default notion of a \"relevant outlink\": the target has at least
     one index entry, inside the spec's metadata scopes when given.
 
-    The verdict depends on the URL only, so it is computed once per URL.
+    The oracle takes a canonical URL, as link targets are, and looks it
+    up in the index's per-URL groups as it is. The verdict depends on the
+    URL only, so it is computed once per URL.
     """
+    groups = index.by_url
 
     @functools.cache
     def oracle(target_url):
-        try:
-            entries = index.entries_for(target_url)
-        except CanonicalizationError:
+        captures = groups.get(target_url)
+        if captures is None:
             return False
-        if spec is None:
-            return bool(entries)
-        return any(in_scope_metadata(spec, e) for e in entries)
+        return spec is None or bool(in_scope_metadata(spec, captures))
 
     return oracle
 
@@ -145,22 +146,30 @@ def temporal_width(collection):
     return max(epochs) - min(epochs)
 
 
-def _facet_value(entry, facet, host):
+def _facet_counts(entries, facet):
+    """A Counter of the facet's values over ``entries``, first seen first."""
     if facet == "host":
-        return host(entry.canonical_url)
+        host = functools.cache(host_of)  # once per URL, not per capture
+        return Counter(host(e.canonical_url) for e in entries)
     if facet == "year":
-        return entry.timestamp14[:4]
+        return Counter(e.timestamp14[:4] for e in entries)
     if facet == "mime":
-        return entry.mime
+        return Counter(e.mime for e in entries)
     raise ValueError("unknown facet %r" % facet)
 
 
-def _distribution(entries, facet):
-    counts = {}
-    host = functools.cache(host_of)  # once per URL, not per capture
-    for e in entries:
-        v = _facet_value(e, facet, host)
-        counts[v] = counts.get(v, 0) + 1
+def _archive_facet_counts(index, facet):
+    """``_facet_counts(index, facet)``, the host of each URL's captures
+    taken once."""
+    if facet != "host":
+        return _facet_counts(index, facet)
+    counts = Counter()
+    for url, captures in index.by_url.items():
+        counts[host_of(url)] += len(captures)
+    return counts
+
+
+def _distribution(counts):
     total = sum(counts.values())
     return {v: c / total for v, c in counts.items()}
 
@@ -188,8 +197,8 @@ def representativeness(collection, index, facet):
     """
     if not collection.members:
         return None
-    p = _distribution(collection.entries(), facet)
-    q = _distribution(index, facet)
+    p = _distribution(_facet_counts(collection.entries(), facet))
+    q = _distribution(_archive_facet_counts(index, facet))
     return 1.0 - _jsd(p, q)
 
 
@@ -198,7 +207,7 @@ def facet_entropy(collection, facet):
     by log2 of the number of observed values; single value -> 0."""
     if not collection.members:
         return None
-    dist = _distribution(collection.entries(), facet)
+    dist = _distribution(_facet_counts(collection.entries(), facet))
     if len(dist) <= 1:
         return 0.0
     return _entropy(dist.values()) / math.log2(len(dist))

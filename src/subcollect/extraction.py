@@ -29,7 +29,7 @@ from collections import namedtuple
 from .htmldoc import analyze_capture, parse_html  # noqa: F401
 from .relevance import is_relevant
 from .spec import in_scope_metadata
-from .store import SnapshotNotFound, atomic_open, read_rows, timestamp14_to_epoch
+from .store import atomic_open, read_rows, timestamp14_to_epoch
 from .urls import host_of
 
 __all__ = [
@@ -106,9 +106,10 @@ class SubCollection:
 
 
 def index_prefilter(index, spec):
-    """Entries passing the metadata scopes; performs zero fetches and is
-    lossless for URL/domain/time scopes."""
-    return [e for e in index if in_scope_metadata(spec, e)]
+    """Entries passing the metadata scopes, in index order, decided once
+    per URL; performs zero fetches and is lossless for URL/domain/time
+    scopes."""
+    return [e for captures in index.by_url.values() for e in in_scope_metadata(spec, captures)]
 
 
 # outlinks is a PageAnalysis's list of LinkRecord; relevant is its verdict.
@@ -220,17 +221,19 @@ def connect_closure(members, archive, index, spec, pages):
     For each member s and each outlink of s that has at least one
     capture in the index but none in the collection, the capture
     temporally nearest to s's crawl time is added (ties to the earlier
-    capture). Runs to fixpoint, or stops after spec.closure_max_depth
-    rounds. A candidate capture is read through the run's ``pages`` memo
-    before it is added, and skipped when it cannot be read; with policy
-    "relevant_links" it is also skipped unless it passes the content
-    scopes.
+    capture). Link targets are canonical, so a target is looked up in the
+    index's per-URL groups as it is. Runs to fixpoint, or stops after
+    spec.closure_max_depth rounds. A candidate capture is read through the
+    run's ``pages`` memo before it is added, and skipped when it cannot be
+    read; with policy "relevant_links" it is also skipped unless it passes
+    the content scopes.
 
     Returns (members, closure_added_count). Termination is guaranteed:
     membership grows monotonically inside a finite index.
     """
     members = list(members)
     present = {m.entry.canonical_url for m in members}
+    groups = index.by_url
     judge = spec.closure_policy == "relevant_links"
     added = 0
     depth = 0
@@ -243,12 +246,9 @@ def connect_closure(members, archive, index, spec, pages):
         new_members = []
         for m in frontier:
             for link in _read(archive, m.entry, spec, pages).outlinks:
-                if link.target in present:
-                    continue
-                try:
-                    capture = index.lookup_nearest(link.target, m.entry.timestamp14)
-                except SnapshotNotFound:
-                    continue  # not available in the archive
+                if link.target in present or link.target not in groups:
+                    continue  # represented already, or not available in the archive
+                capture = index.lookup_nearest(link.target, m.entry.timestamp14)
                 target = _read(archive, capture, spec, pages)
                 if target is None or (judge and not target.relevant):
                     continue

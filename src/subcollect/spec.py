@@ -2,15 +2,19 @@
 
 A spec combines scopes (URL, domain, time, keywords, entities, size)
 conjunctively: every additional scope narrows the result. Metadata
-scopes (URL/domain/time) are decidable from the index alone;
-keyword/entity scopes need page content and live in the relevance
-module.
+scopes (URL/domain/time) are decidable from the index alone, and
+:func:`in_scope_metadata` decides them per URL: it takes one URL's
+captures, decides the URL and domain scopes once for all of them and
+finds the ones inside the time scope by binary search. Keyword/entity
+scopes need page content and live in the relevance module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .htmldoc import tokenize
@@ -290,24 +294,35 @@ def serialize_spec(spec):
     return doc
 
 
+_TIMESTAMP14 = operator.attrgetter("timestamp14")
+
+
 def _domain_matches(host, domain):
     return host == domain or host.endswith("." + domain)
 
 
-def in_scope_metadata(spec, entry):
-    """Conjunction over the metadata-only scopes (URL, domain, time).
+def in_scope_metadata(spec, captures):
+    """The captures of one URL that pass the metadata-only scopes (URL,
+    domain, time), as a new list.
 
-    Content scopes are deliberately not consulted here: this predicate
-    must be decidable from the index alone, with zero fetches.
+    ``captures`` are one URL's captures in ascending time order, as
+    ``ArchiveIndex.by_url`` holds them, so the URL and domain scopes are
+    decided once for all of them and the time scope, a closed interval,
+    by two binary searches. Content scopes are deliberately not consulted
+    here: the rule must be decidable from the index alone, with zero
+    fetches.
     """
-    if spec.url_scope is not None and entry.canonical_url not in spec.url_scope:
-        return False
+    if not captures:
+        return []
+    url = captures[0].canonical_url
+    if spec.url_scope is not None and url not in spec.url_scope:
+        return []
     if spec.domain_scope is not None:
-        host = host_of(entry.canonical_url)
+        host = host_of(url)
         if not any(_domain_matches(host, d) for d in spec.domain_scope):
-            return False
-    if spec.time_scope is not None:
-        lo, hi = spec.time_scope
-        if not (lo <= entry.timestamp14 <= hi):
-            return False
-    return True
+            return []
+    if spec.time_scope is None:
+        return list(captures)
+    lo, hi = spec.time_scope
+    return captures[bisect_left(captures, lo, key=_TIMESTAMP14):
+                    bisect_right(captures, hi, key=_TIMESTAMP14)]

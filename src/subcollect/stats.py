@@ -88,14 +88,16 @@ def _by_year(analyzed):
 def link_in_archive_rate(analyzed, index):
     """Per-year (internal_rate, external_rate): the mean over pages of
     the per-page fraction of outlinks whose target has a capture in
-    the index, from any year.
+    the index, from any year. Link targets are canonical, so each is
+    looked up in the index's per-URL groups as it is.
 
     Pages without links of a kind are excluded from that kind's mean.
     """
+    groups = index.by_url
 
     def mean_rate(link_lists):
         return _macro_mean([
-            sum(1 for l in links if index.entries_for(l.target)) / len(links)
+            sum(1 for l in links if l.target in groups) / len(links)
             for links in link_lists if links
         ])
 

@@ -20,11 +20,12 @@ lines that both its readers accept.
 
 The index is sorted: each entry sorts strictly after the one before it,
 as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
-rejects a line that does not. So the lines of one URL are adjacent, and
-:func:`read_url_rows` finds them by a binary search over the file, reading
-only the header, about log2(file size) probed lines and the URL's own
-lines, which :func:`read_rows` then reads. It trusts the order of the
-lines it does not read.
+rejects a line that does not. So the lines of one URL are adjacent: a
+loaded index hands out each URL's captures as one group
+(:attr:`ArchiveIndex.by_url`), and :func:`read_url_rows` finds them by a
+binary search over the file, reading only the header, about log2(file
+size) probed lines and the URL's own lines, which :func:`read_rows` then
+reads. It trusts the order of the lines it does not read.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import operator
 import os
 import re
 from collections import namedtuple
+from types import MappingProxyType
 
 from . import warc
 from .urls import CanonicalizationError, canonicalize_url
@@ -255,9 +257,9 @@ def ingest_warc(path, stats=None):
 def _index_row():
     """``row(*fields)``, the IndexEntry of an index line, for one reading
     of the file: a timestamp that :func:`timestamp14_to_epoch` accepts,
-    integer status, offset and length, the last two not negative, a bare
-    file name as file id, and each entry sorting strictly after the one
-    before. Entries share each distinct URL, mime and file id."""
+    status, offset and length of ASCII digits only, a bare file name as
+    file id, and each entry sorting strictly after the one before.
+    Entries share each distinct URL, mime and file id."""
     make = IndexEntry._make
     urls, mimes, file_ids = {}, {"-": ""}, {}  # "-" is no mime
     last = ()  # sorts before every entry
@@ -265,9 +267,12 @@ def _index_row():
     def row(url, ts, mime, status, digest, file_id, offset, length):
         nonlocal last
         timestamp14_to_epoch(ts)
+        digits = status + offset + length
         status, offset, length = int(status), int(offset), int(length)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must not be negative")
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes "+5", "1_0", " 7"
+            raise ValueError("status, offset and length must be ASCII digits")
         if file_id not in file_ids:
             if "/" in file_id or file_id in ("", ".", ".."):  # not inside the archive directory
                 raise ValueError("file id must be a bare file name, got %r" % file_id)
@@ -315,6 +320,9 @@ class ArchiveIndex:
         self._by_url = {}
         for e in entries:
             self._by_url.setdefault(e.canonical_url, []).append(e)
+        # Read-only: canonical URL -> its captures, ascending by time, in
+        # index order.
+        self.by_url = MappingProxyType(self._by_url)
 
     def __len__(self):
         return len(self.entries)

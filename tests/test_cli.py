@@ -1003,6 +1003,19 @@ LINE_FILE_ROWS = [
     ("index-order", "index",
      "SUBCOLLECT-CDX 1\nhttp://b.de/ 20000101120000 text/html 200 d f.warc 0 1\n\n"
      "http://a.de/ 20000101120000 text/html 200 d f.warc 0 1\n", 4, "entry out of order"),
+    # Status, offset and length were read by int(), which also takes a
+    # sign, digit group underscores, surrounding whitespace and non-ASCII
+    # digits; like the timestamp, they must be ASCII digits.
+    *[("index-" + name, "index",
+       "SUBCOLLECT-CDX 1\n\nhttp://a.de/ 20000101120000 text/html %s %s\n" % fields, 3,
+       "status, offset and length must be ASCII digits")
+      for name, fields in [
+          ("status-plus", ("+5", "d f.warc 0 1")),
+          ("status-minus", ("-5", "d f.warc 0 1")),
+          ("status-arabic-digits", ("\u0662\u0660\u0660", "d f.warc 0 1")),
+          ("offset-underscore", ("200", "d f.warc 1_0 1")),
+          ("length-tab", ("200", "d f.warc 0 \t7")),
+      ]],
 ]
 
 LOADERS = {

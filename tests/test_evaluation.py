@@ -251,13 +251,9 @@ def test_representativeness_one_host_vs_uniform_two(tmp_path):
 
 
 def test_representativeness_disjoint_supports():
-    index_entries = [entry("http://x.de/", "20000101000000")]
-
-    class FakeIndex(list):
-        pass
-
+    index = ArchiveIndex([entry("http://x.de/", "20000101000000")])
     c = coll_of(("http://y.de/", "20000101000000"))
-    assert representativeness(c, FakeIndex(index_entries), "host") == pytest.approx(
+    assert representativeness(c, index, "host") == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -370,9 +366,9 @@ def test_stratified_recall(tmp_path):
 def test_default_link_oracle_judges_each_url_once(monkeypatch):
     calls = []
 
-    def counting(spec, entry):
-        calls.append(entry)
-        return in_scope_metadata(spec, entry)
+    def counting(spec, captures):
+        calls.append(captures)
+        return in_scope_metadata(spec, captures)
 
     monkeypatch.setattr(evaluation, "in_scope_metadata", counting)
     index = ArchiveIndex(
@@ -383,7 +379,7 @@ def test_default_link_oracle_judges_each_url_once(monkeypatch):
     oracle = default_link_oracle(index, spec)
     verdicts = [oracle(u) for u in ("http://a.de/x", "http://b.de/y") * 3]
     assert verdicts == [False, True] * 3
-    assert len(calls) == 4  # every capture of each URL, once
+    assert calls == [index.entries_for("http://a.de/x"), index.entries_for("http://b.de/y")]
 
 
 def test_link_completeness_scoped_by_spec(tmp_path):

@@ -653,7 +653,7 @@ def test_members_pass_their_own_scopes(three_hosts):
 
     assert coll.members  # fixture has one matching page
     for m in coll.members:
-        assert in_scope_metadata(spec, m.entry)
+        assert in_scope_metadata(spec, [m.entry]) == [m.entry]
         analysis = analyze(three_hosts.archive.fetch(m.entry))
         assert is_relevant(analysis, spec).relevant
 

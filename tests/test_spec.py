@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from subcollect.extraction import index_prefilter
 from subcollect.spec import (
     EntityRef,
     SpecError,
@@ -23,6 +24,13 @@ def spec_doc(**scopes):
 
 def entry(url="http://a.de/", ts="20000601000000"):
     return index_entry(canonical_url=url, timestamp14=ts)
+
+
+def passes(spec, e):
+    """Whether the capture ``e``, its URL's only one, is in the metadata scopes."""
+    got = in_scope_metadata(spec, [e])
+    assert got in ([], [e])
+    return got == [e]
 
 
 def test_url_plus_time_spec_parses():
@@ -218,15 +226,15 @@ def test_spec_digest_stable():
 
 def test_domain_dot_suffix_rule():
     s = SubCollectionSpec(domain_scope=("a.de",))
-    assert in_scope_metadata(s, entry(url="http://news.a.de/"))
-    assert in_scope_metadata(s, entry(url="http://a.de/"))
-    assert not in_scope_metadata(s, entry(url="http://nota.de/"))
+    assert passes(s, entry(url="http://news.a.de/"))
+    assert passes(s, entry(url="http://a.de/"))
+    assert not passes(s, entry(url="http://nota.de/"))
 
 
 @pytest.mark.parametrize("domain", ["de", "A.DE", ".de", "a.de.", " de", ".A.de. \t"])
 def test_domain_entries_normalized(domain):
     s = parse_spec(spec_doc(domains=[domain]))
-    assert in_scope_metadata(s, entry(url="http://www.a.de/x"))
+    assert passes(s, entry(url="http://www.a.de/x"))
 
 
 def test_domain_normalization_keeps_serialized_form():
@@ -243,9 +251,9 @@ def test_domain_with_empty_label_rejected(domain):
 
 def test_time_scope_excludes_outside():
     s = SubCollectionSpec(time_scope=("20000101000000", "20011231235959"))
-    assert not in_scope_metadata(s, entry(ts="19990101000000"))
-    assert in_scope_metadata(s, entry(ts="20000101000000"))
-    assert in_scope_metadata(s, entry(ts="20011231235959"))
+    assert not passes(s, entry(ts="19990101000000"))
+    assert passes(s, entry(ts="20000101000000"))
+    assert passes(s, entry(ts="20011231235959"))
 
 
 def test_conjunction_truth_table():
@@ -277,12 +285,12 @@ def test_conjunction_truth_table():
         ),
     ]
     for spec, u, ts, expect in combos:
-        assert in_scope_metadata(spec, entry(url=u, ts=ts)) is expect
+        assert passes(spec, entry(url=u, ts=ts)) is expect
 
 
 def test_content_scopes_not_consulted():
     s = SubCollectionSpec(keyword_scope=("web",), relevance_threshold=0.9)
-    assert in_scope_metadata(s, entry())
+    assert passes(s, entry())
 
 
 _hosts = st.sampled_from(["a.de", "b.de", "news.a.de", "c.org"])
@@ -328,14 +336,16 @@ def test_adding_scope_never_widens(base, e, extra_domain, extra_year):
         narrowed = narrowed._replace(
             time_scope=("%s0101000000" % extra_year, "%s1231235959" % extra_year),
         )
-    if in_scope_metadata(narrowed, e):
-        assert in_scope_metadata(base, e)
+    if passes(narrowed, e):
+        assert passes(base, e)
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
-    # The block reads archive.cdx, spec.json (the quick tour's) and archive/.
+    # The blocks, run in turn, read archive.cdx, spec.json (the quick
+    # tour's) and archive/.
     text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
-    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```\n", 1)[0] for b in section.split("```python\n")[1:]]
     (tmp_path / "spec.json").write_text(
         text.split("cat > spec.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
     )
@@ -348,7 +358,12 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     ])
     fx.index.save(str(tmp_path / "archive.cdx"))
     monkeypatch.chdir(tmp_path)
-    exec(compile(block, "README.md", "exec"), {})
+    names = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), names)
+    assert len(blocks) == 2
+    in_scope = index_prefilter(names["index"], names["narrowed"])
+    assert names["in_scope"] == in_scope == fx.index.entries[:2]
     counters = {"candidates_scanned": 2, "fetches": 2, "closure_added": 1, "errors": 0,
                 "members": 2}
     assert capsys.readouterr().out == "%r 2 text/html\n" % counters

@@ -7,6 +7,10 @@ scopes (URL/domain/time) are decidable from the index alone, and
 captures, decides the URL and domain scopes once for all of them and
 finds the ones inside the time scope by binary search. Keyword/entity
 scopes need page content and live in the relevance module.
+
+The spec's JSON form is written once, in the field table ``_FIELDS``: a
+row per field gives its JSON path, default, reader and writer, and
+``SubCollectionSpec``, :func:`parse_spec` and :func:`serialize_spec` follow it.
 """
 
 from __future__ import annotations
@@ -46,39 +50,56 @@ class EntityRef(namedtuple("EntityRef", "id label aliases", defaults=((),))):
         return out
 
 
-# The spec's fields and their defaults, in order.
-_SPEC_FIELDS = {
-    "name": "", "url_scope": None, "domain_scope": None,
-    "time_scope": None,  # (from_ts14, to_ts14)
-    "keyword_scope": None, "entity_scope": None, "size_scope": None,
-    "link_mode": "disconnected", "version_mode": "timeline", "relevance_threshold": None,
-    "entity_combine": "any", "closure_policy": "all_links",
-    "closure_max_depth": None,  # None = unbounded
-    "seed": 0,
-}
-
-
-class SubCollectionSpec(
-    namedtuple("SubCollectionSpec", _SPEC_FIELDS, defaults=_SPEC_FIELDS.values())
-):
-    __slots__ = ()
-
-    def digest(self):
-        """Stable hex digest of the spec, for manifest provenance."""
-        blob = json.dumps(serialize_spec(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-
 def _expect(cond, path, message):
     if not cond:
         raise SpecError("%s: %s" % (path, message))
 
 
-def _string_list(value, path):
-    _expect(isinstance(value, list) and value, path, "must be a non-empty list")
-    for i, v in enumerate(value):
-        _expect(isinstance(v, str) and v, "%s[%d]" % (path, i), "must be a non-empty string")
-    return tuple(value)
+def _check_keys(obj, allowed, path):
+    for key in obj:
+        _expect(key in allowed, path, "unknown field %r" % key)
+
+
+def _strings(read):
+    """A reader of a non-empty list of non-empty strings, each read by ``read``."""
+
+    def read_list(value, path):
+        _expect(isinstance(value, list) and value, path, "must be a non-empty list")
+        items = ["%s[%d]" % (path, i) for i in range(len(value))]
+        for v, item in zip(value, items):
+            _expect(isinstance(v, str) and v, item, "must be a non-empty string")
+        return tuple(read(v, item) for v, item in zip(value, items))
+
+    return read_list
+
+
+def _url(value, path):
+    try:
+        return canonicalize_url(value)
+    except CanonicalizationError as exc:
+        raise SpecError("%s: %s" % (path, exc)) from exc
+
+
+def _domain(value, path):
+    """A domain as host names end in: lowercase, without surrounding
+    whitespace and without one leading and one trailing dot."""
+    domain = value.strip().removeprefix(".").removesuffix(".").lower()
+    _expect(domain and "" not in domain.split("."), path, "empty domain label in %r" % value)
+    return domain
+
+
+_TIME_KEYS = ("from", "to")
+
+
+def _time(value, path):
+    _expect(isinstance(value, dict), path, "must be an object")
+    _check_keys(value, _TIME_KEYS, path)
+    _expect(all(k in value for k in _TIME_KEYS), path, "needs both 'from' and 'to'")
+    bounds = tuple(str(value[k]) for k in _TIME_KEYS)  # a JSON integer reads as its digits
+    for k, ts in zip(_TIME_KEYS, bounds):
+        _expect(is_valid_timestamp14(ts), "%s.%s" % (path, k), "not a valid 14-digit timestamp")
+    _expect(bounds[0] <= bounds[1], path, "'from' must not exceed 'to'")
+    return bounds
 
 
 def _name(value, path):
@@ -89,23 +110,108 @@ def _name(value, path):
     return value
 
 
-def _domain(value, path):
-    """A domain as host names end in: lowercase, without surrounding
-    whitespace and without one leading and one trailing dot."""
-    domain = value.strip()
-    if domain.startswith("."):
-        domain = domain[1:]
-    if domain.endswith("."):
-        domain = domain[:-1]
-    domain = domain.lower()
-    _expect(domain and "" not in domain.split("."), path, "empty domain label in %r" % value)
-    return domain
+def _keyword(value, path):
+    return _name(value, path).lower()
 
 
-def _check_keys(obj, allowed, path):
-    for key in obj:
-        if key not in allowed:
-            raise SpecError("%s: unknown field %r" % (path, key))
+def _entities(value, path):
+    _expect(isinstance(value, list) and value, path, "must be a non-empty list")
+    parsed = []
+    for i, e in enumerate(value):
+        at = "%s[%d]" % (path, i)
+        _expect(isinstance(e, dict), at, "must be an object")
+        _check_keys(e, EntityRef._fields, at)
+        label = _name(e.get("label", ""), at + ".label")
+        aliases = e.get("aliases", [])
+        _expect(isinstance(aliases, list), at + ".aliases", "must be a list")
+        aliases = tuple(_name(a, "%s.aliases[%d]" % (at, j)) for j, a in enumerate(aliases))
+        # entity_combine "all" counts distinct matched ids.
+        ident = e.get("id", "")
+        _expect("id" not in e or isinstance(ident, str) and ident, at + ".id",
+                "must be a non-empty string")
+        _expect(all(ident != p.id for p in parsed), at + ".id", "repeats id %r" % ident)
+        parsed.append(EntityRef(id=ident, label=label, aliases=aliases))
+    return tuple(parsed)
+
+
+def _entities_json(entities):
+    """Each entity as a JSON object; an empty id reads as an absent one and is left out."""
+    return [{k: v for k, v in e._replace(aliases=list(e.aliases))._asdict().items()
+             if v or k != "id"} for e in entities]
+
+
+def _checked(test, message):
+    """A reader that takes a value ``test`` is true of, as it is."""
+
+    def read(value, path):
+        _expect(test(value), path, message)
+        return value
+
+    return read
+
+
+def _choice(*choices):
+    return _checked(lambda v: v in choices, "must be " + "|".join(choices))
+
+
+def _null_or(read):
+    """``read``, except that JSON null reads as the field's absence."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+_string = _checked(lambda v: isinstance(v, str), "must be a string")
+# A JSON boolean is no number: the numeric readers check the exact type.
+_positive_int = _checked(lambda v: type(v) is int and v > 0, "must be a positive integer")
+_seed = _checked(lambda v: type(v) is int and 0 <= v < 2**64, "must be a 64-bit unsigned integer")
+
+
+def _fraction(value, path):
+    _expect(type(value) in (int, float) and 0 <= value <= 1, path, "must be a number in [0, 1]")
+    return float(value)
+
+
+# A spec field: name, JSON path, default, the reader ``read(value, path)`` that
+# checks and converts a JSON value, and a writer where the JSON form differs.
+_Field = namedtuple("_Field", "name path default read write", defaults=(None,))
+
+# The spec's fields in order, and its JSON form.
+_FIELDS = (
+    _Field("name", "name", "", _string),
+    _Field("url_scope", "scopes.urls", None, _strings(_url), list),
+    _Field("domain_scope", "scopes.domains", None, _strings(_domain), list),
+    _Field("time_scope", "scopes.time", None, _time,  # (from_ts14, to_ts14)
+           lambda bounds: dict(zip(_TIME_KEYS, bounds))),
+    _Field("keyword_scope", "scopes.keywords", None, _strings(_keyword), list),
+    _Field("entity_scope", "scopes.entities", None, _entities, _entities_json),
+    _Field("size_scope", "scopes.size", None, _positive_int),
+    _Field("link_mode", "link_mode", "disconnected", _choice("connected", "disconnected")),
+    _Field("version_mode", "version_mode", "timeline", _choice("snapshot", "timeline")),
+    _Field("relevance_threshold", "relevance.threshold", None, _null_or(_fraction)),
+    _Field("entity_combine", "relevance.entity_combine", "any", _choice("any", "all")),
+    _Field("closure_policy", "closure.policy", "all_links",
+           _choice("all_links", "relevant_links")),
+    _Field("closure_max_depth", "closure.max_depth", None,  # None = unbounded
+           _null_or(_positive_int)),
+    _Field("seed", "seed", 0, _seed),
+)
+
+# Each field's (JSON object, key there), "" naming the document, and the
+# keys each JSON object may hold.
+_PLACES = [f.path.rpartition(".")[::2] for f in _FIELDS]
+_KEYS = {"": set()}
+for _parent, _key in _PLACES:
+    _KEYS[""].add(_parent or _key)
+    _KEYS.setdefault(_parent, set()).add(_key)
+
+
+class SubCollectionSpec(namedtuple("SubCollectionSpec", [f.name for f in _FIELDS],
+                                   defaults=[f.default for f in _FIELDS])):
+    __slots__ = ()
+
+    def digest(self):
+        """Stable hex digest of the spec, for manifest provenance."""
+        blob = json.dumps(serialize_spec(self), sort_keys=True).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
 
 
 def parse_spec(text):
@@ -115,145 +221,21 @@ def parse_spec(text):
     except json.JSONDecodeError as exc:
         raise SpecError("invalid JSON: %s" % exc) from exc
     _expect(isinstance(doc, dict), "$", "spec must be a JSON object")
-    _check_keys(
-        doc, {"name", "scopes", "link_mode", "version_mode", "relevance", "closure", "seed"}, "$"
+    objects = {parent: doc.get(parent, {}) if parent else doc for parent in _KEYS}
+    for parent, obj in objects.items():
+        _expect(isinstance(obj, dict), parent, "must be an object")
+        _check_keys(obj, _KEYS[parent], parent or "$")
+    spec = SubCollectionSpec._make(
+        f.read(objects[parent][key], f.path) if key in objects[parent] else f.default
+        for f, (parent, key) in zip(_FIELDS, _PLACES)
     )
-
-    name = doc.get("name", "")
-    _expect(isinstance(name, str), "name", "must be a string")
-
-    scopes = doc.get("scopes", {})
-    _expect(isinstance(scopes, dict), "scopes", "must be an object")
-    _check_keys(scopes, {"urls", "domains", "time", "keywords", "entities", "size"}, "scopes")
-
-    url_scope = domain_scope = time_scope = keyword_scope = entity_scope = None
-    size_scope = None
-
-    if "urls" in scopes:
-        urls = _string_list(scopes["urls"], "scopes.urls")
-        canon = []
-        for i, u in enumerate(urls):
-            try:
-                canon.append(canonicalize_url(u))
-            except CanonicalizationError as exc:
-                raise SpecError("scopes.urls[%d]: %s" % (i, exc)) from exc
-        url_scope = tuple(canon)
-
-    if "domains" in scopes:
-        domains = _string_list(scopes["domains"], "scopes.domains")
-        domain_scope = tuple(_domain(d, "scopes.domains[%d]" % i) for i, d in enumerate(domains))
-
-    if "time" in scopes:
-        t = scopes["time"]
-        _expect(isinstance(t, dict), "scopes.time", "must be an object")
-        _check_keys(t, {"from", "to"}, "scopes.time")
-        _expect("from" in t and "to" in t, "scopes.time", "needs both 'from' and 'to'")
-        lo, hi = str(t["from"]), str(t["to"])
-        _expect(is_valid_timestamp14(lo), "scopes.time.from", "not a valid 14-digit timestamp")
-        _expect(is_valid_timestamp14(hi), "scopes.time.to", "not a valid 14-digit timestamp")
-        _expect(lo <= hi, "scopes.time", "'from' must not exceed 'to'")
-        time_scope = (lo, hi)
-
-    if "keywords" in scopes:
-        keywords = _string_list(scopes["keywords"], "scopes.keywords")
-        keyword_scope = tuple(
-            _name(k, "scopes.keywords[%d]" % i).lower() for i, k in enumerate(keywords)
-        )
-
-    if "entities" in scopes:
-        ents = scopes["entities"]
-        _expect(isinstance(ents, list) and ents, "scopes.entities", "must be a non-empty list")
-        parsed = []
-        for i, e in enumerate(ents):
-            path = "scopes.entities[%d]" % i
-            _expect(isinstance(e, dict), path, "must be an object")
-            _check_keys(e, {"id", "label", "aliases"}, path)
-            label = _name(e.get("label", ""), path + ".label")
-            aliases = e.get("aliases", [])
-            _expect(isinstance(aliases, list), path + ".aliases", "must be a list")
-            for j, alias in enumerate(aliases):
-                _name(alias, "%s.aliases[%d]" % (path, j))
-            # entity_combine "all" counts distinct matched ids.
-            ident = e.get("id", "")
-            if "id" in e:
-                _expect(isinstance(ident, str) and ident, path + ".id", "must be a non-empty string")
-            _expect(
-                all(ident != p.id for p in parsed), path + ".id", "repeats id %r" % ident
-            )
-            parsed.append(EntityRef(id=ident, label=label, aliases=tuple(aliases)))
-        entity_scope = tuple(parsed)
-
-    if "size" in scopes:
-        size_scope = scopes["size"]
-        _expect(
-            isinstance(size_scope, int) and size_scope > 0,
-            "scopes.size",
-            "must be a positive integer",
-        )
-
-    if all(
-        s is None
-        for s in (url_scope, domain_scope, time_scope, keyword_scope, entity_scope, size_scope)
-    ):
+    if all(v is None for v, (parent, _) in zip(spec, _PLACES) if parent == "scopes"):
         raise SpecError("scopes: at least one scope is required")
-
-    link_mode = doc.get("link_mode", "disconnected")
-    _expect(link_mode in ("connected", "disconnected"), "link_mode", "must be connected|disconnected")
-    version_mode = doc.get("version_mode", "timeline")
-    _expect(version_mode in ("snapshot", "timeline"), "version_mode", "must be snapshot|timeline")
-
-    relevance = doc.get("relevance", {})
-    _expect(isinstance(relevance, dict), "relevance", "must be an object")
-    _check_keys(relevance, {"threshold", "entity_combine"}, "relevance")
-    threshold = relevance.get("threshold")
-    if threshold is not None:
-        _expect(
-            isinstance(threshold, (int, float)) and 0.0 <= threshold <= 1.0,
-            "relevance.threshold",
-            "must be a number in [0, 1]",
-        )
-        threshold = float(threshold)
-    if keyword_scope is not None and threshold is None:
+    if spec.keyword_scope is not None and spec.relevance_threshold is None:
         raise SpecError("relevance.threshold: required when keyword scope is present")
-    if keyword_scope is None and threshold is not None:
+    if spec.keyword_scope is None and spec.relevance_threshold is not None:
         raise SpecError("relevance.threshold: only meaningful with a keyword scope")
-    entity_combine = relevance.get("entity_combine", "any")
-    _expect(entity_combine in ("any", "all"), "relevance.entity_combine", "must be any|all")
-
-    closure = doc.get("closure", {})
-    _expect(isinstance(closure, dict), "closure", "must be an object")
-    _check_keys(closure, {"policy", "max_depth"}, "closure")
-    policy = closure.get("policy", "all_links")
-    _expect(policy in ("all_links", "relevant_links"), "closure.policy", "must be all_links|relevant_links")
-    max_depth = closure.get("max_depth")
-    if max_depth is not None:
-        _expect(
-            isinstance(max_depth, int) and max_depth > 0,
-            "closure.max_depth",
-            "must be a positive integer",
-        )
-
-    seed = doc.get("seed", 0)
-    _expect(
-        isinstance(seed, int) and 0 <= seed < 2**64, "seed", "must be a 64-bit unsigned integer"
-    )
-
-    return SubCollectionSpec(
-        name=name,
-        url_scope=url_scope,
-        domain_scope=domain_scope,
-        time_scope=time_scope,
-        keyword_scope=keyword_scope,
-        entity_scope=entity_scope,
-        size_scope=size_scope,
-        link_mode=link_mode,
-        version_mode=version_mode,
-        relevance_threshold=threshold,
-        entity_combine=entity_combine,
-        closure_policy=policy,
-        closure_max_depth=max_depth,
-        seed=seed,
-    )
+    return spec
 
 
 def parse_spec_file(path):
@@ -262,35 +244,13 @@ def parse_spec_file(path):
 
 
 def serialize_spec(spec):
-    """Spec -> plain JSON-ready dict; parse_spec(json.dumps(...)) round-trips."""
-    scopes = {}
-    if spec.url_scope is not None:
-        scopes["urls"] = list(spec.url_scope)
-    if spec.domain_scope is not None:
-        scopes["domains"] = list(spec.domain_scope)
-    if spec.time_scope is not None:
-        scopes["time"] = {"from": spec.time_scope[0], "to": spec.time_scope[1]}
-    if spec.keyword_scope is not None:
-        scopes["keywords"] = list(spec.keyword_scope)
-    if spec.entity_scope is not None:
-        scopes["entities"] = [
-            {"id": e.id, "label": e.label, "aliases": list(e.aliases)} for e in spec.entity_scope
-        ]
-    if spec.size_scope is not None:
-        scopes["size"] = spec.size_scope
-    doc = {
-        "name": spec.name,
-        "scopes": scopes,
-        "link_mode": spec.link_mode,
-        "version_mode": spec.version_mode,
-        "relevance": {"entity_combine": spec.entity_combine},
-        "closure": {"policy": spec.closure_policy},
-        "seed": spec.seed,
-    }
-    if spec.relevance_threshold is not None:
-        doc["relevance"]["threshold"] = spec.relevance_threshold
-    if spec.closure_max_depth is not None:
-        doc["closure"]["max_depth"] = spec.closure_max_depth
+    """Spec -> plain JSON-ready dict of the fields that are not None;
+    parse_spec(json.dumps(...)) round-trips."""
+    doc = {}
+    for f, (parent, key), value in zip(_FIELDS, _PLACES, spec):
+        obj = doc.setdefault(parent, {}) if parent else doc
+        if value is not None:
+            obj[key] = f.write(value) if f.write else value
     return doc
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .htmldoc import TAG_CLASSES, analyze_capture
 
@@ -32,10 +32,8 @@ __all__ = [
 
 def snapshots_per_year(index):
     """Exact per-year capture counts straight from the index; no fetches."""
-    hist = {}
-    for e in index:
-        hist[e.year] = hist.get(e.year, 0) + 1
-    return hist
+    counts = Counter(e.timestamp14[:4] for e in index)
+    return {int(year): n for year, n in counts.items()}
 
 
 def sample_refs(index, n, seed):
@@ -81,7 +79,7 @@ def _by_year(analyzed):
     """{year: [PageAnalysis]} in ascending year order, pages in sample order."""
     pages = {}
     for entry, analysis in analyzed:
-        pages.setdefault(entry.year, []).append(analysis)
+        pages.setdefault(int(entry.timestamp14[:4]), []).append(analysis)
     return dict(sorted(pages.items()))
 
 

@@ -145,10 +145,6 @@ class IndexEntry(
     __slots__ = ()
 
     @property
-    def year(self):
-        return int(self.timestamp14[:4])
-
-    @property
     def epoch(self):
         return timestamp14_to_epoch(self.timestamp14)
 
@@ -256,10 +252,11 @@ def ingest_warc(path, stats=None):
 
 def _index_row():
     """``row(*fields)``, the IndexEntry of an index line, for one reading
-    of the file: a timestamp that :func:`timestamp14_to_epoch` accepts,
-    status, offset and length of ASCII digits only, a bare file name as
-    file id, and each entry sorting strictly after the one before.
-    Entries share each distinct URL, mime and file id."""
+    of the file: a URL in its canonical form, a timestamp that
+    :func:`timestamp14_to_epoch` accepts, status, offset and length of
+    ASCII digits only, a bare file name as file id, and each entry sorting
+    strictly after the one before. Entries share each distinct URL, mime
+    and file id, and each distinct URL and file id is checked once."""
     make = IndexEntry._make
     urls, mimes, file_ids = {}, {"-": ""}, {}  # "-" is no mime
     last = ()  # sorts before every entry
@@ -273,12 +270,16 @@ def _index_row():
             raise ValueError("offset and length must not be negative")
         if not (digits.isascii() and digits.isdigit()):  # int() also takes "+5", "1_0", " 7"
             raise ValueError("status, offset and length must be ASCII digits")
+        if url not in urls:
+            if canonicalize_url(url) != url:  # no lookup of a canonical URL would reach it
+                raise ValueError("URL not in canonical form: %r" % url)
+            urls[url] = url
         if file_id not in file_ids:
             if "/" in file_id or file_id in ("", ".", ".."):  # not inside the archive directory
                 raise ValueError("file id must be a bare file name, got %r" % file_id)
             file_ids[file_id] = file_id
         entry = make((
-            urls.setdefault(url, url), ts, mimes.setdefault(mime, mime),
+            urls[url], ts, mimes.setdefault(mime, mime),
             status, digest, file_ids[file_id], offset, length,
         ))
         if entry <= last:

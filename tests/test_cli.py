@@ -797,6 +797,20 @@ EXIT_ROWS = [
     ("stats-month-13", lambda ws: _stats_args(
         ws, str(ws["tmp"] / "st.csv"), _edited_index(ws, timestamp14="20001301000000")), 2,
      "edited.cdx:5: bad timestamp14: '20001301000000'"),
+    ("stats-url-not-canonical", lambda ws: _stats_args(
+        ws, str(ws["tmp"] / "st.csv"), _edited_index(ws, canonical_url="http://b.de:80/")), 2,
+     "edited.cdx:5: URL not in canonical form: 'http://b.de:80/'"),
+    # A JSON boolean was read as the number 1 or 0.
+    *[("spec-%s-true" % name, lambda ws, doc=doc: _extract_args(
+        ws, write_spec(ws["tmp"], doc), str(ws["tmp"] / "m")), 1, message)
+      for name, doc, message in [
+          ("size", {"scopes": {"size": True}}, "scopes.size: must be a positive integer"),
+          ("seed", {"scopes": {"size": 1}, "seed": True}, "seed: must be a 64-bit unsigned integer"),
+          ("max-depth", {"scopes": {"size": 1}, "closure": {"max_depth": True}},
+           "closure.max_depth: must be a positive integer"),
+          ("threshold", {"scopes": {"keywords": ["web"]}, "relevance": {"threshold": True}},
+           "relevance.threshold: must be a number in [0, 1]"),
+      ]],
 ]
 
 
@@ -1016,6 +1030,11 @@ LINE_FILE_ROWS = [
           ("offset-underscore", ("200", "d f.warc 1_0 1")),
           ("length-tab", ("200", "d f.warc 0 \t7")),
       ]],
+    # A URL that is not its own canonical form loaded, but no lookup of a
+    # canonical URL could reach it.
+    ("index-url-not-canonical", "index",
+     "SUBCOLLECT-CDX 1\n\nHTTP://A.DE:80/ 20000101000000 - 200 d f.warc 0 5\n", 3,
+     "URL not in canonical form: 'HTTP://A.DE:80/'"),
 ]
 
 LOADERS = {

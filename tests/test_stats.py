@@ -196,10 +196,10 @@ def test_per_year_means_over_interleaved_years(tmp_path):
     by_url = {e.canonical_url: e for e in fx.index}
     sample = [by_url["http://a.de/p%d" % i] for i in range(len(years))]
     analyzed = analyze_sample(sample, fx.archive)
-    assert [e.year for e, _ in analyzed] == years
+    assert [int(e.timestamp14[:4]) for e, _ in analyzed] == years
 
     def pages(year):
-        return [a for e, a in analyzed if e.year == year]
+        return [a for e, a in analyzed if int(e.timestamp14[:4]) == year]
 
     def mean_rate(link_lists):
         fracs = [sum(1 for l in links if fx.index.entries_for(l.target)) / len(links)

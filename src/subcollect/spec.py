@@ -154,11 +154,6 @@ def _choice(*choices):
     return _checked(lambda v: v in choices, "must be " + "|".join(choices))
 
 
-def _null_or(read):
-    """``read``, except that JSON null reads as the field's absence."""
-    return lambda value, path: None if value is None else read(value, path)
-
-
 _string = _checked(lambda v: isinstance(v, str), "must be a string")
 # A JSON boolean is no number: the numeric readers check the exact type.
 _positive_int = _checked(lambda v: type(v) is int and v > 0, "must be a positive integer")
@@ -186,12 +181,11 @@ _FIELDS = (
     _Field("size_scope", "scopes.size", None, _positive_int),
     _Field("link_mode", "link_mode", "disconnected", _choice("connected", "disconnected")),
     _Field("version_mode", "version_mode", "timeline", _choice("snapshot", "timeline")),
-    _Field("relevance_threshold", "relevance.threshold", None, _null_or(_fraction)),
+    _Field("relevance_threshold", "relevance.threshold", None, _fraction),
     _Field("entity_combine", "relevance.entity_combine", "any", _choice("any", "all")),
     _Field("closure_policy", "closure.policy", "all_links",
            _choice("all_links", "relevant_links")),
-    _Field("closure_max_depth", "closure.max_depth", None,  # None = unbounded
-           _null_or(_positive_int)),
+    _Field("closure_max_depth", "closure.max_depth", None, _positive_int),  # None = unbounded
     _Field("seed", "seed", 0, _seed),
 )
 

@@ -41,7 +41,7 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from . import warc
-from .urls import CanonicalizationError, canonicalize_url
+from .urls import canonicalize_url
 from .warc import ArchiveIOError
 
 __all__ = [
@@ -216,16 +216,15 @@ def ingest_warc(path, stats=None):
     for offset, length, rec in warc.iter_records(path):
         stats.records += 1
         stats.bytes += length
-        # One scan; the first header of a name wins, as for Content-Length.
-        fields = {name.lower(): value for name, value in reversed(rec.headers)}
-        kind = fields.get("warc-type")
+        headers = rec.headers
+        kind = headers.get("warc-type")
         if kind != "response":
             passed_over[kind if kind in passed_over else "other"] += 1
             continue
-        uri = fields.get("warc-target-uri")
+        uri = headers.get("warc-target-uri")
         if uri and uri[0] == "<" and uri[-1] == ">":  # the WARC/1.0 examples' form
             uri = uri[1:-1]
-        date = fields.get("warc-date")
+        date = headers.get("warc-date")
         if not uri or not date:
             stats.skipped += 1
             continue
@@ -238,7 +237,7 @@ def ingest_warc(path, stats=None):
             if uri not in canonical:
                 canonical[uri] = canonicalize_url(uri)
             ts14 = timestamp14_from_iso(date)
-        except (CanonicalizationError, ValueError):
+        except ValueError:
             stats.skipped += 1
             continue
         if content_type not in mimes:

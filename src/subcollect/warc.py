@@ -9,8 +9,9 @@ error: its later records have no offset of their own.
 buffer: it finds each header block with one search for its blank line
 and decompresses each gzip member from the same buffer. One rule,
 :func:`_parse_header`, decodes a header block once and gives both its
-(name, value) pairs and its Content-Length, for :func:`iter_records`
-and :func:`read_record` alike. Only the header fields needed for
+header map and its Content-Length, for :func:`iter_records` and
+:func:`read_record` alike: a header name matches in any case, and the
+first header of a name counts. Only the header fields needed for
 indexing are interpreted; everything else is kept verbatim so records
 can be copied out byte-for-byte. Of an HTTP response's head,
 :func:`parse_http_response` gives only the status and the first
@@ -51,7 +52,8 @@ class WarcFormatError(ValueError):
         self.offset = offset
 
 
-# headers: the ordered (name, value) pairs of the header block.
+# headers: each header name of the block, stripped and lower-cased, mapped
+# to the stripped value of its first line.
 WarcRecord = namedtuple("WarcRecord", "headers payload")
 
 
@@ -60,24 +62,21 @@ def _parse_header(block, offset):
     version line up to the blank line, exclusive.
 
     The block is decoded once. Every line after the version line needs a
-    colon; names and values are stripped. The first header named
-    Content-Length in any case gives the payload length in ASCII digits.
+    colon; names and values are stripped, and each name, lower-cased, maps
+    to the value of its first line. Content-Length gives the payload
+    length in ASCII digits.
     """
     lines = block.decode("utf-8", "replace").split("\r\n")
     if not lines[0].startswith("WARC/"):
         raise WarcFormatError("missing WARC version line", offset)
-    headers = []
-    length = None
+    headers = {}
     for line in lines[1:]:
         name, sep, value = line.partition(":")
         if not sep:
             raise WarcFormatError("malformed header line %r" % line, offset)
-        name = name.strip()
-        value = value.strip()
-        headers.append((name, value))
-        if length is None and name.lower() == "content-length":
-            length = value
-    if length is None or not (length.isascii() and length.isdigit()):
+        headers.setdefault(name.strip().lower(), value.strip())
+    length = headers.get("content-length", "")
+    if not (length.isascii() and length.isdigit()):
         raise WarcFormatError("missing or invalid Content-Length", offset)
     return headers, int(length)
 

@@ -811,6 +811,15 @@ EXIT_ROWS = [
           ("threshold", {"scopes": {"keywords": ["web"]}, "relevance": {"threshold": True}},
            "relevance.threshold: must be a number in [0, 1]"),
       ]],
+    # A JSON null was read as the field's absence.
+    *[("spec-%s-null" % name, lambda ws, doc=doc: _extract_args(
+        ws, write_spec(ws["tmp"], doc), str(ws["tmp"] / "m")), 1, message)
+      for name, doc, message in [
+          ("max-depth", {"scopes": {"size": 1}, "closure": {"max_depth": None}},
+           "closure.max_depth: must be a positive integer"),
+          ("threshold", {"scopes": {"size": 1}, "relevance": {"threshold": None}},
+           "relevance.threshold: must be a number in [0, 1]"),
+      ]],
 ]
 
 

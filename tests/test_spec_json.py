@@ -1,6 +1,6 @@
 """The spec's JSON form: parse_spec and serialize_spec against the reader
 and writer that the field table replaced (``reference_spec``), the
-digests that manifests record, and the rejected booleans."""
+digests that manifests record, and the rejected booleans and nulls."""
 
 import copy
 import hashlib
@@ -61,14 +61,12 @@ def valid_docs(draw):
     relevance = {}
     if "keywords" in scopes:
         relevance["threshold"] = draw(st.sampled_from([0, 1, 0.25, 1.0, 0.0]))
-    else:
-        _maybe(draw, relevance, "threshold", st.none())  # null reads as no threshold
     _maybe(draw, relevance, "entity_combine", st.sampled_from(_CHOICES["entity_combine"]))
     if relevance or draw(st.booleans()):
         doc["relevance"] = relevance
     closure = {}
     _maybe(draw, closure, "policy", st.sampled_from(_CHOICES["policy"]))
-    _maybe(draw, closure, "max_depth", st.sampled_from([None, 1, 3]))
+    _maybe(draw, closure, "max_depth", st.sampled_from([1, 3]))
     if closure or draw(st.booleans()):
         doc["closure"] = closure
     _maybe(draw, doc, "seed", st.sampled_from([0, 7, 2**64 - 1]))
@@ -99,9 +97,9 @@ _BAD = {
     ("link_mode",): ["x", None, 1, "Connected"],
     ("version_mode",): ["x", None, ["snapshot"]],
     ("relevance", "entity_combine"): ["x", None, "ANY"],
-    ("relevance", "threshold"): [-0.1, 1.5, "0.5", [], float("nan")],
+    ("relevance", "threshold"): [-0.1, 1.5, "0.5", [], float("nan"), None],
     ("closure", "policy"): ["x", None, 0],
-    ("closure", "max_depth"): [0, -1, 1.5, "2", False],
+    ("closure", "max_depth"): [0, -1, 1.5, "2", False, None],
     ("seed",): [-1, 2**64, 1.0, "1", None],
 }
 # The values that the reader that the table replaced accepted: booleans.
@@ -110,6 +108,12 @@ _BOOLEANS = {
     ("seed",): ([True, False], "seed: must be a 64-bit unsigned integer"),
     ("closure", "max_depth"): ([True], "closure.max_depth: must be a positive integer"),
     ("relevance", "threshold"): ([True, False], "relevance.threshold: must be a number in [0, 1]"),
+}
+# The fields whose null the reader that the table replaced read as the
+# field's absence, and the error that null now gives.
+_NULLS = {
+    ("relevance", "threshold"): "relevance.threshold: must be a number in [0, 1]",
+    ("closure", "max_depth"): "closure.max_depth: must be a positive integer",
 }
 
 
@@ -195,12 +199,20 @@ def test_table_reader_and_writer_match_the_reference(doc, data):
     text = json.dumps(doc)[:-1] if kind == "json" else json.dumps(doc)  # truncated JSON
     got, got_error = _read(parse_spec, text)
     want, want_error = _read(reference_spec.parse_spec, text)
+    nulls = [path for path in _NULLS if "%s=None" % ".".join(path) in applied]
     if kind == "boolean":
         # Declared change: a JSON boolean is no number. The reader that the
         # table replaced read true as 1 and false as 0.
         assert want_error is None and got_error == _BOOLEANS[path][1]
     elif len(applied) == 2:
-        assert got_error and want_error
+        assert got_error and (want_error or nulls)
+    elif nulls:
+        # Declared change: null is no value. The reader that the table
+        # replaced read it as the field's absence.
+        [(parent, key)] = nulls
+        assert got_error == _NULLS[parent, key]
+        del doc[parent][key]
+        assert want_error == _read(reference_spec.parse_spec, json.dumps(doc))[1]
     else:
         assert got_error == want_error
         assert (got_error is None) == (kind == "valid"), applied
@@ -228,6 +240,16 @@ def test_a_boolean_is_no_number(path, value):
     with pytest.raises(SpecError) as info:
         parse_spec(json.dumps(doc))
     assert str(info.value) == _BOOLEANS[path][1]
+
+
+@pytest.mark.parametrize("path", _NULLS, ids=lambda path: path[-1])
+def test_null_is_no_value(path):
+    doc = {"scopes": {"domains": ["de"]}}
+    _set(doc, path, None)
+    assert reference_spec.parse_spec(json.dumps(doc)).domain_scope == ("de",)
+    with pytest.raises(SpecError) as info:
+        parse_spec(json.dumps(doc))
+    assert str(info.value) == _NULLS[path]
 
 
 # Manifests record these digests; the JSON form must not change under them.

@@ -124,6 +124,33 @@ def test_ingest_strips_angle_brackets_from_target_uri(tmp_path):
     assert [e.canonical_url for e in entries] == ["http://a.de/", "http://b.de/"]
 
 
+_URI = ("WARC-Target-URI", "http://a.de/")
+_DATE = ("WARC-Date", "2000-01-01T12:00:00Z")
+
+
+@pytest.mark.parametrize("headers, indexed", [
+    ([("WARC-Type", "response"), ("warc-type", "request"), _URI, _DATE], True),
+    ([("WARC-Type", "request"), ("WARC-TYPE", "response"), _URI, _DATE], False),
+    ([("WARC-Type", "response"), _URI, ("WARC-Target-URI", "http://b.de/"), _DATE], True),
+    ([("WARC-Type", "response"), _URI, _DATE, ("WARC-Date", "2005-01-01T00:00:00Z")], True),
+])
+def test_the_first_of_a_repeated_header_counts(tmp_path, headers, indexed):
+    # Header names match in any case, and the first header of a name counts.
+    http = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n" + page()
+    path = tmp_path / "repeat.warc"
+    path.write_bytes(warcwriter._serialize_record(headers + [("Content-Length", len(http))], http))
+    stats = IngestStats()
+    entries = ingest_warc(str(path), stats=stats)
+    if indexed:
+        assert [(e.canonical_url, e.timestamp14) for e in entries] == [
+            ("http://a.de/", "20000101120000")
+        ]
+        assert (stats.responses, stats.skipped, sum(stats.passed_over.values())) == (1, 0, 0)
+    else:
+        assert entries == [] and (stats.responses, stats.skipped) == (0, 0)
+        assert {k: n for k, n in stats.passed_over.items() if n} == {"request": 1}
+
+
 def test_truncated_record_names_offset(tmp_path):
     good = warcwriter.make_response_record("http://a.de/", iso_of("20000101120000"), page())
     path = tmp_path / "t.warc"
@@ -1003,20 +1030,30 @@ def test_read_record_equals_decoding_parser(tmp_path_factory, data, gzipped):
 # --- the one-pass reader against the line-reading reader it replaced ------
 
 
-def outcome(read, path):
-    """Every (offset, length, headers, payload) that ``read(path)``
-    yields, then the WarcFormatError message without the path, or None."""
+def header_map(pairs):
+    """The header map of the (name, value) pairs that the line reader
+    gives: each name lower-cased, the first of each name kept."""
+    headers = {}
+    for name, value in pairs:
+        headers.setdefault(name.lower(), value)
+    return headers
+
+
+def outcome(read, path, headers=lambda headers: headers):
+    """Every (offset, length, header map, payload) that ``read(path)``
+    yields, its headers read by ``headers``, then the WarcFormatError
+    message without the path, or None."""
     got = []
     try:
         for offset, length, rec in read(str(path)):
-            got.append((offset, length, rec.headers, rec.payload))
+            got.append((offset, length, headers(rec.headers), rec.payload))
     except warc.WarcFormatError as exc:
         return got, str(exc).replace(str(path) + ": ", "", 1)
     return got, None
 
 
 def assert_readers_agree(path):
-    want = outcome(reference_warc.iter_records, path)
+    want = outcome(reference_warc.iter_records, path, header_map)
     assert outcome(warc.iter_records, path) == want
     return want
 

@@ -9,19 +9,29 @@ Only relevance reads tokens, so a caller that reads only links and tags
 markup is then neither collected nor entity-decoded nor tokenized, and
 the outlinks and tag counts are the same.
 
-A page is read in one left-to-right pass of ``_MARKUP_RE.finditer``.
-Each match is a tag, a comment or a declaration. A tag whose rest holds
-no quote is matched whole, up to its ``>``, so an end tag or a start tag
-other than a, base, link, script and style is finished by the regex
-(table and div are only counted). Quoted attributes, those five tags,
-comments and declarations are read on by helpers, which consume a span
-past the match: a comment, a quoted value or a raw-text body. A match
-that starts inside a consumed span is skipped. Every consumed span ends
-just after a ``>``, and no match runs past the first ``>`` after its
-start, so a skipped match never reaches past the span. When it ends
-short of the span's end, the pass resumes with a new ``finditer`` from
-that end, so at most one match is read inside each span. The rules
-follow the WHATWG HTML tokenizer where they matter here:
+A page is read in one left-to-right pass of scan steps, each one
+``_STEP_RE.match`` at the position where the text not yet read starts.
+The regex first consumes a run of what the analysis passes over: text, a
+``<`` that opens no markup, and every whole tag it ignores whose rest
+holds no quote (any end tag, or a start tag not named a, base, link,
+script, style, table or div). It then matches the markup that ends the
+run, if any: a tag, a comment or a declaration, which Python code reads.
+A tag whose rest holds no quote is matched whole, up to its ``>``; quoted
+attributes, the five tags above, comments and declarations are read on by
+helpers, which consume a span past the match: a comment, a quoted value
+or a raw-text body. The next step starts where that span ends. A run
+holds at most ``_RUN`` ignored tags and lone ``<``s, since the regex
+engine keeps a record of each until the match ends; a step that stops at
+that bound reads no markup, and the next goes on from there. When tokens
+are collected, the runs are the text, and the same ignored-tag pattern
+turns their tags into spaces.
+
+The time is linear in the length of the page, malformed or not. Within a
+step, each alternative of the run either consumes what it reads or fails
+before a quote, a ``>`` or the end of input: a failed ignored tag is then
+the markup that ends the run, which its reader consumes at least that far,
+or the scan stops at it. So each character is read a bounded number of
+times. The rules follow the WHATWG HTML tokenizer where they matter here:
 
 - ``<`` and an ASCII letter open a start tag, ``</`` and a letter an end
   tag. The name runs to whitespace, ``/`` or ``>``. Tag and attribute
@@ -47,9 +57,6 @@ follow the WHATWG HTML tokenizer where they matter here:
   markup.
 - A tag, comment or raw-text body left open at the end of input is
   dropped, and so is everything after its start.
-
-Each character is read a bounded number of times, so the time is linear
-in the length of the page, malformed or not.
 
 Tokens are the maximal runs of Unicode letters and digits (``_``
 excluded), lowercased; ``_TOKEN_RE`` matches them. Text that is all
@@ -96,16 +103,34 @@ _ASCII_TOKEN_TABLE = str.maketrans(
 # A charset declared in a <meta> tag, by its charset attribute or its content;
 # the tag ends at the next "<" or ">", so each byte is read by one match.
 _CHARSET_RE = re.compile(rb"<meta[\t\n\r\f /][^<>]*?charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.I)
+# A parameter of a Content-Type (RFC 9110 section 5.6.6): its name, and its
+# value as a token or as a quoted string, whose quoted pairs are undone.
+_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+_PARAMETER_RE = re.compile(r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")' % (_TOKEN, _TOKEN))
+_QUOTED_PAIR_RE = re.compile(r"\\(.)")
 # ``codecs.lookup`` names of codecs no browser decodes a page with; they
 # turn ASCII text into garbage or nothing.
 _NOT_PAGE_ENCODINGS = frozenset("punycode idna undefined unicode-escape raw-unicode-escape".split())
 
-# Markup at a "<". Groups: the "/" of an end tag, the tag name, and the
-# rest of the tag up to its ">" when that holds no quote. No match runs
-# past the first ">" after its "<". The patterns use no atomic groups and
-# no possessive quantifiers, which Python 3.10 (the oldest that
-# requires-python allows) does not compile.
-_MARKUP_RE = re.compile(r"<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)([^>\"']*>)?|[!?/])")
+# A tag the analysis reads nothing from, when no quote stands between its
+# name and its ">": an end tag, or a start tag not named a, base, link,
+# script, style, table or div (its name runs to whitespace, "/" or ">").
+_IGNORED_TAG = r"<(?:/|(?!(?i:a|base|link|script|style|table|div)[\t\n\r\f />]))[a-zA-Z][^>\"']*>"
+_IGNORED_TAG_RE = re.compile(_IGNORED_TAG)
+# The regex engine keeps a record per repetition of a group until a match
+# ends, so a run holds at most this many ignored tags and lone "<"s.
+_RUN = 64
+# One scan step, matched where the text not yet read starts: a run of
+# text, "<"s that open no markup and ignored tags, then, as group 1, the
+# markup that ends it, if any. Groups 2-4 are the "/" of an end tag, the
+# tag name, and the rest of the tag up to its ">" when that holds no
+# quote. No markup runs past the first ">" after its "<". The patterns
+# use no atomic groups and no possessive quantifiers, which Python 3.10
+# (the oldest that requires-python allows) does not compile.
+_STEP_RE = re.compile(
+    r"[^<]*(?:(?:%s|<(?![a-zA-Z/!?]))[^<]*){0,%d}"
+    r"(<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)([^>\"']*>)?|[!?/]))?" % (_IGNORED_TAG, _RUN)
+)
 # One attribute: separators, a name, then optionally "=" and a value. A
 # quote that is never closed runs to the end of input and leaves its
 # closing group (3 or 5) empty.
@@ -216,70 +241,64 @@ def _scan(text, page, tokens):
     base = page
     page_host = strip_www(page.host)
 
-    texts = []  # the page's text, a piece per stretch between markup
+    step = _STEP_RE.match
+    n = len(text)
+    texts = []  # the text read, a piece per run, its ignored tags included
     pos = 0  # where the text not yet read starts
-    resume = True
-    while resume:
-        resume = False
-        for m in _MARKUP_RE.finditer(text, pos):
-            start = m.start()
-            if start < pos:
-                # Markup inside the comment, quoted value or raw-text body
-                # just read. It ends by that span's end; unless it ends
-                # there, a new pass resumes from that end.
-                if m.end() < pos:
-                    resume = True
-                    break
-                continue
-            if tokens and start > pos:
-                texts.append(text[pos:start])
-            slash, tag, rest = m.groups()
-            if tag is None:  # "<!", "<?", or "</" and no letter
-                end = _markup_end(text, start)
-            elif slash:  # an end tag
-                end = m.end() if rest else _read_attrs(text, m.end())[0]
-                tag = None
-            else:
-                tag = tag.lower()
-                if tag == "a" or tag == "base":
-                    end, _, href = _read_attrs(text, m.end(2), "href")
-                elif tag == "link":
-                    end, _, rel = _read_attrs(text, m.end(2), "rel")
-                elif tag == "script" or tag == "style":
-                    end, self_closing, _ = _read_attrs(text, m.end(2))
-                else:
-                    end = m.end() if rest else _read_attrs(text, m.end())[0]
-            if end < 0:
-                break
-
-            if tag == "a":
-                if href:
-                    link = _link(base, href.strip(), page_host)
-                    if link is not None:
-                        outlinks.append(link)
-            elif tag == "table" or tag == "div":
-                counts[tag] += 1
-            elif tag == "script" or tag == "style":
-                counts["script" if tag == "script" else "style_element"] += 1
-                if not self_closing:
-                    close = _RAW_TEXT_END_RE[tag].search(text, end)
-                    end = _read_attrs(text, close.end() - 1)[0] if close else -1
-                    if end < 0:
-                        break
-            elif tag == "link":
-                if rel and "stylesheet" in rel.lower():
-                    counts["linked_style"] += 1
-            elif tag == "base" and href:
-                base = rebase(page, base, href.strip())
-            pos = end
-        else:
+    while pos < n:
+        m = step(text, pos)
+        start = m.start(1)
+        if start < 0:  # the run reached its bound or the end of input
             if tokens:
-                texts.append(text[pos:])
+                texts.append(text[pos : m.end()])
+            pos = m.end()
+            continue
+        if tokens and start > pos:
+            texts.append(text[pos:start])
+        slash, tag, rest = m.group(2, 3, 4)
+        if tag is None:  # "<!", "<?", or "</" and no letter
+            end = _markup_end(text, start)
+        elif slash:  # an end tag
+            end = m.end() if rest else _read_attrs(text, m.end())[0]
+            tag = None
+        else:
+            tag = tag.lower()
+            if tag == "a" or tag == "base":
+                end, _, href = _read_attrs(text, m.end(3), "href")
+            elif tag == "link":
+                end, _, rel = _read_attrs(text, m.end(3), "rel")
+            elif tag == "script" or tag == "style":
+                end, self_closing, _ = _read_attrs(text, m.end(3))
+            else:
+                end = m.end() if rest else _read_attrs(text, m.end())[0]
+        if end < 0:
+            break
+
+        if tag == "a":
+            if href:
+                link = _link(base, href.strip(), page_host)
+                if link is not None:
+                    outlinks.append(link)
+        elif tag == "table" or tag == "div":
+            counts[tag] += 1
+        elif tag == "script" or tag == "style":
+            counts["script" if tag == "script" else "style_element"] += 1
+            if not self_closing:
+                close = _RAW_TEXT_END_RE[tag].search(text, end)
+                end = _read_attrs(text, close.end() - 1)[0] if close else -1
+                if end < 0:
+                    break
+        elif tag == "link":
+            if rel and "stylesheet" in rel.lower():
+                counts["linked_style"] += 1
+        elif tag == "base" and href:
+            base = rebase(page, base, href.strip())
+        pos = end
 
     if tokens:
-        # Pieces are joined with a space, which neither a token nor a
-        # character reference can span.
-        analysis.tokens = tokenize(unescape(" ".join(texts)))
+        # Ignored tags become spaces, and pieces are joined with a space,
+        # which neither a token nor a character reference can span.
+        analysis.tokens = tokenize(unescape(_IGNORED_TAG_RE.sub(" ", " ".join(texts))))
     return analysis
 
 
@@ -321,11 +340,15 @@ def parse_html(body, page_url, charset_hint=None, tokens=True):
 
 def analyze(snapshot, tokens=True):
     """Page analysis for a fetched snapshot; non-HTML yields an empty one.
-    The charset hint is the ``charset=`` of the snapshot's content_type."""
+    The charset hint is the value of the first parameter of the snapshot's
+    content_type that is named ``charset``, in any case."""
     if not snapshot.ref.is_html:
         return PageAnalysis()
-    value = snapshot.content_type.lower()
-    charset = value.split("charset=")[-1].split(";")[0].strip() if "charset=" in value else None
+    charset = None
+    for name, token, quoted in _PARAMETER_RE.findall(snapshot.content_type):
+        if name.lower() == "charset":
+            charset = token or _QUOTED_PAIR_RE.sub(r"\1", quoted)
+            break
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
 
 

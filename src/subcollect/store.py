@@ -16,7 +16,9 @@ ends no line), each line is decoded as UTF-8 by itself, blank lines are
 skipped, and every error is named ``path:line``. :meth:`ArchiveIndex.save`
 reads each line it writes back through the row rule of
 :meth:`ArchiveIndex.load`, timestamp included, so the index holds only
-lines that both its readers accept.
+lines that both its readers accept. A valid timestamp is stated once, as
+one compiled calendar regex that the row rule, :func:`is_valid_timestamp14`
+and :func:`timestamp14_to_epoch` all check with.
 
 The index is sorted: each entry sorts strictly after the one before it,
 as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
@@ -77,6 +79,17 @@ _ISO_DATE_RE = re.compile(
     r"[Tt](2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)(?:\.[0-9]+)?[Zz]\Z"
 )
 
+# A valid timestamp14, "%Y%m%d%H%M%S" in ASCII digits: a calendar date
+# from year 0001, with February 29 in the years that 4 divides, except the
+# centuries that 400 does not; hours 00-23, minutes 00-59, seconds 00-61.
+_LEAP_YEAR = r"(?:[0-9][0-9](?:0[48]|[2468][048]|[13579][26])|(?:0[48]|[2468][048]|[13579][26])00)"
+_TIMESTAMP14_MATCH = re.compile(
+    r"(?:(?!0000)[0-9]{4}"
+    r"(?:(?:0[1-9]|1[0-2])(?:0[1-9]|1[0-9]|2[0-8])|(?:0[13-9]|1[0-2])(?:29|30)|(?:0[13578]|1[02])31)"
+    r"|%s0229)"
+    r"(?:[01][0-9]|2[0-3])[0-5][0-9](?:[0-5][0-9]|6[01])" % _LEAP_YEAR
+).fullmatch
+
 # A media type without parameters (RFC 9110): a type and a subtype token.
 _MEDIA_TYPE_RE = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+/[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 
@@ -101,34 +114,23 @@ def timestamp14_from_iso(iso_date):
 
 
 def timestamp14_to_epoch(ts14):
-    """14-digit UTC timestamp -> POSIX seconds.
-
-    Valid are 14 ASCII digits that form a calendar date from year 1,
-    hours 00-23, minutes 00-59 and seconds 00-61 (leap seconds count on
-    into the next minute).
-    """
-    if len(ts14) != 14 or not (ts14.isascii() and ts14.isdigit()):
+    """14-digit UTC timestamp -> POSIX seconds; ValueError unless
+    :func:`is_valid_timestamp14`."""
+    if _TIMESTAMP14_MATCH(ts14) is None:
         raise ValueError("bad timestamp14: %r" % ts14)
-    rest, second = divmod(int(ts14), 100)
-    rest, minute = divmod(rest, 100)
-    rest, hour = divmod(rest, 100)
-    rest, day = divmod(rest, 100)
-    year, month = divmod(rest, 100)
-    if hour > 23 or minute > 59 or second > 61:
-        raise ValueError("bad timestamp14: %r" % ts14)
-    try:
-        days = datetime.date(year, month, day).toordinal() - _EPOCH_ORDINAL
-    except ValueError:  # year 0, month 13, day 30 of February, ...
-        raise ValueError("bad timestamp14: %r" % ts14) from None
-    return days * 86400 + hour * 3600 + minute * 60 + second
+    day, second = divmod(int(ts14), 1000000)
+    year, day = divmod(day, 10000)
+    minute = second // 100  # hours and minutes, HHMM
+    # HHMMSS - 40 * HHMM - 2400 * HH = 3600 * HH + 60 * MM + SS
+    return ((datetime.date(year, day // 100, day % 100).toordinal() - _EPOCH_ORDINAL) * 86400
+            + second - 40 * minute - 2400 * (minute // 100))
 
 
 def is_valid_timestamp14(ts14):
-    try:
-        timestamp14_to_epoch(ts14)
-    except ValueError:
-        return False
-    return True
+    """Whether ``ts14`` is 14 ASCII digits that form a calendar date from
+    year 1, hours 00-23, minutes 00-59 and seconds 00-61 (leap seconds
+    count on into the next minute)."""
+    return _TIMESTAMP14_MATCH(ts14) is not None
 
 
 class IndexEntry(
@@ -252,7 +254,7 @@ def ingest_warc(path, stats=None):
 def _index_row():
     """``row(*fields)``, the IndexEntry of an index line, for one reading
     of the file: a URL in its canonical form, a timestamp that
-    :func:`timestamp14_to_epoch` accepts, status, offset and length of
+    :func:`is_valid_timestamp14` accepts, status, offset and length of
     ASCII digits only, a bare file name as file id, and each entry sorting
     strictly after the one before. Entries share each distinct URL, mime
     and file id, and each distinct URL and file id is checked once."""
@@ -262,7 +264,8 @@ def _index_row():
 
     def row(url, ts, mime, status, digest, file_id, offset, length):
         nonlocal last
-        timestamp14_to_epoch(ts)
+        if _TIMESTAMP14_MATCH(ts) is None:
+            raise ValueError("bad timestamp14: %r" % ts)
         digits = status + offset + length
         status, offset, length = int(status), int(offset), int(length)
         if offset < 0 or length < 0:

@@ -5,7 +5,8 @@ from html.parser import HTMLParser
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from subcollect.htmldoc import LinkRecord, PageAnalysis, parse_html, tokenize
+from subcollect.htmldoc import LinkRecord, PageAnalysis, analyze, parse_html, tokenize
+from subcollect.store import IndexEntry, Snapshot
 from subcollect.urls import canonicalize_url, host_of, strip_www
 
 import reference_htmldoc
@@ -729,3 +730,30 @@ def test_parse_without_tokens_equals_parse_in_links_and_tags(html):
 @example("A_b-C9 \ud800z")  # a lone surrogate
 def test_tokenize_equals_reference(text):
     assert tokenize(text) == reference_htmldoc.tokenize(text)
+
+
+# The charset of a Content-Type --------------------------------------------
+
+
+def _snapshot(content_type, body):
+    entry = IndexEntry("http://a.de/", "20000101000000", "text/html", 200, "d", "f.warc", 0, 1)
+    return Snapshot(entry, content_type, body)
+
+
+@pytest.mark.parametrize("content_type, charset", [
+    ("text/html; charset=utf-8", "utf-8"),
+    ("text/html;CHARSET=UTF-8", "utf-8"),
+    ('text/html; charset="utf-8"', "utf-8"),
+    # Only the first parameter named exactly "charset" counts.
+    ("text/html; charset=utf-8; x-orig-charset=iso-8859-1", "utf-8"),
+    ('text/html; foo="charset=latin1"; charset=utf-8', "utf-8"),
+    ("text/html; charset=utf-8; charset=latin1", "utf-8"),
+    # No charset parameter: the page falls back to Latin-1.
+    ('text/html; foo="charset=utf-8"', "latin-1"),
+    ("text/html; xcharset=utf-8", "latin-1"),
+    ("text/html", "latin-1"),
+])
+def test_charset_is_the_first_charset_parameter(content_type, charset):
+    body = "Müller straße".encode("utf-8")
+    got = analyze(_snapshot(content_type, body))
+    assert got.tokens == tokenize(body.decode(charset))

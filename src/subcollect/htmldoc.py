@@ -16,10 +16,11 @@ The regex first consumes a run of what the analysis passes over: text, a
 holds no quote (any end tag, or a start tag not named a, base, link,
 script, style, table or div). It then matches the markup that ends the
 run, if any: a tag, a comment or a declaration, which Python code reads.
-A tag whose rest holds no quote is matched whole, up to its ``>``; quoted
-attributes, the five tags above, comments and declarations are read on by
-helpers, which consume a span past the match: a comment, a quoted value
-or a raw-text body. The next step starts where that span ends. A run
+A tag whose rest holds no quote is matched whole, up to its ``>`` (table
+and div are only counted); quoted attributes, the tags a, base, link,
+script and style, comments and declarations are read on by helpers, which
+consume a span past the match: a comment, a quoted value or a raw-text
+body. The next step starts where that span ends. A run
 holds at most ``_RUN`` ignored tags and lone ``<``s, since the regex
 engine keeps a record of each until the match ends; a step that stops at
 that bound reads no markup, and the next goes on from there. When tokens
@@ -105,8 +106,8 @@ _ASCII_TOKEN_TABLE = str.maketrans(
 _CHARSET_RE = re.compile(rb"<meta[\t\n\r\f /][^<>]*?charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.I)
 # A parameter of a Content-Type (RFC 9110 section 5.6.6): its name, and its
 # value as a token or as a quoted string, whose quoted pairs are undone.
-_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
-_PARAMETER_RE = re.compile(r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")' % (_TOKEN, _TOKEN))
+_HTTP_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+_PARAMETER_RE = re.compile(r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")' % (_HTTP_TOKEN, _HTTP_TOKEN))
 _QUOTED_PAIR_RE = re.compile(r"\\(.)")
 # ``codecs.lookup`` names of codecs no browser decodes a page with; they
 # turn ASCII text into garbage or nothing.

@@ -18,7 +18,8 @@ reads each line it writes back through the row rule of
 :meth:`ArchiveIndex.load`, timestamp included, so the index holds only
 lines that both its readers accept. A valid timestamp is stated once, as
 one compiled calendar regex that the row rule, :func:`is_valid_timestamp14`
-and :func:`timestamp14_to_epoch` all check with.
+and :func:`timestamp14_to_epoch` all check with; the last keeps the start
+of each month it meets in a bounded memo.
 
 The index is sorted: each entry sorts strictly after the one before it,
 as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
@@ -113,17 +114,28 @@ def timestamp14_from_iso(iso_date):
     return "%04d%02d%02d%02d%02d%02d" % (year, month, day, hour, minute, second)
 
 
+# YYYYMM -> POSIX seconds at the start of the day before that month's
+# first, oldest first; past _MONTH_MEMO entries the oldest goes.
+_MONTH_STARTS = {}
+_MONTH_MEMO = 4096
+
+
 def timestamp14_to_epoch(ts14):
     """14-digit UTC timestamp -> POSIX seconds; ValueError unless
     :func:`is_valid_timestamp14`."""
     if _TIMESTAMP14_MATCH(ts14) is None:
         raise ValueError("bad timestamp14: %r" % ts14)
     day, second = divmod(int(ts14), 1000000)
-    year, day = divmod(day, 10000)
+    month, day = divmod(day, 100)
+    start = _MONTH_STARTS.get(month)
+    if start is None:
+        if len(_MONTH_STARTS) >= _MONTH_MEMO:
+            del _MONTH_STARTS[next(iter(_MONTH_STARTS))]
+        start = (datetime.date(month // 100, month % 100, 1).toordinal() - _EPOCH_ORDINAL - 1) * 86400
+        _MONTH_STARTS[month] = start
     minute = second // 100  # hours and minutes, HHMM
     # HHMMSS - 40 * HHMM - 2400 * HH = 3600 * HH + 60 * MM + SS
-    return ((datetime.date(year, day // 100, day % 100).toordinal() - _EPOCH_ORDINAL) * 86400
-            + second - 40 * minute - 2400 * (minute // 100))
+    return start + day * 86400 + second - 40 * minute - 2400 * (minute // 100)
 
 
 def is_valid_timestamp14(ts14):

@@ -111,9 +111,7 @@ def _authority(scheme, netloc, url, at):
     ``netloc`` starts at position ``at`` of ``url``, which only error
     messages use. Lowercases the host, checks its characters and the
     port, drops the scheme's default port, and keeps userinfo as given.
-    Results are kept in ``_AUTHORITIES`` per (scheme, netloc); past
-    AUTHORITY_MEMO entries the oldest goes. Errors are not kept, so each
-    names its own URL and position.
+    Results, never errors, are kept in the memo ``_AUTHORITIES``.
     """
     key = scheme, netloc
     found = _AUTHORITIES.get(key)

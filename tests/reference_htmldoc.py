@@ -3,8 +3,8 @@
 ``_scan`` (a ``search`` call and a ``_tag_end`` or ``_read_attrs`` call
 per tag) and ``tokenize`` (one Unicode regex) are the previous
 implementations, copied unchanged, and serve as the reference that the
-single ``finditer`` pass and the ASCII translate-and-split tokenizer are
-compared against. The helpers that were not rewritten are imported from
+scan steps and the ASCII translate-and-split tokenizer are compared
+against. The helpers that were not rewritten are imported from
 ``htmldoc``.
 """
 

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 from html.parser import HTMLParser
 
 import pytest
@@ -637,7 +638,7 @@ def test_token_never_spans_markup():
 
 
 @pytest.mark.parametrize("unit", [
-    '<a "', "<!--", "<a href=x ", "<", "<script>",
+    '<a "', "<!--", "<a href=x ", "<", "<script>", "</x",
     # Tags inside a comment, a quoted value and a raw-text body.
     "<!--<p <a <b x-->", '<p title="<a <b <c">', "<script><a <p <b</script>",
 ])
@@ -666,10 +667,43 @@ def test_megabyte_of_tags_inside_one_span_parses_in_linear_time(head, unit, tail
     assert a.tokens[-1] == "after"
 
 
+@pytest.mark.parametrize("tail, links, last", [
+    ("", [], "d"),
+    ("<p x", [], "d"),  # an ignored tag open at the end of input
+    ("<a href=x>e", ["http://a.de/x"], "e"),
+])
+def test_megabyte_of_ignored_tags_parses_in_linear_time(tail, links, last):
+    # Text, lone "<"s and tags the scan passes over, then the tail.
+    unit = "<p>ab</p> <i>c</i>< d<br/>"
+    html = unit * ((1 << 20) // len(unit)) + tail
+    start = time.perf_counter()
+    a = parse_html(html, "http://a.de/")
+    assert time.perf_counter() - start < 2.0
+    assert a.outlink_targets() == links
+    assert a.tokens[-1] == last
+
+
+def test_scan_step_memory_is_bounded():
+    # The regex engine keeps a record per ignored tag of a run until the
+    # match ends; runs are bounded, so a megabyte of them needs little.
+    html = "<p>" * ((1 << 20) // 3)
+    tracemalloc.start()
+    try:
+        parse_html(html, "http://a.de/", tokens=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 MARKUP_BITS = [
     "<", ">", "</", "/", "<!", "<!--", "-->", "--", "<?", "<a", "<A ", " href=", "href", "'",
     '"', "=", " ", "\n", "x", "script", "<script>", "</script", "<style", "<base href=",
     "<link rel=stylesheet>", "http://[", "]a/", "&amp;", "&#", "ü", "<table", "<div",
+    # Tags the scan step passes over, and near misses of those it reads.
+    "<abbr>", "<bases ", "<divx>", "<TaBlE>", "<LINK ", "<p>", "</p>", "</a x='>'>",
+    "<b <a href=x>", '<a"b>', "</x",
+    "<lin\u212a ",  # KELVIN SIGN, which lower() and the regex's case rule map to k
 ]
 
 
@@ -696,11 +730,12 @@ def test_markup_inside_a_read_span_is_not_read():
 @given(st.lists(st.sampled_from(MARKUP_BITS), max_size=30).map("".join))
 def test_scanner_equals_reference_on_markup_soup(html):
     # html.parser cannot judge malformed markup; the previous scan can.
-    got = parse_html(html, "http://a.de/")
     want = reference_htmldoc.parse_html(html, "http://a.de/")
-    assert got.tokens == want.tokens
-    assert got.outlinks == want.outlinks
-    assert got.tag_counts == want.tag_counts
+    for tokens in (True, False):
+        got = parse_html(html, "http://a.de/", tokens=tokens)
+        assert got.tokens == (want.tokens if tokens else [])
+        assert got.outlinks == want.outlinks
+        assert got.tag_counts == want.tag_counts
 
 
 @settings(max_examples=500)

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcollect import store
 from subcollect.store import (
     ArchiveIndex,
+    _index_row,
     IndexEntry,
     is_valid_timestamp14,
     timestamp14_from_iso,
@@ -48,7 +50,7 @@ def _outcome(fn, arg):
 # --- timestamp14_to_epoch --------------------------------------------------
 
 
-def test_to_epoch_equals_strptime_on_boundary_grid():
+def test_to_epoch_equals_strptime_on_boundary_grid(tmp_path):
     grid = itertools.product(
         ["0000", "0001", "1900", "2000", "2004", "2100", "9999"],
         ["%02d" % m for m in range(100)],
@@ -57,14 +59,26 @@ def test_to_epoch_equals_strptime_on_boundary_grid():
         ["00", "59", "60"],
         ["00", "59", "60", "61", "62"],
     )
-    valid = 0
+    # Each timestamp also goes through an index line: the grid ascends, so
+    # one reading of the file checks them all, in order.
+    row = _index_row()
+    lines = []
     for fields in grid:
         ts14 = "".join(fields)
         want = _outcome(strptime_to_epoch, ts14)
         assert _outcome(timestamp14_to_epoch, ts14) == want, ts14
         assert is_valid_timestamp14(ts14) == (want is not ValueError)
-        valid += want is not ValueError
-    assert valid > 5000  # the grid exercises both outcomes
+        line = "http://a.de/ %s - 200 d f.warc 0 1" % ts14
+        if want is ValueError:
+            with pytest.raises(ValueError, match="bad timestamp14"):
+                row(*line.split(" "))
+        else:
+            assert row(*line.split(" ")).timestamp14 == ts14
+            lines.append(line)
+    assert len(lines) > 5000  # the grid exercises both outcomes
+    path = tmp_path / "idx"
+    path.write_text("SUBCOLLECT-CDX 1\n" + "\n".join(lines) + "\n")
+    assert [e.timestamp14 for e in ArchiveIndex.load(str(path))] == [l.split(" ")[1] for l in lines]
 
 
 @pytest.mark.parametrize(
@@ -93,6 +107,17 @@ def test_to_epoch_values():
     assert timestamp14_to_epoch("19691231235959") == -1
     assert timestamp14_to_epoch("20161231235960") == timestamp14_to_epoch("20170101000000")
     assert timestamp14_to_epoch("00010101000000") == -62135596800
+
+
+def test_month_memo_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(store, "_MONTH_STARTS", {})
+    monkeypatch.setattr(store, "_MONTH_MEMO", 5)
+    months = ["%04d%02d" % (y, m) for y in (1, 1999, 2000, 2100, 9999) for m in (1, 2, 3, 12)]
+    for ts14 in [month + "28235961" for month in months] * 2:
+        assert timestamp14_to_epoch(ts14) == strptime_to_epoch(ts14), ts14
+        assert len(store._MONTH_STARTS) <= 5
+    # The oldest months went first.
+    assert list(store._MONTH_STARTS) == [int(month) for month in months[-5:]]
 
 
 # --- timestamp14_from_iso ----------------------------------------------------

@@ -107,7 +107,9 @@ _CHARSET_RE = re.compile(rb"<meta[\t\n\r\f /][^<>]*?charset\s*=\s*[\"']?([A-Za-z
 # A parameter of a Content-Type (RFC 9110 section 5.6.6): its name, and its
 # value as a token or as a quoted string, whose quoted pairs are undone.
 _HTTP_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
-_PARAMETER_RE = re.compile(r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")' % (_HTTP_TOKEN, _HTTP_TOKEN))
+_PARAMETER_RE = re.compile(
+    r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")(?=[\t ]*(?:;|\Z))' % (_HTTP_TOKEN, _HTTP_TOKEN)
+)
 _QUOTED_PAIR_RE = re.compile(r"\\(.)")
 # ``codecs.lookup`` names of codecs no browser decodes a page with; they
 # turn ASCII text into garbage or nothing.

@@ -18,8 +18,8 @@ reads each line it writes back through the row rule of
 :meth:`ArchiveIndex.load`, timestamp included, so the index holds only
 lines that both its readers accept. A valid timestamp is stated once, as
 one compiled calendar regex that the row rule, :func:`is_valid_timestamp14`
-and :func:`timestamp14_to_epoch` all check with; the last keeps the start
-of each month it meets in a bounded memo.
+and :func:`timestamp14_to_epoch` all check with; the last caches the start
+of each month it meets.
 
 The index is sorted: each entry sorts strictly after the one before it,
 as :meth:`ArchiveIndex.save` writes them, and :meth:`ArchiveIndex.load`
@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import datetime
+import functools
 import hashlib
 import operator
 import os
@@ -114,10 +115,11 @@ def timestamp14_from_iso(iso_date):
     return "%04d%02d%02d%02d%02d%02d" % (year, month, day, hour, minute, second)
 
 
-# YYYYMM -> POSIX seconds at the start of the day before that month's
-# first, oldest first; past _MONTH_MEMO entries the oldest goes.
-_MONTH_STARTS = {}
-_MONTH_MEMO = 4096
+@functools.lru_cache(maxsize=4096)
+def _month_start(month):
+    """POSIX seconds at the start of the day before the first of ``month``,
+    YYYYMM as an int; an archive spans far fewer months than the cache."""
+    return (datetime.date(month // 100, month % 100, 1).toordinal() - _EPOCH_ORDINAL - 1) * 86400
 
 
 def timestamp14_to_epoch(ts14):
@@ -127,15 +129,9 @@ def timestamp14_to_epoch(ts14):
         raise ValueError("bad timestamp14: %r" % ts14)
     day, second = divmod(int(ts14), 1000000)
     month, day = divmod(day, 100)
-    start = _MONTH_STARTS.get(month)
-    if start is None:
-        if len(_MONTH_STARTS) >= _MONTH_MEMO:
-            del _MONTH_STARTS[next(iter(_MONTH_STARTS))]
-        start = (datetime.date(month // 100, month % 100, 1).toordinal() - _EPOCH_ORDINAL - 1) * 86400
-        _MONTH_STARTS[month] = start
     minute = second // 100  # hours and minutes, HHMM
     # HHMMSS - 40 * HHMM - 2400 * HH = 3600 * HH + 60 * MM + SS
-    return start + day * 86400 + second - 40 * minute - 2400 * (minute // 100)
+    return _month_start(month) + day * 86400 + second - 40 * minute - 2400 * (minute // 100)
 
 
 def is_valid_timestamp14(ts14):

@@ -14,12 +14,6 @@ own scheme but no "//", such as ``http:x``, is relative. A scheme starts
 with a letter (RFC 3986 section 3.1), and a bracketed host must be an
 IPv6 address or an IPvFuture literal, whichever Python runs: the split
 in ``urllib.parse`` has differed between releases on both points.
-
-The authority of a URL, its netloc, is checked and canonicalized once per
-(scheme, netloc) in a process: a memo keeps up to ``AUTHORITY_MEMO``
-results, dropping the oldest past that, for ``canonicalize_url``,
-``page_base`` and ``resolve`` alike. It keeps no errors, so an error
-always names the URL and position it was raised for.
 """
 
 from __future__ import annotations
@@ -100,31 +94,13 @@ def _netloc_error(netloc):
     return None
 
 
-# (scheme, netloc) -> what _authority returned for them, oldest first.
-_AUTHORITIES = {}
-AUTHORITY_MEMO = 1024  # the most entries _AUTHORITIES holds
-
-
 def _authority(scheme, netloc, url, at):
     """Canonical netloc and host of an http(s) URL.
 
     ``netloc`` starts at position ``at`` of ``url``, which only error
     messages use. Lowercases the host, checks its characters and the
     port, drops the scheme's default port, and keeps userinfo as given.
-    Results, never errors, are kept in the memo ``_AUTHORITIES``.
     """
-    key = scheme, netloc
-    found = _AUTHORITIES.get(key)
-    if found is None:
-        found = _check_authority(scheme, netloc, url, at)
-        if len(_AUTHORITIES) >= AUTHORITY_MEMO:
-            del _AUTHORITIES[next(iter(_AUTHORITIES))]
-        _AUTHORITIES[key] = found
-    return found
-
-
-def _check_authority(scheme, netloc, url, at):
-    """``_authority`` without the memo."""
     error = _netloc_error(netloc)
     if error:
         raise CanonicalizationError(url, error, at)

@@ -783,10 +783,18 @@ def _snapshot(content_type, body):
     ("text/html; charset=utf-8; x-orig-charset=iso-8859-1", "utf-8"),
     ('text/html; foo="charset=latin1"; charset=utf-8', "utf-8"),
     ("text/html; charset=utf-8; charset=latin1", "utf-8"),
+    ('text/html; charset="utf-8" ;x=1', "utf-8"),
     # No charset parameter: the page falls back to Latin-1.
     ('text/html; foo="charset=utf-8"', "latin-1"),
     ("text/html; xcharset=utf-8", "latin-1"),
     ("text/html", "latin-1"),
+    # A parameter follows a ";", its "=" has no space around it, and its
+    # value runs to the next ";" or the end: else it is no parameter.
+    ("text/html charset=utf-8", "latin-1"),
+    ("text/html,charset=utf-8", "latin-1"),
+    ("text/html; charset= utf-8", "latin-1"),
+    ('text/html; charset="utf-8', "latin-1"),
+    ("text/html; charset=utf-8,text/plain", "latin-1"),
 ])
 def test_charset_is_the_first_charset_parameter(content_type, charset):
     body = "Müller straße".encode("utf-8")

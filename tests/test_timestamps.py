@@ -109,15 +109,14 @@ def test_to_epoch_values():
     assert timestamp14_to_epoch("00010101000000") == -62135596800
 
 
-def test_month_memo_holds_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(store, "_MONTH_STARTS", {})
-    monkeypatch.setattr(store, "_MONTH_MEMO", 5)
-    months = ["%04d%02d" % (y, m) for y in (1, 1999, 2000, 2100, 9999) for m in (1, 2, 3, 12)]
-    for ts14 in [month + "28235961" for month in months] * 2:
+def test_month_starts_equal_strptime_past_the_cache():
+    # More months than the cache of month starts holds, twice over.
+    store._month_start.cache_clear()
+    months = ["%04d%02d" % (y, m) for y in range(1, 10000, 2) for m in (1, 2, 3, 12)]
+    assert len(months) > store._month_start.cache_info().maxsize
+    for month in months + months[:100]:
+        ts14 = month + "28235961"
         assert timestamp14_to_epoch(ts14) == strptime_to_epoch(ts14), ts14
-        assert len(store._MONTH_STARTS) <= 5
-    # The oldest months went first.
-    assert list(store._MONTH_STARTS) == [int(month) for month in months[-5:]]
 
 
 # --- timestamp14_from_iso ----------------------------------------------------

@@ -213,10 +213,7 @@ def test_bracketed_host_rule_fixed_across_python_releases(url, want):
     assert want in got
 
 
-# The authority memo ---------------------------------------------------------
-
-
-def test_memo_keeps_no_error():
+def test_error_names_its_own_url_and_position():
     # The same malformed netloc, met again, names each URL and position.
     errors = []
     for url in ["http://ho st.de/a", "http://ho st.de/bb"]:
@@ -228,33 +225,3 @@ def test_memo_keeps_no_error():
             urls._authority("http", "ho st.de", "u%d" % at, at)
         errors.append((info.value.url, info.value.position))
     assert errors == [("http://ho st.de/a", 9), ("http://ho st.de/bb", 9), ("u7", 9), ("u20", 22)]
-    assert ("http", "ho st.de") not in urls._AUTHORITIES
-
-
-def test_memo_holds_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(urls, "_AUTHORITIES", {})
-    monkeypatch.setattr(urls, "AUTHORITY_MEMO", 8)
-    for i in range(30):
-        assert canonicalize_url("http://h%d.de:%d/" % (i % 12, i)) == "http://h%d.de:%d/" % (i % 12, i)
-        assert len(urls._AUTHORITIES) <= 8
-    # The oldest entries went first.
-    assert list(urls._AUTHORITIES) == [("http", "h%d.de:%d" % (i % 12, i)) for i in range(22, 30)]
-
-
-@settings(max_examples=500)
-@given(
-    scheme=st.sampled_from(["http", "https"]),
-    userinfo=st.sampled_from(["", "u@", "u:p@", "@", "a@b@", "\u2100@"]),
-    host=st.sampled_from([
-        "a.de", "A.De", "www.a.de", "", "[::1]", "[2001:DB8::1]", "[::1", "::1]", "[v1.x]",
-        "ho st", "\u212a.de", "\u00fc.de", "a_b.de",
-    ]),
-    port=st.sampled_from(["", ":", ":80", ":443", ":0", ":08", ":x", ":\u00b2", "]a"]),
-    at=st.integers(0, 20),
-)
-def test_memo_equals_uncached_authority(scheme, userinfo, host, port, at):
-    netloc = userinfo + host + port
-    url = "x" * at + netloc
-    want = _outcome(lambda u: urls._check_authority(scheme, netloc, u, at), url)
-    for _ in range(2):  # the second call may be answered by the memo
-        assert _outcome(lambda u: urls._authority(scheme, netloc, u, at), url) == want

@@ -72,7 +72,8 @@ points) a table could not follow.
 Links resolve with ``urls.resolve``: RFC 3986 section 5.2 with the quirks
 of CPython's ``urllib.parse`` join kept (see ``urls``), fragments
 dropped. The page URL and each ``<base href>`` are split once; each href
-is then resolved and canonicalized in one pass. A link that does not
+is then resolved and canonicalized in one pass, and an absolute href
+already in canonical form passes through as it is. A link that does not
 resolve to a canonical http(s) URL, such as a ``mailto:`` one, is
 dropped. A link is internal when its host equals the page's, one leading
 ``www.`` stripped from each, and external otherwise.

@@ -14,6 +14,16 @@ own scheme but no "//", such as ``http:x``, is relative. A scheme starts
 with a letter (RFC 3986 section 3.1), and a bracketed host must be an
 IPv6 address or an IPvFuture literal, whichever Python runs: the split
 in ``urllib.parse`` has differed between releases on both points.
+
+Most URLs are already canonical, so one regex (``_PLAIN_MATCH``) passes
+them through: an absolute URL with a lower-case ``http`` or ``https``
+scheme, a lower-case host of ``[a-z0-9-]`` labels joined by dots, no
+userinfo or port, a rooted path without ";", a non-empty query or none,
+no fragment, and RFC 3986 unreserved, sub-delim, ":", "@", "/" and "%"
+characters only. Canonicalization returns such a URL unchanged, and so
+does resolution of it as an href against any base, so both return it
+at once, with the host that the regex captures. Any other URL takes the
+full path, with the same result and the same errors.
 """
 
 from __future__ import annotations
@@ -44,6 +54,12 @@ _AFTER_SCHEME_RE = re.compile(r"([^/?#]*)([^?#]*)\??([^#]*)")
 _REFERENCE_RE = re.compile(
     r"(?:([a-zA-Z][a-zA-Z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?", re.DOTALL
 )
+# A URL that canonicalization and resolution return unchanged (see the
+# module docstring); group 1 is its host.
+_PLAIN_MATCH = re.compile(
+    r"https?://([a-z0-9-]+(?:\.[a-z0-9-]+)*)/[a-zA-Z0-9._~%!$&'()*+,=:@/-]*"
+    r"(?:\?[a-zA-Z0-9._~%!$&'()*+,;=:@/?-]+)?"
+).fullmatch
 _IPV_FUTURE_RE = re.compile(r"v[a-fA-F0-9]+\..+\Z")
 # Stripped from the start of an href: C0 controls and space (WHATWG URL).
 _C0_OR_SPACE = "".join(map(chr, range(0x21)))
@@ -160,6 +176,9 @@ def _canonicalize(url):
     """Canonical form and host of an absolute http/https URL."""
     if not isinstance(url, str):
         raise CanonicalizationError(url, "URL must be a string", 0)
+    m = _PLAIN_MATCH(url)
+    if m is not None:
+        return url, m[1]
     url = url.strip()
     if not url:
         raise CanonicalizationError(url, "empty URL", 0)
@@ -285,6 +304,10 @@ def resolve(base, href):
     """
     if not href:
         return None if base.prefix is None else (base.url, base.host)
+    if href[0] == "h":  # most relative hrefs do not pay for the regex
+        m = _PLAIN_MATCH(href)
+        if m is not None:
+            return href, m[1]
     scheme, netloc, path, query, fragment = _REFERENCE_RE.match(_clean(href)).groups()
     if scheme is None:
         scheme = base.scheme

@@ -1,7 +1,11 @@
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from subcollect import urls
+from subcollect.htmldoc import parse_html
 from subcollect.urls import CanonicalizationError, canonicalize_url, host_of, strip_www
 
 from conftest import link_kinds, urlsplit_host
@@ -225,3 +229,127 @@ def test_error_names_its_own_url_and_position():
             urls._authority("http", "ho st.de", "u%d" % at, at)
         errors.append((info.value.url, info.value.position))
     assert errors == [("http://ho st.de/a", 9), ("http://ho st.de/bb", 9), ("u7", 9), ("u20", 22)]
+
+
+# Already canonical URLs pass through ---------------------------------------
+
+_PLAIN_CHARS = "abz09AZ-._~%!$&'()*+,=:@/"
+_BENCHMARK_URLS = [
+    "http://host3.de/p17", "http://www.example-news.de/gone/4-7", "https://a1.b-c.org/x/y.html?q=1&r=2",
+]
+_MUTATIONS = [
+    lambda u: u.replace("http", "HTTP", 1),
+    lambda u: u.replace("://", "://Www.", 1),
+    lambda u: u.replace(".de/", ".De/").replace(".org/", ".ORG/"),
+    *(lambda u, port=port: _at_host_end(u, port) for port in (":80", ":443", ":080", ":8080", ":")),
+    lambda u: u.replace("://", "://u@", 1),
+    lambda u: u.replace("://", "://u:p@", 1),
+    lambda u: _at_host_end(u, "."),
+    lambda u: u.replace(".", "..", 1),
+    lambda u: u.replace("://", "://.", 1),
+    lambda u: u.replace("://", "://münchen.", 1),
+    lambda u: u.replace("://", "://xn--mnchen-3ya.", 1),
+    lambda u: u + "ä",
+    lambda u: u + ";",
+    lambda u: u + ";p=1",
+    lambda u: u + "?",
+    lambda u: u + "#frag",
+    lambda u: u + "#",
+    lambda u: u + " x",
+    lambda u: u + " ",
+    lambda u: " " + u,
+    lambda u: u + "\tx",
+    lambda u: u + "/./a/../b",
+    lambda u: u + "/..",
+    lambda u: u + "%41%zz%",
+    lambda u: u[: _host_end(u)],
+    lambda u: u[: _host_end(u)] + "?q",
+    lambda u: u.replace("/", "\\", 3),
+]
+
+
+def _host_end(url):
+    return re.match(r"[^/]*/*[^/?#]*", url).end()
+
+
+def _at_host_end(url, text):
+    end = _host_end(url)
+    return url[:end] + text + url[end:]
+
+
+_BASES = ["http://a.de/x/y", "https://b.org/", "http://[::1]:8080/d/e?q"]
+
+
+def _assert_plain_rule(url, base):
+    m = urls._PLAIN_MATCH(url)
+    if m is None:
+        return
+    assert reference_urls.canonicalize_url(url) == url
+    assert m[1] == host_of(url)
+    assert reference_urls.link_target(base, url) == url
+    with mock.patch.object(urls, "_PLAIN_MATCH", lambda url: None):  # the full path
+        assert canonicalize_url(url) == url
+        assert urls.resolve(urls.page_base(base), url) == (url, m[1])
+
+
+@settings(max_examples=500)
+@given(
+    scheme=st.sampled_from(["http://", "https://"]),
+    host=st.from_regex(r"[a-z0-9-]{1,6}(\.[a-z0-9-]{1,6}){0,3}", fullmatch=True),
+    path=st.text(alphabet=_PLAIN_CHARS, max_size=12),
+    query=st.text(alphabet=_PLAIN_CHARS + ";?", max_size=8),
+    base=st.sampled_from(_BASES),
+)
+def test_plain_urls_pass_through_unchanged(scheme, host, path, query, base):
+    url = scheme + host + "/" + path + ("?" + query if query else "")
+    assert urls._PLAIN_MATCH(url) is not None
+    _assert_plain_rule(url, base)
+
+
+@settings(max_examples=500)
+@given(
+    url=st.sampled_from(_BENCHMARK_URLS),
+    mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=3),
+    base=st.sampled_from(_BASES),
+)
+def test_only_unchanged_mutations_pass_through(url, mutations, base):
+    # Every mutation that the reference changes, or rejects, must miss
+    # the regex; those it keeps may match.
+    for mutate in mutations:
+        url = mutate(url)
+    _assert_plain_rule(url, base)
+
+
+def test_each_mutation_keeps_the_plain_rule():
+    for url in _BENCHMARK_URLS:
+        assert urls._PLAIN_MATCH(url) is not None
+        for mutate in _MUTATIONS:
+            for base in _BASES:
+                _assert_plain_rule(mutate(url), base)
+
+
+def test_plain_urls_skip_the_authority_check(monkeypatch):
+    # A page base, an absolute href or a URL already in canonical form
+    # never reaches the netloc check, and gives the same answer as when it did.
+    url = "http://www.example-news.de/p5/a-1.html?x=1&y=2"
+    html = "".join('<a href="%s">x</a>' % h for h in [
+        "http://host3.de/p17", "https://www.example-news.de/", "/p5", "b.html", "../c?d",
+    ])
+
+    def answers():
+        page = parse_html(html, url)
+        return canonicalize_url(url), urls.page_base(url), page.outlinks, page.tokens
+
+    want = answers()
+
+    def refuse(*args):
+        raise AssertionError("netloc checked: %r" % (args,))
+
+    monkeypatch.setattr(urls, "_authority", refuse)
+    assert answers() == want
+    assert [link.target for link in want[2]] == [
+        "http://host3.de/p17", "https://www.example-news.de/", "http://www.example-news.de/p5",
+        "http://www.example-news.de/p5/b.html", "http://www.example-news.de/c?d",
+    ]
+    with pytest.raises(AssertionError, match="netloc checked"):
+        canonicalize_url("http://Host3.de/p17")

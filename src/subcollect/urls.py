@@ -19,11 +19,11 @@ Most URLs are already canonical, so one regex (``_PLAIN_MATCH``) passes
 them through: an absolute URL with a lower-case ``http`` or ``https``
 scheme, a lower-case host of ``[a-z0-9-]`` labels joined by dots, no
 userinfo or port, a rooted path without ";", a non-empty query or none,
-no fragment, and RFC 3986 unreserved, sub-delim, ":", "@", "/" and "%"
-characters only. Canonicalization returns such a URL unchanged, and so
-does resolution of it as an href against any base, so both return it
-at once, with the host that the regex captures. Any other URL takes the
-full path, with the same result and the same errors.
+no fragment, and no characters but RFC 3986 unreserved and sub-delims,
+":", "@", "/", "%" and, in the query, "?". Canonicalization returns such
+a URL unchanged, and so does resolution of it as an href against any
+base, so both return it at once, with the host that the regex captures.
+Any other URL takes the full path, with the same result and errors.
 """
 
 from __future__ import annotations

@@ -163,19 +163,13 @@ LinkRecord = namedtuple("LinkRecord", "target kind")
 class PageAnalysis:
     __slots__ = ("tokens", "outlinks", "tag_counts")
 
-    def __init__(self, tokens=(), outlinks=None, tag_counts=None):
-        self.tokens = [] if tokens == () else tokens  # a fresh list; None stays None
-        self.outlinks = [] if outlinks is None else outlinks
-        self.tag_counts = dict.fromkeys(TAG_CLASSES, 0) if tag_counts is None else tag_counts
+    def __init__(self, tokens=None):
+        self.tokens = [] if tokens is None else tokens
+        self.outlinks = []
+        self.tag_counts = dict.fromkeys(TAG_CLASSES, 0)
 
     def outlink_targets(self):
         return [l.target for l in self.outlinks]
-
-    def internal_outlinks(self):
-        return [l for l in self.outlinks if l.kind == "internal"]
-
-    def external_outlinks(self):
-        return [l for l in self.outlinks if l.kind == "external"]
 
 
 def _read_attrs(text, pos, wanted=None):

@@ -3,11 +3,17 @@ tag evolution, and outlink counts per crawl year.
 
 Everything except the per-year snapshot histogram runs over a seeded
 uniform sample of the archive's HTML captures, so the cost is bounded
-on arbitrarily large archives and every run is reproducible from
-(index, n, seed). Only links and tag counts are measured, so sampled
-pages are parsed without tokens. ``_by_year`` groups the sample for
-every per-year mean, and ``build_report`` puts each year's numbers into
-one ``YearRow``.
+on arbitrarily large archives. Each sampled page is parsed without
+tokens and reduced at once to a fixed-size ``SampledPage``: its crawl
+year, tag counts, outlink counts and link-in-archive shares. No parsed
+page outlives its record, so memory grows by one record per sampled
+page, whatever its links. ``build_report`` groups the records by year
+in one pass and puts each year's numbers into one ``YearRow``.
+
+A run is reproducible from (index, n, seed) on one interpreter line:
+Python 3.12 made the builtin ``sum`` of floats compensated, so the mean
+link-in-archive rates may differ in their last digits between 3.11 and
+3.12 or later.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ __all__ = [
     "sample_refs",
     "analyze_sample",
     "link_in_archive_rate",
-    "tag_stats",
-    "outlink_stats",
     "build_report",
 ]
 
@@ -61,79 +65,49 @@ def sample_refs(index, n, seed):
     return reservoir
 
 
-def analyze_sample(sample, archive):
-    """Fetch and parse every sampled page: [(entry, PageAnalysis)].
+# All the report keeps of a sampled page: its crawl year, tag counts,
+# internal and external outlink counts, and for each of these two kinds
+# the share of link targets captured in the index (None without links).
+SampledPage = namedtuple(
+    "SampledPage",
+    ["year", *TAG_CLASSES, "internal", "external", "internal_share", "external_share"],
+)
+
+
+def analyze_sample(sample, archive, index):
+    """[SampledPage] of the sampled pages, in sample order.
 
     Exactly len(sample) fetches; captures that cannot be read are dropped.
-    The analyses carry no tokens.
-    """
-    pairs = [(e, analyze_capture(archive, e, tokens=False)) for e in sample]
-    return [(e, analysis) for e, analysis in pairs if analysis is not None]
-
-
-def _macro_mean(values):
-    return sum(values) / len(values) if values else None
-
-
-def _by_year(analyzed):
-    """{year: [PageAnalysis]} in ascending year order, pages in sample order."""
-    pages = {}
-    for entry, analysis in analyzed:
-        pages.setdefault(int(entry.timestamp14[:4]), []).append(analysis)
-    return dict(sorted(pages.items()))
-
-
-def link_in_archive_rate(analyzed, index):
-    """Per-year (internal_rate, external_rate): the mean over pages of
-    the per-page fraction of outlinks whose target has a capture in
-    the index, from any year. Link targets are canonical, so each is
-    looked up in the index's per-URL groups as it is.
-
-    Pages without links of a kind are excluded from that kind's mean.
+    Link targets are canonical, so each is looked up in the index's per-URL
+    groups as it is; a capture from any year counts.
     """
     groups = index.by_url
+    pages = []
+    for e in sample:
+        analysis = analyze_capture(archive, e, tokens=False)
+        if analysis is None:
+            continue
+        internal = [l.target in groups for l in analysis.outlinks if l.kind == "internal"]
+        external = [l.target in groups for l in analysis.outlinks if l.kind == "external"]
+        pages.append(SampledPage(
+            int(e.timestamp14[:4]), *(analysis.tag_counts[t] for t in TAG_CLASSES),
+            len(internal), len(external), _share(internal), _share(external),
+        ))
+    return pages
 
-    def mean_rate(link_lists):
-        return _macro_mean([
-            sum(1 for l in links if l.target in groups) / len(links)
-            for links in link_lists if links
-        ])
 
-    return {
-        year: (mean_rate([a.internal_outlinks() for a in pages]),
-               mean_rate([a.external_outlinks() for a in pages]))
-        for year, pages in _by_year(analyzed).items()
-    }
+def _share(hits):
+    return sum(hits) / len(hits) if hits else None
 
 
-def tag_stats(analyzed):
-    """Per-year mean tag counts, plus each tag's series normalized by
-    its maximum across years (0/0 defined as 0).
+def link_in_archive_rate(shares):
+    """Mean of the per-page shares that are not None, or None if none is.
 
-    Returns (averages, normalized): {year: {tag: value}} both.
+    Taken as ``sum(shares) / len(shares)`` in sample order: from Python
+    3.12 on, ``sum`` of floats is compensated and a running ``+=`` is not.
     """
-    averages = {
-        year: {t: sum(a.tag_counts[t] for a in pages) / len(pages) for t in TAG_CLASSES}
-        for year, pages in _by_year(analyzed).items()
-    }
-    peaks = {t: max((avg[t] for avg in averages.values()), default=0.0) for t in TAG_CLASSES}
-    normalized = {
-        y: {t: avg[t] / peaks[t] if peaks[t] > 0 else 0.0 for t in TAG_CLASSES}
-        for y, avg in averages.items()
-    }
-    return averages, normalized
-
-
-def outlink_stats(analyzed):
-    """Per-year mean outlinks per page: {year: (total, internal, external)}."""
-    out = {}
-    for year, pages in _by_year(analyzed).items():
-        avg_int = sum(len(a.internal_outlinks()) for a in pages) / len(pages)
-        avg_ext = sum(len(a.external_outlinks()) for a in pages) / len(pages)
-        # Total is the sum of the two averages so the partition identity
-        # avg_total == avg_internal + avg_external holds bit-exactly.
-        out[year] = (avg_int + avg_ext, avg_int, avg_ext)
-    return out
+    shares = [s for s in shares if s is not None]
+    return sum(shares) / len(shares) if shares else None
 
 
 # One row of the wide CSV; the fields are its columns, in order, and the
@@ -181,24 +155,34 @@ def build_report(index, archive, n, seed):
     """Compute the full statistics suite over one indexed archive."""
     histogram = snapshots_per_year(index)
     sample = sample_refs(index, n, seed)
-    analyzed = analyze_sample(sample, archive)
-
-    rates = link_in_archive_rate(analyzed, index)
-    averages, normalized = tag_stats(analyzed)
-    outlinks = outlink_stats(analyzed)
     sampled_per_year = snapshots_per_year(sample)
-
-    report = StatsReport(len(sample), normalized)
-    for year in sorted(set(histogram) | set(sampled_per_year)):
-        tags = averages.get(year)
-        report.rows.append(
-            YearRow(
-                year,
-                histogram.get(year, 0),
-                sampled_per_year.get(year, 0),
-                *rates.get(year, (None, None)),
-                *(None if tags is None else tags[t] for t in TAG_CLASSES),
-                *outlinks.get(year, (None, None, None)),
-            )
+    pages = {}
+    for page in analyze_sample(sample, archive, index):
+        pages.setdefault(page.year, []).append(page)
+    # {year: the YearRow fields after sampled_pages}, ascending year
+    means = {}
+    for year, group in sorted(pages.items()):
+        _, *counts, internal_shares, external_shares = zip(*group)
+        *averages, internal, external = [sum(c) / len(group) for c in counts]
+        # Total is the sum of the two averages so the partition identity
+        # avg_total == avg_internal + avg_external holds bit-exactly.
+        means[year] = (
+            link_in_archive_rate(internal_shares), link_in_archive_rate(external_shares),
+            *averages, internal + external, internal, external,
         )
+    # Each tag's series normalized by its maximum across years (0/0 is 0).
+    tags = slice(2, 2 + len(TAG_CLASSES))
+    peaks = [max(series) for series in zip(*(m[tags] for m in means.values()))]
+    normalized = {
+        year: {t: avg / peak if peak > 0 else 0.0
+               for t, avg, peak in zip(TAG_CLASSES, m[tags], peaks)}
+        for year, m in means.items()
+    }
+    report = StatsReport(len(sample), normalized)
+    unsampled = (None,) * (len(YearRow._fields) - 3)
+    for year in sorted(set(histogram) | set(sampled_per_year)):
+        report.rows.append(YearRow(
+            year, histogram.get(year, 0), sampled_per_year.get(year, 0),
+            *means.get(year, unsampled),
+        ))
     return report

@@ -17,13 +17,14 @@ in ``urllib.parse`` has differed between releases on both points.
 
 Most URLs are already canonical, so one regex (``_PLAIN_MATCH``) passes
 them through: an absolute URL with a lower-case ``http`` or ``https``
-scheme, a lower-case host of ``[a-z0-9-]`` labels joined by dots, no
-userinfo or port, a rooted path without ";", a non-empty query or none,
-no fragment, and no characters but RFC 3986 unreserved and sub-delims,
-":", "@", "/", "%" and, in the query, "?". Canonicalization returns such
-a URL unchanged, and so does resolution of it as an href against any
-base, so both return it at once, with the host that the regex captures.
-Any other URL takes the full path, with the same result and errors.
+scheme, a non-empty host of ``[a-z0-9.-]`` characters (empty labels and
+leading or trailing dots are kept as written), no userinfo or port, a
+rooted path without ";", a non-empty query or none, no fragment, and no
+characters but RFC 3986 unreserved and sub-delims, ":", "@", "/", "%"
+and, in the query, "?". Canonicalization returns such a URL unchanged,
+and so does resolution of it as an href against any base, so both
+return it at once, with the host that the regex captures. Any other URL
+takes the full path, with the same result and errors.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _REFERENCE_RE = re.compile(
 # A URL that canonicalization and resolution return unchanged (see the
 # module docstring); group 1 is its host.
 _PLAIN_MATCH = re.compile(
-    r"https?://([a-z0-9-]+(?:\.[a-z0-9-]+)*)/[a-zA-Z0-9._~%!$&'()*+,=:@/-]*"
+    r"https?://([a-z0-9.-]+)/[a-zA-Z0-9._~%!$&'()*+,=:@/-]*"
     r"(?:\?[a-zA-Z0-9._~%!$&'()*+,;=:@/?-]+)?"
 ).fullmatch
 _IPV_FUTURE_RE = re.compile(r"v[a-fA-F0-9]+\..+\Z")

@@ -26,7 +26,7 @@ from subcollect.extraction import (
     min_window_select,
 )
 from subcollect.spec import SubCollectionSpec
-from subcollect.stats import analyze_sample, link_in_archive_rate, sample_refs
+from subcollect.stats import build_report
 from subcollect.store import Archive, ArchiveIndex, ingest_warc, timestamp14_to_epoch
 from subcollect.urls import host_of
 
@@ -237,9 +237,8 @@ def test_acceptance_5_planted_rate_recovery(tmp_path):
                 links.append("http://a.de/missing-%d-%d" % (i, j))
         captures.append(("http://a.de/p%d" % i, ts(i * 40), page(links=links)))
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, n_pages, seed=0), fx.archive)
-    rates = link_in_archive_rate(analyzed, fx.index)
-    overall = [r[0] for r in rates.values() if r[0] is not None]
+    rows = build_report(fx.index, fx.archive, n_pages, seed=0).rows
+    overall = [r.internal_link_rate for r in rows if r.internal_link_rate is not None]
     measured = sum(overall) / len(overall)
     assert abs(measured - 0.70) <= 0.02, measured
     ok(5, "planted containment 0.70 recovered as %.4f" % measured)
@@ -398,7 +397,8 @@ def test_acceptance_7_report():
 
 
 def test_acceptance_8_stats_identities(tmp_path):
-    from subcollect.stats import build_report, snapshots_per_year, tag_stats
+    from subcollect.htmldoc import TAG_CLASSES
+    from subcollect.stats import snapshots_per_year
 
     rng = random.Random(5)
     for trial in range(5):
@@ -429,8 +429,9 @@ def test_acceptance_8_stats_identities(tmp_path):
                     row.avg_outlinks_internal + row.avg_outlinks_external, abs=0
                 )
 
-        analyzed = analyze_sample(sample_refs(fx.index, n, seed=trial), fx.archive)
-        averages, normalized = tag_stats(analyzed)
+        normalized = report.normalized_tags
+        averages = {r.year: dict(zip(TAG_CLASSES, r[5:10]))
+                    for r in report.rows if r.year in normalized}
         for tag in ("script", "style_element", "linked_style", "table", "div"):
             if any(averages[y][tag] > 0 for y in averages):
                 assert max(normalized[y][tag] for y in normalized) == 1.0

@@ -39,9 +39,10 @@ def test_internal_external_partition():
         b'<a href="https://d.de/x">5</a>'
     )
     a = parse_html(html, "http://a.de/start")
-    assert len(a.outlinks) == 5
-    assert len(a.internal_outlinks()) == 2
-    assert len(a.external_outlinks()) == 3
+    kinds = [l.kind for l in a.outlinks]
+    assert len(kinds) == 5
+    assert kinds.count("internal") == 2
+    assert kinds.count("external") == 3
 
 
 def test_base_href_used_for_resolution():

@@ -118,7 +118,9 @@ def test_no_content_scopes_always_relevant():
     assert is_relevant(analysis_with([]), spec).relevant
     assert is_relevant(analysis_with(["anything"]), spec).relevant
     # Without a content scope the page's tokens are not even read.
-    assert is_relevant(PageAnalysis(tokens=None), spec) == RelevanceVerdict()
+    unread = PageAnalysis()
+    del unread.tokens
+    assert is_relevant(unread, spec) == RelevanceVerdict()
 
 
 def test_threshold_inclusive():

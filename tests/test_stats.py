@@ -3,14 +3,14 @@ import random
 
 import pytest
 
+from subcollect import stats
+from subcollect.htmldoc import analyze_capture
 from subcollect.stats import (
     analyze_sample,
     build_report,
     link_in_archive_rate,
-    outlink_stats,
     sample_refs,
     snapshots_per_year,
-    tag_stats,
 )
 
 from conftest import build_archive, damage_warc, page, traced_peak
@@ -86,7 +86,9 @@ def test_sample_inclusion_frequency_uniform(tmp_path):
 
 @pytest.mark.parametrize("kind", ["digest", "truncated"])
 def test_analyze_sample_drops_a_capture_damaged_after_indexing(tmp_path, kind):
-    captures = [("http://%s.de/" % h, ts(2000, i), page(h)) for i, h in enumerate("abc")]
+    # Page i links to i pages, so each record tells which page it is.
+    captures = [("http://%s.de/" % h, ts(2000, i), page(h, links=["/x"] * i))
+                for i, h in enumerate("abc")]
     fx = build_archive(tmp_path, captures)
     damage_warc(fx.path, fx.index.lookup_nearest("http://c.de/", ts(2000, 2)), kind)
     sample = sample_refs(fx.index, 10, 0)
@@ -98,27 +100,53 @@ def test_analyze_sample_drops_a_capture_damaged_after_indexing(tmp_path, kind):
         return real_fetch(entry)
 
     fx.archive.fetch = fetch
-    analyzed = analyze_sample(sample, fx.archive)
-    assert [e.canonical_url for e, _ in analyzed] == ["http://a.de/", "http://b.de/"]
+    analyzed = analyze_sample(sample, fx.archive, fx.index)
+    assert [p.internal for p in analyzed] == [0, 1]
     assert fetched == sample  # one fetch per sampled page, the damaged one too
 
 
-def test_analyze_sample_keeps_no_tokens(tmp_path):
-    words = " ".join("word%d" % i for i in range(5000))
+def test_analyze_sample_keeps_no_tokens(tmp_path, monkeypatch):
+    words = " ".join("word%d" % i for i in range(500))
     captures = [
         ("http://a.de/%d" % i, ts(2000, i), page(text=words, links=["/x"])) for i in range(40)
     ]
     fx = build_archive(tmp_path, captures)
-    sample = sample_refs(fx.index, 100, 0)
-    peak, analyzed = traced_peak(analyze_sample, sample, fx.archive)
-    assert len(analyzed) == 40
-    assert all(a.tokens == [] for _, a in analyzed)
-    assert all(a.outlink_targets() == ["http://a.de/x"] for _, a in analyzed)
-    # The tokens of the 40 pages alone take about 12 MB.
-    assert peak < 3_000_000
+    parsed = []
+
+    def analyze_capture(archive, entry, tokens=True):
+        parsed.append(real_analyze_capture(archive, entry, tokens))
+        return parsed[-1]
+
+    real_analyze_capture = stats.analyze_capture
+    monkeypatch.setattr(stats, "analyze_capture", analyze_capture)
+    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive, fx.index)
+    assert len(parsed) == len(analyzed) == 40
+    assert all(a.tokens == [] for a in parsed)
+    assert all(a.outlink_targets() == ["http://a.de/x"] for a in parsed)
+    assert set(analyzed) == {stats.SampledPage(2000, 0, 0, 0, 0, 0, 1, 0, 0.0, None)}
+
+
+def test_build_report_keeps_no_parsed_page(tmp_path):
+    # 400 pages of 200 links each: their parsed outlinks alone take about
+    # 12 MB, one fixed-size record per page about 80 KB.
+    captures = [
+        ("http://a.de/p%d" % i, ts(2000, i),
+         page(links=["/p%d/%d" % (i, j) for j in range(100)]
+              + ["http://b%d.de/%d" % (i, j) for j in range(100)]))
+        for i in range(400)
+    ]
+    fx = build_archive(tmp_path, captures)
+    peak, report = traced_peak(build_report, fx.index, fx.archive, 400, 0)
+    assert [(r.sampled_pages, r.avg_outlinks_total) for r in report.rows] == [(400, 200.0)]
+    assert peak < 1_000_000
 
 
 # link_in_archive_rate ------------------------------------------------------
+
+
+def rows(fx, n=100, seed=0):
+    """{year: YearRow} of the report over ``fx``."""
+    return {r.year: r for r in build_report(fx.index, fx.archive, n, seed).rows}
 
 
 def test_rate_all_links_indexed(tmp_path):
@@ -128,11 +156,9 @@ def test_rate_all_links_indexed(tmp_path):
         ("http://b.de/", ts(2000, 3), page("b")),
     ]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
-    rates = link_in_archive_rate(analyzed, fx.index)
-    internal, external = rates[2000]
-    assert internal == pytest.approx(1.0)
-    assert external == pytest.approx(1.0)
+    row = rows(fx)[2000]
+    assert row.internal_link_rate == pytest.approx(1.0)
+    assert row.external_link_rate == pytest.approx(1.0)
 
 
 def test_rate_half_contained(tmp_path):
@@ -141,11 +167,10 @@ def test_rate_half_contained(tmp_path):
         ("http://a.de/x", ts(2000, 2), page("x")),
     ]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
-    internal, external = link_in_archive_rate(analyzed, fx.index)[2000]
+    row = rows(fx)[2000]
     # Two sampled pages: the hub (1/2 contained) and x (no links, excluded).
-    assert internal == pytest.approx(0.5)
-    assert external is None
+    assert row.internal_link_rate == pytest.approx(0.5)
+    assert row.external_link_rate is None
 
 
 def test_rate_counts_a_capture_from_any_year(tmp_path):
@@ -154,8 +179,22 @@ def test_rate_counts_a_capture_from_any_year(tmp_path):
         ("http://a.de/x", ts(2005), page("later only")),
     ]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
-    assert link_in_archive_rate(analyzed, fx.index)[2000][0] == pytest.approx(1.0)
+    assert rows(fx)[2000].internal_link_rate == pytest.approx(1.0)
+
+
+def test_rate_mean_is_sum_over_count(tmp_path):
+    # Ten shares of 0.1: the builtin sum over the count, which from Python
+    # 3.12 on is 0.1, where a running += gives 0.09999999999999999.
+    links = ["/target"] + ["/missing%d" % j for j in range(9)]
+    captures = [("http://a.de/p%d" % i, ts(2000, i), page(links=links)) for i in range(10)]
+    captures.append(("http://a.de/target", ts(2000, 10), b"\x89PNG", "image/png"))
+    fx = build_archive(tmp_path, captures)
+    row = rows(fx)[2000]
+    assert row.sampled_pages == 10
+    assert row.internal_link_rate == sum([0.1] * 10) / 10
+    assert link_in_archive_rate([0.1] * 10) == sum([0.1] * 10) / 10
+    assert link_in_archive_rate([None, 0.5, None]) == 0.5
+    assert link_in_archive_rate([None]) is None
 
 
 def test_planted_rate_recovery(tmp_path):
@@ -172,8 +211,7 @@ def test_planted_rate_recovery(tmp_path):
                 links.append("http://a.de/missing-%d-%d" % (i, j))
         captures.append(("http://a.de/p%d" % i, ts(2000, i), page(links=links)))
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, n_pages, 0), fx.archive)
-    internal, _ = link_in_archive_rate(analyzed, fx.index)[2000]
+    internal = rows(fx, n_pages)[2000].internal_link_rate
     assert internal == pytest.approx(0.7, abs=0.05)
 
 
@@ -193,57 +231,59 @@ def test_per_year_means_over_interleaved_years(tmp_path):
         captures.append(("http://a.de/p%d" % i, ts(year, i), body.encode("utf-8")))
     captures.append(("http://ext1.de/", ts(1990), page("ext")))
     fx = build_archive(tmp_path, captures)
-    by_url = {e.canonical_url: e for e in fx.index}
-    sample = [by_url["http://a.de/p%d" % i] for i in range(len(years))]
-    analyzed = analyze_sample(sample, fx.archive)
-    assert [int(e.timestamp14[:4]) for e, _ in analyzed] == years
+    sample = sample_refs(fx.index, 100, 0)
+    assert [int(e.timestamp14[:4]) for e in sample] == years + [1990]
+    analyzed = [(int(e.timestamp14[:4]), analyze_capture(fx.archive, e, tokens=False))
+                for e in sample]
 
     def pages(year):
-        return [a for e, a in analyzed if int(e.timestamp14[:4]) == year]
+        return [a for y, a in analyzed if y == year]
+
+    def links(a, kind):
+        return [l for l in a.outlinks if l.kind == kind]
 
     def mean_rate(link_lists):
         fracs = [sum(1 for l in links if fx.index.entries_for(l.target)) / len(links)
                  for links in link_lists if links]
         return sum(fracs) / len(fracs) if fracs else None
 
-    rates = {y: (mean_rate([a.internal_outlinks() for a in pages(y)]),
-                 mean_rate([a.external_outlinks() for a in pages(y)])) for y in (1999, 2000, 2001)}
-    assert link_in_archive_rate(analyzed, fx.index) == rates
-    assert list(link_in_archive_rate(analyzed, fx.index)) == [1999, 2000, 2001]
-
-    averages, normalized = tag_stats(analyzed)
+    report = build_report(fx.index, fx.archive, 100, 0)
+    got = {r.year: r for r in report.rows}
+    assert list(got) == list(report.normalized_tags) == [1990, 1999, 2000, 2001]
     for y in (1999, 2000, 2001):
-        for t in ("script", "div"):
-            assert averages[y][t] == sum(a.tag_counts[t] for a in pages(y)) / len(pages(y))
-            peak = max(averages[z][t] for z in (1999, 2000, 2001))
-            assert normalized[y][t] == averages[y][t] / peak
+        assert (got[y].internal_link_rate, got[y].external_link_rate) == (
+            mean_rate([links(a, "internal") for a in pages(y)]),
+            mean_rate([links(a, "external") for a in pages(y)]))
 
-    outlinks = outlink_stats(analyzed)
-    assert list(outlinks) == [1999, 2000, 2001]
+    for t, column in (("script", "avg_scripts"), ("div", "avg_div")):
+        averages = {y: sum(a.tag_counts[t] for a in pages(y)) / len(pages(y)) for y in got}
+        for y in got:
+            assert getattr(got[y], column) == averages[y]
+            assert report.normalized_tags[y][t] == averages[y] / max(averages.values())
+
     for y in (1999, 2000, 2001):
-        internal = sum(len(a.internal_outlinks()) for a in pages(y)) / len(pages(y))
-        external = sum(len(a.external_outlinks()) for a in pages(y)) / len(pages(y))
-        assert outlinks[y] == (internal + external, internal, external)
+        internal = sum(len(links(a, "internal")) for a in pages(y)) / len(pages(y))
+        external = sum(len(links(a, "external")) for a in pages(y)) / len(pages(y))
+        assert got[y][-3:] == (internal + external, internal, external)
 
 
-# tag_stats -----------------------------------------------------------------
+# tags ----------------------------------------------------------------------
 
 
 def test_tag_constant_average(tmp_path):
     body = b"<script>a</script><script>b</script><p>t</p>"
     captures = [("http://h%d.de/" % i, ts(2000 + i % 2, i), body) for i in range(6)]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
-    averages, normalized = tag_stats(analyzed)
-    for year in (2000, 2001):
-        assert averages[year]["script"] == pytest.approx(2.0)
-        assert normalized[year]["script"] == pytest.approx(1.0)
+    report = build_report(fx.index, fx.archive, 100, 0)
+    for row in report.rows:
+        assert row.avg_scripts == pytest.approx(2.0)
+        assert report.normalized_tags[row.year]["script"] == pytest.approx(1.0)
+    assert [row.year for row in report.rows] == [2000, 2001]
 
 
 def test_tag_single_year_normalizes_to_one(tmp_path):
     fx = build_archive(tmp_path, [("http://a.de/", ts(2000), b"<div>x</div>")])
-    analyzed = analyze_sample(sample_refs(fx.index, 10, 0), fx.archive)
-    _, normalized = tag_stats(analyzed)
+    normalized = build_report(fx.index, fx.archive, 10, 0).normalized_tags
     assert normalized[2000]["div"] == pytest.approx(1.0)
     assert normalized[2000]["table"] == 0.0  # absent tag: 0/0 defined as 0
 
@@ -254,13 +294,12 @@ def test_tag_normalized_by_max(tmp_path):
         ("http://b.de/", ts(2005), b"<div>1</div><div>2</div><div>3</div><div>4</div>")
     ]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 10, 0), fx.archive)
-    _, normalized = tag_stats(analyzed)
+    normalized = build_report(fx.index, fx.archive, 10, 0).normalized_tags
     assert normalized[2000]["div"] == pytest.approx(0.25)
     assert normalized[2005]["div"] == pytest.approx(1.0)
 
 
-# outlink_stats -------------------------------------------------------------
+# outlinks ------------------------------------------------------------------
 
 
 def test_outlink_average(tmp_path):
@@ -269,9 +308,7 @@ def test_outlink_average(tmp_path):
         ("http://b.de/", ts(2000, 2), page(links=["/1", "/2", "/3", "/4"])),
     ]
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 10, 0), fx.archive)
-    total, internal, external = outlink_stats(analyzed)[2000]
-    assert total == pytest.approx(3.0)
+    assert rows(fx, 10)[2000].avg_outlinks_total == pytest.approx(3.0)
 
 
 def test_outlink_partition_identity(tmp_path):
@@ -284,8 +321,8 @@ def test_outlink_partition_identity(tmp_path):
             links.append("http://%s/p%d" % (host, j))
         captures.append(("http://a.de/p%d" % i, ts(1998 + i % 4, i), page(links=links)))
     fx = build_archive(tmp_path, captures)
-    analyzed = analyze_sample(sample_refs(fx.index, 100, 0), fx.archive)
-    for year, (total, internal, external) in outlink_stats(analyzed).items():
+    for year, row in rows(fx).items():
+        total, internal, external = row[-3:]
         assert total == pytest.approx(internal + external, abs=1e-12), year
 
 

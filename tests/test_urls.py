@@ -295,7 +295,9 @@ def _assert_plain_rule(url, base):
 @settings(max_examples=500)
 @given(
     scheme=st.sampled_from(["http://", "https://"]),
-    host=st.from_regex(r"[a-z0-9-]{1,6}(\.[a-z0-9-]{1,6}){0,3}", fullmatch=True),
+    # Labels and dots in any order: empty labels and leading or trailing
+    # dots too, which canonicalization keeps as written.
+    host=st.from_regex(r"([a-z0-9-]{1,6}|\.){1,6}", fullmatch=True),
     path=st.text(alphabet=_PLAIN_CHARS, max_size=12),
     query=st.text(alphabet=_PLAIN_CHARS + ";?", max_size=8),
     base=st.sampled_from(_BASES),

@@ -16,11 +16,15 @@ The regex first consumes a run of what the analysis passes over: text, a
 holds no quote (any end tag, or a start tag not named a, base, link,
 script, style, table or div). It then matches the markup that ends the
 run, if any: a tag, a comment or a declaration, which Python code reads.
-A tag whose rest holds no quote is matched whole, up to its ``>`` (table
-and div are only counted); quoted attributes, the tags a, base, link,
-script and style, comments and declarations are read on by helpers, which
-consume a span past the match: a comment, a quoted value or a raw-text
-body. The next step starts where that span ends. A run
+A tag whose rest holds no quote is matched whole, up to its ``>``, and so
+is an ``<a>`` whose first attribute is a non-empty quoted href and whose
+other attributes hold no quote; the regex captures that href. Only the
+attributes of the other a, base and link tags, and of script and style
+tags that have any, are read again. The rest of what was matched whole
+is done with: table and div are only counted, the href is decoded, and a
+bare script or style opens its raw-text body at the ``>``. Helpers read
+on past the match over quoted attributes, comments, declarations and
+raw-text bodies. The next step starts where what they read ends. A run
 holds at most ``_RUN`` ignored tags and lone ``<``s, since the regex
 engine keeps a record of each until the match ends; a step that stops at
 that bound reads no markup, and the next goes on from there. When tokens
@@ -32,7 +36,9 @@ step, each alternative of the run either consumes what it reads or fails
 before a quote, a ``>`` or the end of input: a failed ignored tag is then
 the markup that ends the run, which its reader consumes at least that far,
 or the scan stops at it. So each character is read a bounded number of
-times. The rules follow the WHATWG HTML tokenizer where they matter here:
+times. A whole ``<a>`` that fails stops at a quote or at the end of
+input, and the tag's reader then reads at least that far.
+The rules follow the WHATWG HTML tokenizer where they matter here:
 
 - ``<`` and an ASCII letter open a start tag, ``</`` and a letter an end
   tag. The name runs to whitespace, ``/`` or ``>``. Tag and attribute
@@ -126,14 +132,18 @@ _IGNORED_TAG_RE = re.compile(_IGNORED_TAG)
 _RUN = 64
 # One scan step, matched where the text not yet read starts: a run of
 # text, "<"s that open no markup and ignored tags, then, as group 1, the
-# markup that ends it, if any. Groups 2-4 are the "/" of an end tag, the
-# tag name, and the rest of the tag up to its ">" when that holds no
-# quote. No markup runs past the first ">" after its "<". The patterns
-# use no atomic groups and no possessive quantifiers, which Python 3.10
-# (the oldest that requires-python allows) does not compile.
+# markup that ends it, if any. Groups 2 and 3 are the raw value, double-
+# or single-quoted, of an <a> whose first attribute is a non-empty quoted
+# href and whose rest holds no other quote; else groups 4-6 are the "/" of
+# an end tag, the tag name, and the rest of the tag up to its ">" when
+# that holds no quote. No markup but a quoted href runs past the first
+# ">" after its "<". The patterns use no atomic groups and no possessive
+# quantifiers, which Python 3.10 (the oldest that requires-python allows)
+# does not compile.
 _STEP_RE = re.compile(
     r"[^<]*(?:(?:%s|<(?![a-zA-Z/!?]))[^<]*){0,%d}"
-    r"(<(?:(/?)([a-zA-Z][^\t\n\r\f />]*)([^>\"']*>)?|[!?/]))?" % (_IGNORED_TAG, _RUN)
+    r"(<(?:(?i:a[\t\n\r\f /]+href)[\t\n\r\f ]*=[\t\n\r\f ]*(?:\"([^\"]+)\"|'([^']+)')[^>\"']*>"
+    r"|(/?)([a-zA-Z][^\t\n\r\f />]*)([^>\"']*>)?|[!?/]))?" % (_IGNORED_TAG, _RUN)
 )
 # One attribute: separators, a name, then optionally "=" and a value. A
 # quote that is never closed runs to the end of input and leaves its
@@ -158,6 +168,7 @@ def tokenize(text):
 
 # target is an absolute canonical URL; kind is "internal" or "external".
 LinkRecord = namedtuple("LinkRecord", "target kind")
+_new_tuple = tuple.__new__
 
 
 class PageAnalysis:
@@ -227,7 +238,8 @@ def _link(base, href, page_host):
     if resolved is None:
         return None
     target, host = resolved
-    return LinkRecord(target, "internal" if strip_www(host) == page_host else "external")
+    kind = "internal" if strip_www(host) == page_host else "external"
+    return _new_tuple(LinkRecord, (target, kind))  # skips the Python-level __new__
 
 
 def _scan(text, page, tokens):
@@ -253,8 +265,10 @@ def _scan(text, page, tokens):
             continue
         if tokens and start > pos:
             texts.append(text[pos:start])
-        slash, tag, rest = m.group(2, 3, 4)
-        if tag is None:  # "<!", "<?", or "</" and no letter
+        dq, sq, slash, tag, rest = m.group(2, 3, 4, 5, 6)
+        if dq or sq:  # an <a> read whole
+            tag, href, end = "a", unescape(dq or sq), m.end()
+        elif tag is None:  # "<!", "<?", or "</" and no letter
             end = _markup_end(text, start)
         elif slash:  # an end tag
             end = m.end() if rest else _read_attrs(text, m.end())[0]
@@ -262,11 +276,11 @@ def _scan(text, page, tokens):
         else:
             tag = tag.lower()
             if tag == "a" or tag == "base":
-                end, _, href = _read_attrs(text, m.end(3), "href")
+                end, _, href = _read_attrs(text, m.end(5), "href")
             elif tag == "link":
-                end, _, rel = _read_attrs(text, m.end(3), "rel")
+                end, _, rel = _read_attrs(text, m.end(5), "rel")
             elif tag == "script" or tag == "style":
-                end, self_closing, _ = _read_attrs(text, m.end(3))
+                end, self_closing = (m.end(), False) if rest == ">" else _read_attrs(text, m.end(5))[:2]
             else:
                 end = m.end() if rest else _read_attrs(text, m.end())[0]
         if end < 0:
@@ -283,7 +297,9 @@ def _scan(text, page, tokens):
             counts["script" if tag == "script" else "style_element"] += 1
             if not self_closing:
                 close = _RAW_TEXT_END_RE[tag].search(text, end)
-                end = _read_attrs(text, close.end() - 1)[0] if close else -1
+                end = close.end() if close else -1
+                if end > 0 and text[end - 1] != ">":  # whitespace or "/" ends the name
+                    end = _read_attrs(text, end - 1)[0]
                 if end < 0:
                     break
         elif tag == "link":

@@ -23,8 +23,12 @@ rooted path without ";", a non-empty query or none, no fragment, and no
 characters but RFC 3986 unreserved and sub-delims, ":", "@", "/", "%"
 and, in the query, "?". Canonicalization returns such a URL unchanged,
 and so does resolution of it as an href against any base, so both
-return it at once, with the host that the regex captures. Any other URL
-takes the full path, with the same result and errors.
+return it at once, with the host that the regex captures. A rooted href
+with no dot segment, such as ``/p31``, resolves to the base's
+"scheme://host" and the href joined, so when that passes the regex it is
+returned at once too, and ``page_base`` builds the base of a URL that
+passes from the match. Any other URL takes the full path, with the same
+result and errors.
 """
 
 from __future__ import annotations
@@ -285,6 +289,14 @@ def _base(url, host):
 def page_base(url):
     """Base for the links of a page at ``url``; CanonicalizationError
     when the page URL cannot be canonicalized."""
+    m = _PLAIN_MATCH(url) if isinstance(url, str) else None
+    if m is not None:
+        at = m.end(1)
+        path, _, query = url[at:].partition("?")
+        if "//" not in path and "/." not in path:  # no empty or dot segment: as _base
+            directory = path[: path.rfind("/") + 1]
+            stack = tuple(directory.split("/")[:-1])
+            return Base(url[: m.start(1) - 3], url[:at], m[1], stack, directory, url, path, query)
     return _base(*_canonicalize(url))
 
 
@@ -309,6 +321,10 @@ def resolve(base, href):
         m = _PLAIN_MATCH(href)
         if m is not None:
             return href, m[1]
+    elif href[0] == "/" and href[1:2] != "/" and "/." not in href and base.prefix is not None:
+        url = base.prefix + href  # a rooted path with no dot segment
+        if _PLAIN_MATCH(url) is not None:
+            return url, base.host
     scheme, netloc, path, query, fragment = _REFERENCE_RE.match(_clean(href)).groups()
     if scheme is None:
         scheme = base.scheme

@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from html import escape
 from html.parser import HTMLParser
 
 import pytest
@@ -237,7 +238,10 @@ HREF_SEGMENTS = [
     "", ".", "..", "x", "p46", "a b", "%20", "~u", "a;b", "a:b", "ü", "Q", "a.b",
     "%2e%2e", "%2F", "%2e", "a\tb", "a\nb", "a\rb", "x;p", "x;", ";p", "..;p", ".;p",
 ]
-HREF_SUFFIXES = ["", "?q=1", "#f", "?", "#", "?a b", "?q#f", ";x=1", "?\u00a0#", "\u00a0#f"]
+HREF_SUFFIXES = [
+    "", "?q=1", "#f", "?", "#", "?a b", "?q#f", ";x=1", "?\u00a0#", "\u00a0#f", "?a=1&b=2",
+    "&amp;", "?q=\"'<>",
+]
 
 hrefs = st.one_of(
     st.builds(
@@ -249,7 +253,7 @@ hrefs = st.one_of(
         ),
         st.sampled_from(HREF_SUFFIXES),
     ),
-    st.text(alphabet="/.?#:@ aAzZ09%-_~;\t", max_size=12),
+    st.text(alphabet="/.?#:@ aAzZ09%-_~;\t&\"'", max_size=12),
 )
 BASE_HREFS = [
     "http://other.de/dir/", "sub/", "/", "//B.de:80/d/e", "?q", "#f", "x/../y/", "../..",
@@ -262,11 +266,12 @@ BASE_HREFS = [
 @given(
     page_url=st.sampled_from(PAGE_URLS),
     base=st.one_of(st.none(), st.sampled_from(BASE_HREFS)),
-    links=st.lists(hrefs.filter(lambda h: '"' not in h and "&" not in h), max_size=5),
+    links=st.lists(hrefs, max_size=5),
 )
 def test_parse_html_outlinks_equal_per_link_classification(page_url, base, links):
     assume(not any(version_dependent(h) for h in links))
-    html = "".join('<a href="%s">x</a>' % h for h in links)
+    # Each href is written escaped, so the scan must decode it.
+    html = "".join('<a href="%s">x</a>' % escape(h) for h in links)
     base_url = page_url = canonicalize_url(page_url)
     if base is not None:
         html = '<base href="%s">' % base + html
@@ -635,6 +640,82 @@ def test_token_never_spans_markup():
     assert a.tokens == ["ab", "cd", "ef", "gh", "ij"]
 
 
+# Tags the scan step reads whole, and their near misses -----------------------
+
+X, Y = "http://a.de/x", "http://a.de/y"
+WHOLE_ANCHORS = [
+    ('<a href="/x">', [X]),
+    ("<A HREF = '/x' >", [X]),
+    ('<a\thref="/x">', [X]),
+    ('<a/href="/x">', [X]),
+    ('<a href="">', []),  # an empty value is no href; the next one is
+    ('<a href="" href="/y">', [Y]),
+    ('<a href="/x" class=y>', [X]),
+    ('<a href="/x" title="a>b">', [X]),  # a quoted rest is read by the reader
+    ('<a class=y href="/x">', [X]),
+    ("<a href=/x>", [X]),
+    ('<a href="/x>y">', ["http://a.de/x>y"]),  # the quoted ">" ends no tag
+    ('<a href="/x?a=1&amp;b=2">', ["http://a.de/x?a=1&b=2"]),
+]
+RAW_TEXT_SHAPES = [
+    # (page, tokens, script count, style count)
+    ("a<script>b</script>c", ["a", "c"], 1, 0),
+    ("a<script/>b", ["a", "b"], 1, 0),
+    # The "/" before ">" ends the unquoted value: the tag opens a body.
+    ("a<script href=/x/>b</script>c", ["a", "c"], 1, 0),
+    ('a<style type="t">b</style>c', ["a", "c"], 0, 1),
+    ("a<script>b</script >c", ["a", "c"], 1, 0),
+    ("a<script>b</script/>c", ["a", "c"], 1, 0),
+    ("a<script>b</script\n>c", ["a", "c"], 1, 0),
+    ("a<script>b</script x='>'>c", ["a", "c"], 1, 0),
+    ("a<style>b</style", ["a"], 0, 1),  # the end tag is open at the end of input
+]
+
+
+def _assert_equals_reference(html):
+    want = reference_htmldoc.parse_html(html, "http://a.de/p")
+    for tokens in (True, False):
+        got = parse_html(html, "http://a.de/p", tokens=tokens)
+        assert got.tokens == (want.tokens if tokens else [])
+        assert got.outlinks == want.outlinks
+        assert got.tag_counts == want.tag_counts
+
+
+@pytest.mark.parametrize("tag, targets", WHOLE_ANCHORS)
+def test_whole_anchor_shapes(tag, targets):
+    a = parse_html(tag + "t</a>", "http://a.de/p")
+    assert a.outlink_targets() == targets
+    assert a.tokens == ["t"]
+    _assert_equals_reference(tag + "t</a>")
+    _assert_equals_reference(tag)
+
+
+def test_whole_anchor_open_at_the_end_of_input_is_dropped():
+    assert parse_html('t<a href="/x"', "http://a.de/p").outlinks == []
+    _assert_equals_reference('t<a href="/x"')
+
+
+@pytest.mark.parametrize("html, tokens, scripts, styles", RAW_TEXT_SHAPES)
+def test_raw_text_tag_shapes(html, tokens, scripts, styles):
+    a = parse_html(html, "http://a.de/p")
+    assert a.tokens == tokens
+    assert (a.tag_counts["script"], a.tag_counts["style_element"]) == (scripts, styles)
+    _assert_equals_reference(html)
+
+
+WHOLE_TAG_BITS = [tag for tag, _ in WHOLE_ANCHORS] + [
+    '<a href="/x"', "<script>", "<script/>", "<script href=/x/>", '<style type="t">',
+    "<STYLE>", "</script >", "</script/>", "</script\n>", "</script>", "</style>",
+    "t", " ", "</a>", "<p>", "<div>", '"', "'", ">", "<", "&amp;", "=",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(WHOLE_TAG_BITS), max_size=20).map("".join))
+def test_scanner_equals_reference_on_whole_tag_shapes(html):
+    _assert_equals_reference(html)
+
+
 # Linear time on malformed input ---------------------------------------------
 
 
@@ -648,6 +729,19 @@ def test_malformed_megabyte_parses_in_linear_time(unit):
     start = time.perf_counter()
     parse_html(html, "http://a.de/")
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("head, unit", [
+    ('<a href="', "<p>x</p> "),  # the quote is never closed
+    ('<a href="x"', " y=z"),  # the tag is never closed
+    ("", '<a href="x"y'),  # each fails the whole-anchor shape at the next quote
+])
+def test_megabyte_of_failed_whole_anchors_parses_in_linear_time(head, unit):
+    html = head + unit * ((1 << 20) // len(unit))
+    start = time.perf_counter()
+    a = parse_html(html, "http://a.de/")
+    assert time.perf_counter() - start < 2.0
+    assert a.outlinks == []
 
 
 @pytest.mark.parametrize("head, unit, tail", [

@@ -102,6 +102,7 @@ NOT_LOADED = {
               "subcollect.htmldoc", "subcollect.relevance", "subcollect.spec",
               "json", "csv", "heapq", "html"},
     "extract": {"subcollect.evaluation", "subcollect.stats", "csv"},
+    "evaluate": {"subcollect.stats"},
     "stats": {"subcollect.extraction", "subcollect.evaluation", "subcollect.relevance",
               "subcollect.spec"},
 }
@@ -121,6 +122,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     argvs = {
         "index": ["index", warc, "--output", index],
         "extract": ["extract", "--spec", str(spec), *archive, "--output", str(tmp_path / "m")],
+        "evaluate": ["evaluate", str(tmp_path / "m"), *archive],  # reads the manifest just written
         "stats": ["stats", *archive, "--sample-n", "2", "--output", str(tmp_path / "s.csv")],
         "get": ["get", *archive, "--url", "http://a.de/", "--at", "20000101120000"],
     }

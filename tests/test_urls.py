@@ -2,7 +2,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subcollect import urls
 from subcollect.htmldoc import parse_html
@@ -180,8 +180,7 @@ def _outcome(canonicalize, url):
 # or "#" follows one: urlsplit's checks of both have changed between
 # Python releases (before 3.11 it did not check what stands between the
 # brackets). Plain tests pin those rules.
-@settings(max_examples=500)
-@given(
+URL_PARTS = dict(
     lead=st.sampled_from(["", " ", "\u00a0", "\x01"]),
     scheme=st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "http:/", "http:", "x"]),
     userinfo=st.sampled_from(["", "u@", "u:p@", "@", "a@b@", "\u2100@"]),
@@ -192,6 +191,10 @@ def _outcome(canonicalize, url):
     port=st.sampled_from(["", ":", ":80", ":443", ":0", ":08", ":x", ":\u00b2"]),
     rest=st.text(alphabet="/?#ab:@.;% \t\n\u00a0\u3000", max_size=10),
 )
+
+
+@settings(max_examples=500)
+@given(**URL_PARTS)
 def test_canonicalize_url_equals_reference(lead, scheme, userinfo, host, port, rest):
     assume(not host.startswith("[") or rest[:1] in ("", "/", "?", "#"))
     url = lead + scheme + userinfo + host + port + rest
@@ -292,18 +295,20 @@ def _assert_plain_rule(url, base):
         assert urls.resolve(urls.page_base(base), url) == (url, m[1])
 
 
-@settings(max_examples=500)
-@given(
-    scheme=st.sampled_from(["http://", "https://"]),
+plain_urls = st.builds(
+    lambda scheme, host, path, query: scheme + host + "/" + path + ("?" + query if query else ""),
+    st.sampled_from(["http://", "https://"]),
     # Labels and dots in any order: empty labels and leading or trailing
     # dots too, which canonicalization keeps as written.
-    host=st.from_regex(r"([a-z0-9-]{1,6}|\.){1,6}", fullmatch=True),
-    path=st.text(alphabet=_PLAIN_CHARS, max_size=12),
-    query=st.text(alphabet=_PLAIN_CHARS + ";?", max_size=8),
-    base=st.sampled_from(_BASES),
+    st.from_regex(r"([a-z0-9-]{1,6}|\.){1,6}", fullmatch=True),
+    st.text(alphabet=_PLAIN_CHARS, max_size=12),
+    st.text(alphabet=_PLAIN_CHARS + ";?", max_size=8),
 )
-def test_plain_urls_pass_through_unchanged(scheme, host, path, query, base):
-    url = scheme + host + "/" + path + ("?" + query if query else "")
+
+
+@settings(max_examples=500)
+@given(url=plain_urls, base=st.sampled_from(_BASES))
+def test_plain_urls_pass_through_unchanged(url, base):
     assert urls._PLAIN_MATCH(url) is not None
     _assert_plain_rule(url, base)
 
@@ -355,3 +360,61 @@ def test_plain_urls_skip_the_authority_check(monkeypatch):
     ]
     with pytest.raises(AssertionError, match="netloc checked"):
         canonicalize_url("http://Host3.de/p17")
+
+
+# Rooted hrefs and page bases of plain URLs ----------------------------------
+
+ROOTED_PAGE_URLS = [
+    # Plain: they pass the regex.
+    "http://a.de/", "http://a.de/p31", "http://www.a.de/d/e/f.html?q=1", "https://a.de/x/?a=b;c",
+    "http://a.de/.x/y.", "http://a.de/d/%41?",
+    # Not plain: a port, userinfo, an upper-case host, params, dot segments
+    # or an empty segment in the path.
+    "http://a.de:8080/x/y", "http://u:p@a.de/x/", "http://A.DE/X/y", "http://a.de/x;p/y;q",
+    "http://a.de/a/./b/../c", "http://a.de/a//b/c", "http://a.de//", "http://a.de/x/..",
+]
+ROOTED_BASE_HREFS = [None, "http://b.de/d/e", "sub/", "/r/", "../..", "//c.de:80/z/", "?q", "ftp://f/"]
+ROOTED_ATOMS = [
+    "x", "p31", ".", "..", "/", "./", "../", "/h", ";p", "?", "?q", "%41", "%2e", "%zz", " ",
+    "\t", "a b", "&", ":", "@", "#f",
+]
+
+
+@settings(max_examples=1000)
+@given(
+    page_url=st.sampled_from(ROOTED_PAGE_URLS),
+    base_href=st.sampled_from(ROOTED_BASE_HREFS),
+    href=st.lists(st.sampled_from(ROOTED_ATOMS), max_size=4).map(lambda atoms: "/" + "".join(atoms)),
+)
+@example(page_url="http://a.de/d/", base_href=None, href="/x ")
+@example(page_url="http://a.de/d/", base_href=None, href="/x?")
+@example(page_url="http://a.de/d/", base_href=None, href="//h/x")
+@example(page_url="http://a.de/d/", base_href="sub/", href="/../x")
+def test_rooted_hrefs_resolve_as_the_reference(page_url, base_href, href):
+    page = urls.page_base(page_url)
+    base, base_url = page, page_url
+    if base_href is not None:
+        base = urls.rebase(page, page, base_href)
+        base_url = reference_urls.base_url(page_url, base_href, page_url)
+    resolved = urls.resolve(base, href)
+    want = reference_urls.link_target(base_url, href)
+    assert resolved == (want and (want, host_of(want)))
+
+
+def _page_base_outcome(make, url):
+    try:
+        return make(url)
+    except CanonicalizationError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=500)
+@given(url=st.one_of(plain_urls, st.builds(lambda **parts: "".join(parts.values()), **URL_PARTS)))
+@example("http://a.de/a//b")
+@example("http://a.de/a/./b?q")
+@example("http://a.de/a/../")
+def test_page_base_equals_the_base_of_the_canonical_url(url):
+    def full(url):
+        return urls._base(*urls._canonicalize(url))
+
+    assert _page_base_outcome(urls.page_base, url) == _page_base_outcome(full, url)

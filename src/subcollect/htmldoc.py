@@ -26,10 +26,10 @@ bare script or style opens its raw-text body at the ``>``. Helpers read
 on past the match over quoted attributes, comments, declarations and
 raw-text bodies. The next step starts where what they read ends. A run
 holds at most ``_RUN`` ignored tags and lone ``<``s, since the regex
-engine keeps a record of each until the match ends; a step that stops at
-that bound reads no markup, and the next goes on from there. When tokens
-are collected, the runs are the text, and the same ignored-tag pattern
-turns their tags into spaces.
+engine keeps a record of each until the match ends; at that bound the
+markup group reads the next tag even if it is ignored, and the scan
+passes over it. When tokens are collected, the runs are the text, and
+the same ignored-tag pattern turns their tags into spaces.
 
 The time is linear in the length of the page, malformed or not. Within a
 step, each alternative of the run either consumes what it reads or fails
@@ -94,6 +94,7 @@ from html import unescape
 
 from .store import CorruptSnapshotError
 from .urls import CanonicalizationError, page_base, rebase, resolve, strip_www
+from .warc import media_type
 
 __all__ = [
     "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture", "tokenize",
@@ -111,13 +112,6 @@ _ASCII_TOKEN_TABLE = str.maketrans(
 # A charset declared in a <meta> tag, by its charset attribute or its content;
 # the tag ends at the next "<" or ">", so each byte is read by one match.
 _CHARSET_RE = re.compile(rb"<meta[\t\n\r\f /][^<>]*?charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.I)
-# A parameter of a Content-Type (RFC 9110 section 5.6.6): its name, and its
-# value as a token or as a quoted string, whose quoted pairs are undone.
-_HTTP_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
-_PARAMETER_RE = re.compile(
-    r';[\t ]*(%s)=(?:(%s)|"([^"\\]*(?:\\.[^"\\]*)*)")(?=[\t ]*(?:;|\Z))' % (_HTTP_TOKEN, _HTTP_TOKEN)
-)
-_QUOTED_PAIR_RE = re.compile(r"\\(.)")
 # ``codecs.lookup`` names of codecs no browser decodes a page with; they
 # turn ASCII text into garbage or nothing.
 _NOT_PAGE_ENCODINGS = frozenset("punycode idna undefined unicode-escape raw-unicode-escape".split())
@@ -258,7 +252,7 @@ def _scan(text, page, tokens):
     while pos < n:
         m = step(text, pos)
         start = m.start(1)
-        if start < 0:  # the run reached its bound or the end of input
+        if start < 0:  # the end of input, or a lone "<" at the run's bound
             if tokens:
                 texts.append(text[pos : m.end()])
             pos = m.end()
@@ -354,15 +348,10 @@ def parse_html(body, page_url, charset_hint=None, tokens=True):
 
 def analyze(snapshot, tokens=True):
     """Page analysis for a fetched snapshot; non-HTML yields an empty one.
-    The charset hint is the value of the first parameter of the snapshot's
-    content_type that is named ``charset``, in any case."""
+    The charset hint is read from its content_type by :func:`warc.media_type`."""
     if not snapshot.ref.is_html:
         return PageAnalysis()
-    charset = None
-    for name, token, quoted in _PARAMETER_RE.findall(snapshot.content_type):
-        if name.lower() == "charset":
-            charset = token or _QUOTED_PAIR_RE.sub(r"\1", quoted)
-            break
+    charset = media_type(snapshot.content_type)[1]
     return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
 
 

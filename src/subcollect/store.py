@@ -92,9 +92,6 @@ _TIMESTAMP14_MATCH = re.compile(
     r"(?:[01][0-9]|2[0-3])[0-5][0-9](?:[0-5][0-9]|6[01])" % _LEAP_YEAR
 ).fullmatch
 
-# A media type without parameters (RFC 9110): a type and a subtype token.
-_MEDIA_TYPE_RE = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+/[-!#$%&'*+.^_`|~0-9A-Za-z]+")
-
 
 class SnapshotNotFound(LookupError):
     """The requested URL (or capture) is not in the index."""
@@ -212,9 +209,8 @@ def ingest_warc(path, stats=None):
     a non-HTTP payload) are skipped and tallied in ``stats.skipped``.
     Each distinct Target-URI is canonicalized, and each distinct
     Content-Type read, once per file, so the entries of one URL share one
-    string, as do those of one mime type. The mime type is the first
-    Content-Type of the response up to any ";", lowercased, when that is a
-    media type, and none otherwise.
+    string, as do those of one mime type: the essence that
+    :func:`warc.media_type` reads from the response's first Content-Type.
     """
     file_id = os.path.basename(path)
     if stats is None:
@@ -251,8 +247,7 @@ def ingest_warc(path, stats=None):
             stats.skipped += 1
             continue
         if content_type not in mimes:
-            mime = content_type.split(";")[0].strip()
-            mimes[content_type] = mime.lower() if _MEDIA_TYPE_RE.fullmatch(mime) else ""
+            mimes[content_type] = warc.media_type(content_type)[0]
         entries.append(IndexEntry(canonical[uri], ts14, mimes[content_type], status,
                                   hashlib.sha256(body).hexdigest(), file_id, offset, length))
         stats.responses += 1

@@ -15,12 +15,14 @@ first header of a name counts. Only the header fields needed for
 indexing are interpreted; everything else is kept verbatim so records
 can be copied out byte-for-byte. Of an HTTP response's head,
 :func:`parse_http_response` gives only the status and the first
-Content-Type, the one header that ingest and the page parser read.
+Content-Type; :func:`media_type` is the one rule that ingest and the
+page parser read its mime and charset by.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from collections import namedtuple
 
@@ -32,12 +34,21 @@ __all__ = [
     "read_record",
     "read_span",
     "parse_http_response",
+    "media_type",
 ]
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _MAX_HEADER = 1 << 20  # bytes a record header block may take, through its blank line
 _CHUNK = 1 << 16  # bytes iter_records reads at a time
 _GZIP_PIECE = 1 << 14  # compressed bytes handed to zlib at a time
+# A Content-Type trimmed of HTTP whitespace: an essence of two HTTP tokens up to just past a ";"
+# or the end, then one parameter per match, a name and either an opening quote and a value up to
+# its closing quote or the end, or an unquoted value less its trailing whitespace. The parameter
+# patterns compile on first use, through re's cache: the get command reads no Content-Type.
+_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+_ESSENCE_MATCH = re.compile(r"(%s/%s)[\t\n\r ]*(?:;|\Z)" % (_TOKEN, _TOKEN)).match
+_PARAMETER = r'(?s)[\t\n\r ]*([^;=]*)(?:=(?:(")((?:[^"\\]|\\.)*\\?)"?|([^;]*[^;\t\n\r ])?))?[^;]*;?'
+_QUOTED_STRING_TOKEN = "".join(map(chr, [9, *range(0x20, 0x7F), *range(0x80, 0x100)]))
 
 
 class ArchiveIOError(OSError):
@@ -216,3 +227,18 @@ def parse_http_response(payload):
         if sep and name.strip().lower() == "content-type":
             return int(parts[1]), value.strip(), body
     return int(parts[1]), "", body
+
+
+def media_type(value):
+    """(essence, charset) of a Content-Type, by WHATWG's "parse a MIME type": "type/subtype" lower-cased,
+    or "" for no media type, and the first parameter named ``charset`` in any case whose value is not
+    empty unquoted and holds only HTTP quoted-string token code points, or None."""
+    m = _ESSENCE_MATCH(value.strip("\t\n\r "))
+    if m is None:
+        return "", None
+    essence, parameters = m.group(1).lower(), m.string[m.end():]
+    for name, quote, quoted, bare in re.findall(_PARAMETER, parameters) if parameters else ():
+        charset = re.sub(r"(?s)\\(.)", r"\1", quoted) if quote else bare
+        if name.lower() == "charset" and (quote or bare) and not charset.strip(_QUOTED_STRING_TOKEN):
+            return essence, charset
+    return essence, None

@@ -7,7 +7,7 @@ from html.parser import HTMLParser
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from subcollect.htmldoc import LinkRecord, PageAnalysis, analyze, parse_html, tokenize
+from subcollect.htmldoc import _RUN, LinkRecord, PageAnalysis, analyze, parse_html, tokenize
 from subcollect.store import IndexEntry, Snapshot
 from subcollect.urls import canonicalize_url, host_of, strip_www
 
@@ -681,6 +681,14 @@ def _assert_equals_reference(html):
         assert got.tag_counts == want.tag_counts
 
 
+@pytest.mark.parametrize("ignored", [_RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 1])
+@pytest.mark.parametrize("after", ['<a href="/x">t', "< x", "</p>", ""])
+def test_a_run_at_its_bound(ignored, after):
+    # A step's run holds at most _RUN ignored tags; its markup group then
+    # reads the next one, which the scan passes over like the rest.
+    _assert_equals_reference("<p>w" * ignored + after)
+
+
 @pytest.mark.parametrize("tag, targets", WHOLE_ANCHORS)
 def test_whole_anchor_shapes(tag, targets):
     a = parse_html(tag + "t</a>", "http://a.de/p")
@@ -883,13 +891,14 @@ def _snapshot(content_type, body):
     ('text/html; foo="charset=utf-8"', "latin-1"),
     ("text/html; xcharset=utf-8", "latin-1"),
     ("text/html", "latin-1"),
-    # A parameter follows a ";", its "=" has no space around it, and its
-    # value runs to the next ";" or the end: else it is no parameter.
+    # A subtype that is not a token: no media type, so no parameter.
     ("text/html charset=utf-8", "latin-1"),
     ("text/html,charset=utf-8", "latin-1"),
-    ("text/html; charset= utf-8", "latin-1"),
-    ('text/html; charset="utf-8', "latin-1"),
-    ("text/html; charset=utf-8,text/plain", "latin-1"),
+    # An unquoted value runs to the next ";", a leading space included,
+    # and a quoted one to its closing quote or the end.
+    ("text/html; charset= utf-8", "utf-8"),
+    ('text/html; charset="utf-8', "utf-8"),
+    ("text/html; charset=utf-8,text/plain", "latin-1"),  # an unknown label
 ])
 def test_charset_is_the_first_charset_parameter(content_type, charset):
     body = "Müller straße".encode("utf-8")

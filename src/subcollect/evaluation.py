@@ -175,7 +175,11 @@ def _distribution(counts):
 
 
 def _entropy(probs):
-    return -sum(p * math.log2(p) for p in probs if p > 0)
+    total = 0  # a left fold, as sum() of floats is compensated from Python 3.12 on
+    for p in probs:
+        if p > 0:
+            total += p * math.log2(p)
+    return -total
 
 
 def _jsd(p, q):

@@ -13,7 +13,11 @@ once, and the memo keeps only its outlinks and relevance verdict, so the
 memory of a scan grows with the links of the pages it reads, not with
 their text. A capture that cannot be read is stored as None and counted
 once in ``errors``; it never becomes a member, so every member of an
-extracted collection can be read.
+extracted collection can be read. An HTML page that
+:func:`relevance.could_be_relevant` rules out from its decoded text is
+not relevant, and is neither tokenized nor judged; its links are parsed
+only for a closure of policy "all_links", which adds pages unjudged, and
+else the memo holds ``Page(None, False)``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-# parse_html is not called here; perfbench's tracer test checks that the
-# tracer wraps this binding as well as htmldoc's.
-from .htmldoc import analyze_capture, parse_html  # noqa: F401
-from .relevance import is_relevant
+# perfbench's tracer wraps parse_html and is_relevant in this module too.
+from .htmldoc import PageAnalysis, fetch_capture, page_text, parse_html
+from .relevance import could_be_relevant, is_relevant
 from .spec import in_scope_metadata
 from .store import atomic_open, read_rows, timestamp14_to_epoch
 from .urls import host_of
@@ -112,7 +115,7 @@ def index_prefilter(index, spec):
     return [e for captures in index.by_url.values() for e in in_scope_metadata(spec, captures)]
 
 
-# outlinks is a PageAnalysis's list of LinkRecord; relevant is its verdict.
+# outlinks is a list of LinkRecord, or None where no closure reads it; relevant is the verdict.
 Page = namedtuple("Page", "outlinks relevant")
 
 
@@ -126,8 +129,20 @@ def _read(archive, entry, spec, pages):
     fetched and judged at most once.
     """
     if entry not in pages:
-        analysis = analyze_capture(archive, entry)
-        pages[entry] = analysis and Page(analysis.outlinks, is_relevant(analysis, spec).relevant)
+        snapshot = fetch_capture(archive, entry)
+        if snapshot is None:
+            pages[entry] = None
+        elif not snapshot.ref.is_html:
+            pages[entry] = Page([], is_relevant(PageAnalysis(), spec).relevant)
+        else:
+            text, url = page_text(snapshot), snapshot.ref.canonical_url
+            if could_be_relevant(text, spec):
+                analysis = parse_html(text, url)
+                pages[entry] = Page(analysis.outlinks, is_relevant(analysis, spec).relevant)
+            else:
+                unjudged = spec.link_mode == "connected" and spec.closure_policy == "all_links"
+                links = parse_html(text, url, tokens=False).outlinks if unjudged else None
+                pages[entry] = Page(links, False)
     return pages[entry]
 
 

@@ -7,7 +7,9 @@ resolved outlinks, and counts for a handful of layout-indicative tags.
 Only relevance reads tokens, so a caller that reads only links and tags
 (``evaluate``, ``stats``) passes ``tokens=False``: the text between
 markup is then neither collected nor entity-decoded nor tokenized, and
-the outlinks and tag counts are the same.
+the outlinks and tag counts are the same. ``extract`` decodes a page once
+(:func:`page_text`), and parses it only if ``relevance.could_be_relevant``
+does not rule it out from that text.
 
 A page is read in one left-to-right pass of scan steps, each one
 ``_STEP_RE.match`` at the position where the text not yet read starts.
@@ -97,7 +99,8 @@ from .urls import CanonicalizationError, page_base, rebase, resolve, strip_www
 from .warc import media_type
 
 __all__ = [
-    "PageAnalysis", "LinkRecord", "parse_html", "analyze", "analyze_capture", "tokenize",
+    "PageAnalysis", "LinkRecord", "parse_html", "page_text", "analyze", "fetch_capture",
+    "analyze_capture", "tokenize",
 ]
 
 TAG_CLASSES = ("script", "style_element", "linked_style", "table", "div")
@@ -339,25 +342,31 @@ def parse_html(body, page_url, charset_hint=None, tokens=True):
         page = page_base(page_url)
     except CanonicalizationError:
         return PageAnalysis()
-    if isinstance(body, bytes):
-        text = _decode(body, charset_hint)
-    else:
-        text = body
+    text = _decode(body, charset_hint) if isinstance(body, bytes) else body
     return _scan(text, page, tokens)
 
 
+def page_text(snapshot):
+    """An HTML snapshot's text, by its content_type's charset, its <meta> one or Latin-1."""
+    return _decode(snapshot.body, media_type(snapshot.content_type)[1])
+
+
 def analyze(snapshot, tokens=True):
-    """Page analysis for a fetched snapshot; non-HTML yields an empty one.
-    The charset hint is read from its content_type by :func:`warc.media_type`."""
+    """Page analysis for a fetched snapshot; non-HTML yields an empty one."""
     if not snapshot.ref.is_html:
         return PageAnalysis()
-    charset = media_type(snapshot.content_type)[1]
-    return parse_html(snapshot.body, snapshot.ref.canonical_url, charset, tokens)
+    return parse_html(page_text(snapshot), snapshot.ref.canonical_url, tokens=tokens)
+
+
+def fetch_capture(archive, entry):
+    """The Snapshot of the capture ``entry``; None when it cannot be read."""
+    try:
+        return archive.fetch(entry)
+    except (CorruptSnapshotError, OSError):
+        return None
 
 
 def analyze_capture(archive, entry, tokens=True):
     """Fetch and analyze the capture ``entry``; None when it cannot be read."""
-    try:
-        return analyze(archive.fetch(entry), tokens)
-    except (CorruptSnapshotError, OSError):
-        return None
+    snapshot = fetch_capture(archive, entry)
+    return None if snapshot is None else analyze(snapshot, tokens)

@@ -10,7 +10,8 @@ Per page, a spec with a content scope builds one set of the page's
 tokens; a spec without one builds nothing. A term or name whose first
 token is not in that set costs one lookup, and the page's full term
 counts, which only the score's norm needs, are built only when some
-keyword term occurs on the page.
+keyword term occurs on the page. Pages are first ruled out, exactly,
+from their decoded text alone by :func:`could_be_relevant`, untokenized.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
+from html import unescape
 
 from .htmldoc import tokenize
 
-__all__ = [
-    "RelevanceVerdict",
-    "is_relevant",
-]
+__all__ = ["RelevanceVerdict", "could_be_relevant", "is_relevant"]
 
 
 # keyword_score is None when the spec has no keyword scope.
@@ -120,3 +119,29 @@ def is_relevant(analysis, spec):
         matched_entities=matched,
         relevant=keyword_ok and entity_ok,
     )
+
+
+def _fold_sigma(text):
+    return text.replace("\u03c2", "\u03c3")  # final sigma to sigma
+
+
+def could_be_relevant(text, spec):
+    """False only when no page whose decoded text is ``text`` can pass
+    the spec's content scopes: the threshold is above 0 and no keyword
+    term is in ``F = unescape(text).lower()`` (the score is then 0.0), or
+    no entity ("any"), or some entity ("all"), has a name whose first
+    token is; final sigma is folded to sigma. This is exact, as each token
+    is in ``F``: a character reference never spans ``<`` or a space,
+    ``unescape`` keeps what it reads past a ``>`` (``<p title=&ampx>y``),
+    and ``str.lower`` maps each character alone but capital sigma."""
+    keywords, entities = spec.keyword_scope, spec.entity_scope
+    by_keywords = keywords is not None and spec.relevance_threshold > 0
+    if not by_keywords and entities is None:
+        return True
+    folded = _fold_sigma(unescape(text).lower())
+    if by_keywords and not any(_fold_sigma(t) in folded for t in _terms(keywords)):
+        return False
+    if entities is None:
+        return True
+    found = (any(_fold_sigma(name[0]) in folded for name in _entity_names(e)) for e in entities)
+    return all(found) if spec.entity_combine == "all" else any(found)

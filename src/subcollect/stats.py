@@ -8,12 +8,8 @@ tokens and reduced at once to a fixed-size ``SampledPage``: its crawl
 year, tag counts, outlink counts and link-in-archive shares. No parsed
 page outlives its record, so memory grows by one record per sampled
 page, whatever its links. ``build_report`` groups the records by year
-in one pass and puts each year's numbers into one ``YearRow``.
-
-A run is reproducible from (index, n, seed) on one interpreter line:
-Python 3.12 made the builtin ``sum`` of floats compensated, so the mean
-link-in-archive rates may differ in their last digits between 3.11 and
-3.12 or later.
+in one pass and puts each year's numbers into one ``YearRow``. A run is
+reproducible from (index, n, seed).
 """
 
 from __future__ import annotations
@@ -101,13 +97,14 @@ def _share(hits):
 
 
 def link_in_archive_rate(shares):
-    """Mean of the per-page shares that are not None, or None if none is.
-
-    Taken as ``sum(shares) / len(shares)`` in sample order: from Python
-    3.12 on, ``sum`` of floats is compensated and a running ``+=`` is not.
-    """
+    """Mean of the per-page shares that are not None, or None if none is;
+    they are added by a left fold in sample order, not by ``sum``, which
+    Python 3.12 made compensated for floats."""
     shares = [s for s in shares if s is not None]
-    return sum(shares) / len(shares) if shares else None
+    total = 0
+    for s in shares:
+        total += s
+    return total / len(shares) if shares else None
 
 
 # One row of the wide CSV; the fields are its columns, in order, and the

@@ -13,6 +13,7 @@ from subcollect.htmldoc import parse_html
 from subcollect.store import Archive, ArchiveIndex, IndexEntry, IngestStats, ingest_warc
 
 import warcwriter
+from warcwriter import damage_warc, iso_of, page  # noqa: F401 (tests import them here)
 
 FILE_ID = "fixture.warc"
 
@@ -22,28 +23,12 @@ settings.register_profile("ci", deadline=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-def iso_of(ts14):
-    """14-digit timestamp -> WARC-Date string."""
-    return "%s-%s-%sT%s:%s:%sZ" % (
-        ts14[0:4], ts14[4:6], ts14[6:8], ts14[8:10], ts14[10:12], ts14[12:14]
-    )
-
-
 def urlsplit_host(url):
     """host_of as computed by urlsplit alone: the reference for host_of."""
     hostport = urlsplit(url).netloc.rsplit("@", 1)[-1]
     if hostport.startswith("["):
         return hostport.partition("]")[0] + "]"
     return hostport.partition(":")[0].lower()
-
-
-def page(title="", links=(), text=""):
-    """Small HTML page with the given anchors and body text."""
-    anchors = "".join('<a href="%s">link</a>' % href for href in links)
-    return (
-        "<html><head><title>%s</title></head><body><p>%s</p>%s</body></html>"
-        % (title, text, anchors)
-    ).encode("utf-8")
 
 
 def index_entry(canonical_url, timestamp14, mime="application/octet-stream", http_status=200,
@@ -93,30 +78,6 @@ def close_fixture_archives():
     yield
     while _open_archives:
         _open_archives.pop().close()
-
-
-def damage_warc(path, entry, kind):
-    """Damage the plain record of ``entry``, the last in the WARC at ``path``.
-
-    "missing" deletes the file; "truncated" cuts the record's last byte;
-    "header" takes the colon out of its first header line;
-    "content-length" puts a superscript two, a Unicode digit that int()
-    rejects, before its Content-Length; "digest" flips one body byte.
-    """
-    if kind == "missing":
-        path.unlink()
-        return
-    data = bytearray(path.read_bytes())
-    if kind == "truncated":
-        del data[entry.offset + entry.length - 1 :]
-    elif kind == "header":
-        data[data.index(b":", entry.offset)] = ord(" ")
-    elif kind == "content-length":
-        at = data.index(b"Content-Length: ", entry.offset) + len(b"Content-Length: ")
-        data[at:at] = "\u00b2".encode("utf-8")
-    else:
-        data[entry.offset + entry.length - 10] ^= 0xFF
-    path.write_bytes(bytes(data))
 
 
 def build_archive(tmp_path, captures, gzip_records=False, name=FILE_ID):

@@ -20,7 +20,7 @@ from subcollect.extraction import (
     select_versions,
 )
 from subcollect.htmldoc import LinkRecord
-from subcollect.relevance import is_relevant
+from subcollect.relevance import could_be_relevant, is_relevant
 from subcollect.spec import SubCollectionSpec
 from subcollect.store import timestamp14_to_epoch
 from subcollect.urls import host_of
@@ -377,12 +377,14 @@ def relevant_links_spec():
 
 
 def two_members_link_to_one_rejected_page(tmp_path):
+    # "cobwebs" holds "web", so could_be_relevant passes the rejected page
+    # and is_relevant judges it.
     return build_archive(
         tmp_path,
         [
             ("http://a.de/", ts(0), page(text="web archive", links=["http://no.de/"])),
             ("http://b.de/", ts(60), page(text="web archive", links=["http://no.de/"])),
-            ("http://no.de/", ts(120), page(text="cooking only")),
+            ("http://no.de/", ts(120), page(text="cobwebs only")),
         ],
     )
 
@@ -399,7 +401,7 @@ def test_closure_judges_a_rejected_capture_once(tmp_path, monkeypatch):
     # Each page is judged when it is first read: a.de, then the target it
     # links to, then b.de, whose link reuses the verdict on no.de.
     member_tokens = ("web", "archive", "link")
-    assert judged == [member_tokens, ("cooking", "only"), member_tokens]
+    assert judged == [member_tokens, ("cobwebs", "only"), member_tokens]
 
 
 @pytest.mark.parametrize("policy", ["all_links", "relevant_links"])
@@ -412,8 +414,56 @@ def test_extract_judges_each_capture_once(tmp_path, monkeypatch, policy):
     assert coll.member_urls() == want
     # The scan judges all three pages; the closure reuses each verdict.
     assert len(judged) == 3
-    assert judged.count(("cooking", "only")) == 1
+    assert judged.count(("cobwebs", "only")) == 1
     assert coll.counters["fetches"] == 3
+
+
+def a_links_to_a_chain_of_pages_without_terms(tmp_path):
+    """a.de holds the keywords and links to no.de, which links to c.de;
+    neither of these holds a keyword term anywhere in its text."""
+    return build_archive(
+        tmp_path,
+        [
+            ("http://a.de/", ts(0), page(text="web archive", links=["http://no.de/"])),
+            ("http://no.de/", ts(60), page(text="cooking only", links=["http://c.de/"])),
+            ("http://c.de/", ts(120), page(text="more cooking")),
+        ],
+    )
+
+
+def test_closure_of_all_links_follows_the_links_of_a_page_ruled_out_by_its_text(tmp_path):
+    fx = a_links_to_a_chain_of_pages_without_terms(tmp_path)
+    spec = relevant_links_spec()._replace(closure_policy="all_links")
+    no = fx.index.lookup_nearest("http://no.de/", ts(60))
+    assert not could_be_relevant(page(text="cooking only", links=["http://c.de/"]).decode(), spec)
+    pages = {}
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, pages)
+    assert kept == [fx.index.lookup_nearest("http://a.de/", ts(0))]
+    assert pages[no] == ([LinkRecord("http://c.de/", "external")], False)
+    # The scan read no.de; the closure adds it without judging it, and follows its link.
+    # These members and counters are the ones before the text test was added.
+    coll = extract(fx.archive, fx.index, spec)
+    assert [(m.entry.canonical_url, m.origin) for m in coll.members] == [
+        ("http://a.de/", "scan"), ("http://c.de/", "closure"), ("http://no.de/", "closure"),
+    ]
+    assert coll.counters == {
+        "candidates_scanned": 3, "fetches": 3, "closure_added": 2, "errors": 0, "members": 3,
+    }
+
+
+def test_relevant_links_closure_never_reads_links_of_a_page_ruled_out_by_its_text(tmp_path):
+    fx = a_links_to_a_chain_of_pages_without_terms(tmp_path)
+    spec = relevant_links_spec()
+    pages = {}
+    kept = scan_extract(fx.archive, index_prefilter(fx.index, spec), spec, pages)
+    no = fx.index.lookup_nearest("http://no.de/", ts(60))
+    # No outlinks are kept: reading them would fail, not shrink the closure.
+    assert pages[no] == Page(None, False)
+    members = [Member(entry=e, origin="scan") for e in kept]
+    grown, added = connect_closure(members, fx.archive, fx.index, spec, pages)
+    # These members and counts are the ones before the text test was added.
+    assert [m.entry.canonical_url for m in grown] == ["http://a.de/"]
+    assert added == 0 and fx.archive.counter.fetches == 3
 
 
 def a_links_to_damaged_b(tmp_path):

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from subcollect.htmldoc import PageAnalysis, tokenize
-from subcollect.relevance import RelevanceVerdict, is_relevant
+from subcollect.htmldoc import PageAnalysis, parse_html, tokenize
+from subcollect.relevance import RelevanceVerdict, could_be_relevant, is_relevant
 from subcollect.spec import EntityRef, SubCollectionSpec
 
 
@@ -268,3 +268,94 @@ def test_is_relevant_equals_reference(tokens, keywords, entities, combine, thres
     assert got.keyword_score == want.keyword_score
     assert got.matched_entities == want.matched_entities
     assert got.relevant == want.relevant
+
+
+# could_be_relevant ---------------------------------------------------------
+#
+# The text test may pass a page that is_relevant rejects, but it must never
+# rule out a page that is_relevant would keep.
+
+_PIECES = [
+    # markup, comments and raw-text bodies
+    "<b>", "</p>", "<p title=", "<a href='", "'>", ">", "<", "<!--", "-->", "<script>",
+    "</script>", "<style>", "</style>", "<br/>",
+    # character references: named with and without ";", numeric, unterminated,
+    # and ones that run into a ">"
+    "&amp;", "&amp", "&ampx>", "&lt", "&#101;", "&#101", "&#x45;", "&#69", "&", "&#", "&e",
+    "&sigma;", "&Sigma", "&#931;", "&#962;",
+    # letters whose lower case is not one code point for one, or depends on
+    # the neighbours, and separators
+    "\u03a3", "\u03c3", "\u03c2", "\u0130", "\u212a", "\u00df", "\ufb01", "\u216b",
+    "'", "_", " ", "\n", "-",
+    # plain letters the keywords and names are made of
+    "e", "l", "b", "a", "i", "k", "s", "elbe", "E", "LBE", "A",
+]
+_WORDS = ["elbe", "e", "a", "b", "\u03c3", "\u03a3", "\u03c2", "i\u0307", "\u0130", "k",
+          "\u212a", "\u00df", "ss", "\ufb01", "\u216b", "elbe a", "e'a", "a_b"]
+_text = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+_content_spec = st.builds(
+    lambda keywords, threshold, entities, combine: SubCollectionSpec(
+        keyword_scope=keywords,
+        relevance_threshold=None if keywords is None else threshold,
+        entity_scope=entities,
+        entity_combine=combine,
+    ),
+    keywords=st.none() | st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple),
+    threshold=st.just(0.0) | st.floats(0, 1),
+    entities=st.none() | st.lists(
+        st.lists(st.sampled_from(_WORDS + ["_", "'"]), min_size=1, max_size=3), max_size=3
+    ).map(lambda ents: tuple(
+        EntityRef(id="e%d" % i, label=names[0], aliases=tuple(names[1:]))
+        for i, names in enumerate(ents)
+    )),
+    combine=st.sampled_from(["any", "all"]),
+)
+
+
+def keyword_spec(*keywords, threshold=0.5):
+    return SubCollectionSpec(keyword_scope=keywords, relevance_threshold=threshold)
+
+
+@settings(max_examples=2000)
+@given(text=_text, spec=_content_spec)
+# Lower-cased as a whole, the sigma after "A'" is final; the token "\u03c3"
+# is lower-cased alone.
+@example(text="<b>e'A'\u03a3", spec=keyword_spec("\u03c3"))
+# Only the decoded reference spells the keyword.
+@example(text="&#101;lbe<b>\u03a3", spec=keyword_spec("elbe"))
+# A threshold of 0 keeps a page that holds no keyword term.
+@example(text="<p>cooking</p>", spec=keyword_spec("elbe", threshold=0.0))
+def test_text_test_never_rules_out_a_relevant_page(text, spec):
+    if not could_be_relevant(text, spec):
+        assert not is_relevant(parse_html(text, "http://a.de/"), spec).relevant
+
+
+def test_text_test_rules_out_a_page_without_any_term():
+    keywords = keyword_spec("web", "archive")
+    assert not could_be_relevant("<p>cooking only</p>", keywords)
+    # A term inside a longer word, or only in markup, passes the text test.
+    assert could_be_relevant("<p>cobwebs</p>", keywords)
+    assert could_be_relevant('<a href="/archive">x</a>', keywords)
+
+
+def test_text_test_reads_decoded_lower_cased_text():
+    spec = keyword_spec("elbe")
+    assert could_be_relevant("<p>&#69;LBE</p>", spec)
+    assert could_be_relevant("<p>E&shy;LBE</p>", spec) is False
+
+
+def test_text_test_passes_every_page_it_cannot_rule_out():
+    no_content = SubCollectionSpec(url_scope=("http://a.de/",))
+    zero = keyword_spec("web", threshold=0.0)
+    assert could_be_relevant("", no_content)
+    assert could_be_relevant("<p>cooking</p>", zero)
+
+
+@pytest.mark.parametrize("combine, want", [("any", True), ("all", False)])
+def test_text_test_combines_entities_like_the_spec(combine, want):
+    spec = SubCollectionSpec(entity_scope=(MERKEL, EntityRef(id="e2", label="Gerhard Schroeder")),
+                             entity_combine=combine)
+    assert could_be_relevant("<p>ANGELA and gerhard</p>", spec)
+    # Only the first token of a name is looked for.
+    assert could_be_relevant("<p>merkel and schroeder</p>", spec) is want
+    assert not could_be_relevant("<p>nobody</p>", spec)
